@@ -29,7 +29,7 @@ from .simworld import (
     synth_scan, synth_trajectory,
 )
 from .wire import (
-    FrameType, SessionConfig, StreamTransport, WireError,
+    FrameType, SessionConfig, StreamTransport, WireError, WireFrame,
     decode_config, decode_frame, decode_pose_resp, decode_state_update,
     encode_frame, encode_pose_req, pack_groups, payload_bits,
     tcp_connect, tcp_listen,
@@ -126,11 +126,9 @@ class _SyncChannel:
 
     def __init__(self, host: Host):
         self.host = host
-        self.tx_bytes = 0
 
-    def request(self, frame_bytes: bytes) -> bytes:
-        self.tx_bytes += len(frame_bytes)
-        return self.host.handle_frame(decode_frame(frame_bytes))
+    def request(self, frame_bytes: bytes) -> WireFrame:
+        return decode_frame(self.host.handle_frame(decode_frame(frame_bytes)))
 
 
 class _SocketChannel:
@@ -138,13 +136,10 @@ class _SocketChannel:
 
     def __init__(self, transport: StreamTransport):
         self.transport = transport
-        self.tx_bytes = 0
 
-    def request(self, frame_bytes: bytes) -> bytes:
-        self.tx_bytes += len(frame_bytes)
+    def request(self, frame_bytes: bytes) -> WireFrame:
         self.transport.send_frame(frame_bytes)
-        reply = self.transport.recv_frame()
-        return encode_frame(reply.frame_type, reply.timestamp_us, reply.payload)
+        return self.transport.recv_frame()
 
 
 def _host_serve(transport: StreamTransport, host: Host, errors: list) -> None:
@@ -226,7 +221,6 @@ def _run_wire(cfg: RunConfig, scene, gt, host: Host, extrinsic, scan_seed):
     if cfg.transport == "inproc":
         channel = _SyncChannel(host)
         config_frame = decode_frame(host.config_frame())
-        channel.tx_bytes += 0
     else:
         port = int(cfg.transport.split(":", 1)[1])
         server = tcp_listen(port)
@@ -264,7 +258,7 @@ def _run_wire(cfg: RunConfig, scene, gt, host: Host, extrinsic, scan_seed):
             tw = _time.perf_counter()
             req = encode_frame(FrameType.POSE_REQ, int(t_k * 1e6),
                                encode_pose_req(int(t_prev * 1e6), int(t_k * 1e6)))
-            resp = decode_frame(channel.request(req))
+            resp = channel.request(req)
             totals["host_time"] += _time.perf_counter() - tw
 
             tc = _time.perf_counter()
@@ -276,7 +270,7 @@ def _run_wire(cfg: RunConfig, scene, gt, host: Host, extrinsic, scan_seed):
             totals["coproc_time"] += _time.perf_counter() - tc
 
             tw = _time.perf_counter()
-            update = decode_frame(channel.request(obs_frame))
+            update = channel.request(obs_frame)
             totals["host_time"] += _time.perf_counter() - tw
             pose_post = decode_state_update(update.payload)
             coproc.integrate_posterior(pose_post)

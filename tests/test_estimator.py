@@ -9,7 +9,7 @@ from quantlio.estimator import (
     point_plane_rows, qmap_update, residual_value, standard_update,
 )
 from quantlio.manifold import (
-    ERROR_DIM, ImuSample, NavState, NoiseParams, boxplus, so3_exp,
+    ERROR_DIM, ImuSample, NavState, NoiseParams, boxplus, propagate, so3_exp,
 )
 from quantlio.quantizer import Codebook
 from quantlio.simworld import LidarModel, build_scene, synth_scan, synth_trajectory
@@ -290,9 +290,10 @@ class TestQmapUpdate:
             qmap_update(NavState(), cov, [], Codebook(), 0.02, IDENTITY)
 
 
-def make_host(sigma=0.02):
-    imu = [ImuSample(t_us=i * 5000, gyro=np.zeros(3), accel=np.array([0, 0, 9.81]))
-           for i in range(401)]
+def make_host(sigma=0.02, imu=None):
+    if imu is None:
+        imu = [ImuSample(t_us=i * 5000, gyro=np.zeros(3), accel=np.array([0, 0, 9.81]))
+               for i in range(401)]
     cfg = SessionConfig(codebook=Codebook(), ds_0=0.5, alpha=0.01, sigma=sigma,
                         extrinsic_rotation=np.eye(3), extrinsic_translation=np.zeros(3))
     return Host(state=NavState(), cov=np.eye(ERROR_DIM) * 1e-4,
@@ -355,3 +356,36 @@ class TestHost:
         host = make_host()
         with pytest.raises(ValueError):
             host.handle_frame(self.pose_req(0.0, 10.0))
+
+    def test_propagates_only_the_scan_window(self, monkeypatch):
+        # Jittered IMU times that never line up with the scan boundaries:
+        # each scan hands propagate the samples from the last one at or
+        # before t_prev to the first at or after t_k, and the filter ends
+        # bit for bit where propagating over the whole stream ends.
+        rng = np.random.default_rng(9)
+        t_us = np.concatenate(([0], np.cumsum(rng.integers(3000, 7000, 399))))
+        imu = [ImuSample(t_us=int(t), gyro=rng.normal(0, 0.3, 3),
+                         accel=np.array([0, 0, 9.81]) + rng.normal(0, 0.5, 3))
+               for t in t_us]
+        host = make_host(imu=imu)
+        handed = []
+        monkeypatch.setattr("quantlio.estimator.propagate",
+                            lambda state, cov, samples, *args, **kwargs:
+                            handed.append(samples) or propagate(state, cov, samples,
+                                                                *args, **kwargs))
+        state, cov = host.state.copy(), host.cov.copy()
+        times = t_us * 1e-6
+        t_prev = 0.0
+        for k in range(1, 9):
+            host.handle_frame(decode_frame(encode_frame(
+                FrameType.POSE_REQ, k * 100_000, encode_pose_req((k - 1) * 100_000, k * 100_000))))
+            t_k = k * 100_000 * 1e-6  # as the host decodes it
+            state, cov = propagate(state, cov, imu, host.noise, t_start=t_prev, t_end=t_k)
+            window = handed[-1]
+            assert window[0].t_us * 1e-6 <= t_prev < window[1].t_us * 1e-6
+            assert window[-2].t_us * 1e-6 < t_k <= window[-1].t_us * 1e-6
+            assert len(window) == np.count_nonzero((times > t_prev) & (times < t_k)) + 2
+            t_prev = t_k
+        for name in ("rotation", "position", "velocity", "bias_gyro", "bias_accel"):
+            np.testing.assert_array_equal(getattr(host.state, name), getattr(state, name))
+        np.testing.assert_array_equal(host.cov, cov)

@@ -1,17 +1,50 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from quantlio.voxelmap import Plane, VoxelMap, plane_fit, plane_fit_batch
+from quantlio.voxelmap import _INITIAL_ROWS, Plane, VoxelMap, plane_fit, plane_fit_batch
 
 
 def brute_knn(points, query, k, radius=5.0):
+    """Exact k nearest within radius: the einsum squared distance the map
+    ranks by, ties broken by lexicographic coordinates."""
     if len(points) == 0:
         return np.empty((0, 3))
-    d2 = np.sum((points - query) ** 2, axis=1)
+    diff = points - query
+    d2 = np.einsum("ij,ij->i", diff, diff)
     keep = d2 <= radius ** 2
     pts, d2 = points[keep], d2[keep]
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], d2))[:k]
     return pts[order]
+
+
+def replay_insert(batches, edge, cap):
+    """The insertion rule replayed point by point over per-cell lists;
+    returns the points cell by cell in order of first insertion."""
+    cells: dict = {}
+    for batch in batches:
+        for p in batch:
+            members = cells.setdefault(tuple(np.floor(p / edge).astype(int)), [])
+            if len(members) < cap:
+                members.append(p.copy())
+                continue
+            d = [np.linalg.norm(q - p) for q in members]
+            j = int(np.argmin(d))
+            if d[j] > edge / 4.0:
+                members[j] = p.copy()
+    return np.array([p for m in cells.values() for p in m]).reshape(-1, 3)
+
+
+def assert_exact(vm, queries, k):
+    """knn_batch and knn both equal the brute force, array for array."""
+    stored = vm.points
+    got = vm.knn_batch(queries, k)
+    assert len(got) == len(queries)
+    for q, g in zip(queries, got):
+        want = brute_knn(stored, q, k, vm.search_radius)
+        np.testing.assert_array_equal(g, want)
+        np.testing.assert_array_equal(vm.knn(q, k), want)
 
 
 class TestInsert:
@@ -42,24 +75,32 @@ class TestInsert:
         rng = np.random.default_rng(1)
         pts = rng.uniform(-3, 3, (10_000, 3))
         vm.insert(pts)
-
-        cells: dict = {}
-        for p in pts:
-            cell = tuple(np.floor(p / 0.5).astype(int))
-            members = cells.setdefault(cell, [])
-            if len(members) < 4:
-                members.append(p.copy())
-                continue
-            d = [np.linalg.norm(q - p) for q in members]
-            j = int(np.argmin(d))
-            if d[j] > 0.5 / 4.0:
-                members[j] = p.copy()
-        expected = np.array([p for m in cells.values() for p in m])
+        expected = replay_insert([pts], 0.5, 4)
         got = vm.points
         assert len(got) == len(expected)
         order_a = np.lexsort((expected[:, 2], expected[:, 1], expected[:, 0]))
         order_b = np.lexsort((got[:, 2], got[:, 1], got[:, 0]))
         np.testing.assert_allclose(expected[order_a], got[order_b])
+
+    def test_replay_oracle_across_storage_growth(self):
+        # Batches of points fill, overflow and replace across 1728 cells, so
+        # the padded store grows several times mid-insert; points come back
+        # cell by cell in first-insertion order, replaced slots in place.
+        vm = VoxelMap(edge=0.5, cell_cap=3)
+        rng = np.random.default_rng(11)
+        batches = [rng.uniform(-3, 3, (n, 3)) for n in (50, 700, 3000, 6000)]
+        for batch in batches:
+            vm.insert(batch)
+        expected = replay_insert(batches, 0.5, 3)
+        cells = np.unique(np.floor(np.concatenate(batches) / 0.5), axis=0)
+        assert len(cells) > 16 * _INITIAL_ROWS
+        assert len(vm) == len(expected)
+        np.testing.assert_array_equal(vm.points, expected)
+
+    def test_empty_insert_is_noop(self):
+        vm = VoxelMap()
+        vm.insert(np.empty((0, 3)))
+        assert len(vm) == 0 and vm.points.shape == (0, 3)
 
     def test_rejects_nonfinite(self):
         vm = VoxelMap()
@@ -117,6 +158,88 @@ class TestKnn:
         vm = VoxelMap()
         with pytest.raises(ValueError):
             vm.knn([0, 0, 0], 0)
+
+
+class TestKnnBatchProperties:
+    """knn_batch against the brute force on maps built to hit the edges of
+    the box certification: exact ties, half-cell queries, fallbacks, and
+    cell caps small enough to clamp the candidate count."""
+
+    @given(spacing=st.sampled_from([0.125, 0.25, 0.5]), n=st.integers(2, 6),
+           origin=st.tuples(*[st.integers(-6, 6)] * 3), density=st.floats(0.2, 1.0),
+           cap=st.sampled_from([1, 2, 3, 32]), k=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_lattice_ties(self, spacing, n, origin, density, cap, k, seed):
+        # Lattice points and queries on the half-lattice: distances tie exactly.
+        rng = np.random.default_rng(seed)
+        grid = np.stack(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        # Shuffled, so slot order says nothing about coordinate order.
+        grid = rng.permutation(grid[rng.random(len(grid)) < density])
+        base = np.array(origin) * spacing
+        vm = VoxelMap(edge=0.5, cell_cap=cap)
+        vm.insert(base + grid * spacing)
+        queries = base + rng.integers(-2, 2 * n + 2, (16, 3)) * (spacing / 2)
+        assert_exact(vm, queries, k)
+
+    def test_ties_at_the_partition_boundary(self):
+        # Around lattice points, 12 neighbors tie at spacing * sqrt(2); for k
+        # from 6 up, the k + 8 kept candidates cut through such a tie, and
+        # only the tie check keeps a dropped, lexicographically smaller
+        # point from being missed.
+        axis = np.arange(-2, 3)
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3) * 0.25
+        queries = grid[np.abs(grid).max(axis=1) <= 0.25]
+        for seed in range(4):
+            vm = VoxelMap(edge=0.5)
+            vm.insert(np.random.default_rng(seed).permutation(grid))
+            stored = vm.points
+            for k in range(6, 20):
+                for q, got in zip(queries, vm.knn_batch(queries, k)):
+                    np.testing.assert_array_equal(got, brute_knn(stored, q, k))
+
+    @given(edge=st.sampled_from([0.25, 0.5, 1.0]), cap=st.sampled_from([1, 2, 32]),
+           k=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_half_cell_queries(self, edge, cap, k, seed):
+        # Queries whose offset inside the cell is exactly 1/2 on some axes.
+        rng = np.random.default_rng(seed)
+        vm = VoxelMap(edge=edge, cell_cap=cap)
+        vm.insert(rng.uniform(-2, 2, (300, 3)))
+        cells = rng.integers(-4, 4, (8, 3))
+        frac = np.where(rng.random((8, 3)) < 0.6, 0.5, rng.random((8, 3)))
+        assert_exact(vm, (cells + frac) * edge, k)
+
+    @given(n=st.integers(1, 30), radius=st.sampled_from([0.3, 1.0, 2.5]),
+           cap=st.sampled_from([1, 2, 32]), k=st.integers(1, 12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sparse_maps_fall_back(self, n, radius, cap, k, seed):
+        # Few points far apart: most rows need shell expansion, k can exceed
+        # the map, and a small search radius caps the octant margin.
+        rng = np.random.default_rng(seed)
+        vm = VoxelMap(edge=0.5, cell_cap=cap, search_radius=radius)
+        vm.insert(rng.uniform(-2, 2, (n, 3)))
+        assert_exact(vm, rng.uniform(-2.5, 2.5, (8, 3)), k)
+
+    @given(k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_empty_map(self, k, seed):
+        queries = np.random.default_rng(seed).uniform(-3, 3, (5, 3))
+        got = VoxelMap().knn_batch(queries, k)
+        assert [g.shape for g in got] == [(0, 3)] * 5
+
+    def test_dense_map_mostly_certified(self):
+        # On a dense map the octant answers almost every query itself.
+        rng = np.random.default_rng(12)
+        vm = VoxelMap(edge=0.5, cell_cap=32)
+        vm.insert(rng.uniform(-2, 2, (20_000, 3)))
+        calls = []
+        knn = vm.knn
+        vm.knn = lambda q, k: calls.append(q) or knn(q, k)
+        queries = rng.uniform(-1.5, 1.5, (400, 3))
+        vm.knn_batch(queries, 5)
+        assert len(calls) < 0.05 * len(queries)
+
+    def test_k_validation(self):
+        with pytest.raises(ValueError):
+            VoxelMap().knn_batch(np.zeros((1, 3)), 0)
 
 
 class TestPlaneFit:
