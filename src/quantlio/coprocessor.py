@@ -6,19 +6,24 @@ with p' = R @ p + t. The scan delta handed over by the host is the transform
 taking scan-start IMU coordinates into the scan-end IMU frame, so applying
 the interpolated fraction of its twist to a point captured mid-scan moves it
 into the end-of-scan frame.
+
+A scan stays in arrays up to group building: one batched pose per column
+timestamp, gathered per point (within 1e-12 m of a per-column loop, not bit
+for bit), then one PlaneObservations record that resampling and grouping
+filter and quantize whole, selecting exactly what per-row loops would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .manifold import skew, so3_exp, so3_log
+from .manifold import skew, so3_log
 from .quantizer import (
     Codebook, quantize_points, quantize_residual_vectors, quantize_zs,
 )
-from .voxelmap import VoxelMap, plane_fit_batch
+from .voxelmap import VoxelMap, pack_cells, plane_fit_batch
 
 
 def se3_log(rot, trans):
@@ -36,17 +41,22 @@ def se3_log(rot, trans):
 
 
 def se3_exp(rho, theta):
-    """Rigid transform from a twist (rho, theta)."""
+    """Rigid transforms (R (..., 3, 3), t (..., 3)) from twists (..., 3):
+    Rodrigues and the V matrix, truncated series below 1e-8 rad."""
+    rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    angle = np.linalg.norm(theta)
-    w = skew(theta)
-    if angle < 1e-8:
-        v = np.eye(3) + 0.5 * w + (w @ w) / 6.0
-    else:
-        a2 = angle * angle
-        v = (np.eye(3) + (1.0 - np.cos(angle)) / a2 * w
-             + (angle - np.sin(angle)) / (a2 * angle) * (w @ w))
-    return so3_exp(theta), v @ np.asarray(rho, dtype=float)
+    angle = np.linalg.norm(theta, axis=-1)[..., None, None]
+    # Column j of the cross-product matrix is theta x e_j.
+    w = np.cross(theta[..., None, :], np.eye(3)).swapaxes(-1, -2)
+    ww = w @ w
+    small = angle < 1e-8
+    a = np.where(small, 1.0, angle)
+    # R = I + b1 W + b2 W^2 and V = I + b2 W + b3 W^2.
+    b1 = np.where(small, 1.0, np.sin(a) / a)
+    b2 = np.where(small, 0.5, (1.0 - np.cos(a)) / (a * a))
+    b3 = np.where(small, 1.0 / 6.0, (a - np.sin(a)) / (a * a * a))
+    v = np.eye(3) + b2 * w + b3 * ww
+    return np.eye(3) + b1 * w + b2 * ww, np.einsum("...ij,...j->...i", v, rho)
 
 
 def compose(a, b):
@@ -89,24 +99,18 @@ def undistort(points, times, t_prev: float, t_k: float, scan_delta, extrinsic):
         return points.copy()
 
     r_il, t_il = extrinsic
-    fractions = (t_k - times) / span
-    out = np.empty_like(points)
-    # Columns of a scan share timestamps; interpolate one pose per fraction.
-    uniq, inverse = np.unique(fractions, return_inverse=True)
+    # Columns of a scan share timestamps: one pose per distinct fraction,
+    # gathered per point.
+    fractions, inverse = np.unique((t_k - times) / span, return_inverse=True)
+    rots, trans = se3_exp(fractions[:, None] * rho, fractions[:, None] * theta)
     imu_pts = points @ r_il.T + t_il
-    for i, s in enumerate(uniq):
-        rot_j, trans_j = se3_exp(s * rho, s * theta)
-        sel = inverse == i
-        moved = imu_pts[sel] @ rot_j.T + trans_j
-        out[sel] = (moved - t_il) @ r_il
-    return out
+    moved = np.einsum("nij,nj->ni", rots[inverse], imu_pts) + trans[inverse]
+    return (moved - t_il) @ r_il
 
 
 def voxel_downsample(points, edge: float) -> np.ndarray:
     """Indices of one representative per occupied voxel: the member nearest
     the voxel center, ties broken by lexicographic coordinates."""
-    from .voxelmap import pack_cells
-
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         return np.empty(0, dtype=np.int64)
@@ -119,25 +123,35 @@ def voxel_downsample(points, edge: float) -> np.ndarray:
     return np.sort(order[first])
 
 
-@dataclass
-class PlaneObservation:
-    """One associated point-to-plane measurement."""
+@dataclass(frozen=True)
+class PlaneObservations:
+    """Associated point-to-plane measurements, one row per observation.
+
+    point_world, point_lidar and normal are (n, 3); plane_offset and the
+    folded, nonnegative residual are (n,). Indexing selects rows.
+    """
 
     point_world: np.ndarray
     point_lidar: np.ndarray
     normal: np.ndarray
-    plane_offset: float
-    residual_vector: np.ndarray
-    residual: float
+    plane_offset: np.ndarray
+    residual: np.ndarray
 
+    @classmethod
+    def empty(cls) -> "PlaneObservations":
+        return cls(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)),
+                   np.empty(0), np.empty(0))
 
-@dataclass
-class Bucket:
-    """Observations sharing one quantized residual-vector key."""
+    def __len__(self) -> int:
+        return len(self.residual)
 
-    rq_key: int
-    observations: list = field(default_factory=list)
-    cell_size: float = 0.0
+    def __getitem__(self, rows) -> "PlaneObservations":
+        return PlaneObservations(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @property
+    def residual_vector(self) -> np.ndarray:
+        """z * u per row: the vector the rq key quantizes."""
+        return self.residual[:, None] * self.normal
 
 
 def associate(world_points, lidar_points, vmap: VoxelMap, cb: Codebook,
@@ -146,80 +160,70 @@ def associate(world_points, lidar_points, vmap: VoxelMap, cb: Codebook,
 
     For each world point: 5 nearest map points, a plane fit, then the signed
     plane distance folded nonnegative (the normal flips with it). Points
-    whose residual reaches r_thr are dropped. Returns (observations,
-    skipped count).
+    whose residual reaches r_thr are dropped. Returns (observations in input
+    order, skipped count).
     """
     world_points = np.atleast_2d(np.asarray(world_points, dtype=float))
     lidar_points = np.atleast_2d(np.asarray(lidar_points, dtype=float))
     if len(world_points) != len(lidar_points):
         raise ValueError("world and LiDAR point counts differ")
     if len(world_points) == 0:
-        return [], 0
+        return PlaneObservations.empty(), 0
 
     neighbors = vmap.knn_batch(world_points, 5)
-    have5 = np.array([len(nb) == 5 for nb in neighbors])
-    if not np.any(have5):
-        return [], len(world_points)
-    stacks = np.stack([nb for nb, ok in zip(neighbors, have5) if ok])
+    rows = np.flatnonzero([len(nb) == 5 for nb in neighbors])
+    if len(rows) == 0:
+        return PlaneObservations.empty(), len(world_points)
+    stacks = np.stack([neighbors[r] for r in rows])
     normals, offsets, _, fit_ok = plane_fit_batch(stacks, max_residual=plane_threshold)
 
-    observations = []
-    skipped = int(np.count_nonzero(~have5))
-    rows = np.flatnonzero(have5)
     signed = np.einsum("mj,mj->m", world_points[rows], normals) + offsets
-    for local, row in enumerate(rows):
-        if not fit_ok[local]:
-            skipped += 1
-            continue
-        z = float(signed[local])
-        u = normals[local]
-        d = float(offsets[local])
-        if z < 0.0:
-            z, u, d = -z, -u, -d
-        if z >= cb.r_thr:
-            skipped += 1
-            continue
-        observations.append(PlaneObservation(
-            point_world=world_points[row],
-            point_lidar=lidar_points[row],
-            normal=u,
-            plane_offset=d,
-            residual_vector=z * u,
-            residual=z,
-        ))
-    return observations, skipped
+    sign = np.where(signed < 0.0, -1.0, 1.0)
+    z = sign * signed
+    keep = fit_ok & (z < cb.r_thr)
+    rows = rows[keep]
+    observations = PlaneObservations(
+        point_world=world_points[rows],
+        point_lidar=lidar_points[rows],
+        normal=sign[keep, None] * normals[keep],
+        plane_offset=sign[keep] * offsets[keep],
+        residual=z[keep],
+    )
+    return observations, len(world_points) - len(rows)
 
 
-def rq_resample(observations, cb: Codebook, ds_0: float, alpha: float):
+def rq_resample(observations: PlaneObservations, cb: Codebook, ds_0: float,
+                alpha: float) -> PlaneObservations:
     """Adaptive per-bucket downsampling keyed by quantized residual vectors.
 
     Observations are partitioned by rq key; each bucket gets a voxel size
     ds_0 + alpha * mean sensor range of its members and keeps one member per
-    voxel (the one nearest the voxel center). Bucket counts never grow and a
-    nonempty bucket keeps at least one member.
+    voxel: the one nearest the voxel center, ties broken by lexicographic
+    coordinates, then by input order. Bucket counts never grow and a
+    nonempty bucket keeps at least one member. Kept rows stay in input
+    order.
     """
-    if not observations:
-        return [], []
-    vectors = np.array([o.residual_vector for o in observations])
-    keys, _ = quantize_residual_vectors(vectors, cb)
-    lidar_pts = np.array([o.point_lidar for o in observations])
-    ranges = np.linalg.norm(lidar_pts, axis=1)
+    if len(observations) == 0:
+        return observations
+    keys, _ = quantize_residual_vectors(observations.residual_vector, cb)
+    pts = observations.point_lidar
+    ranges = np.linalg.norm(pts, axis=1)
 
-    kept = []
-    buckets = []
-    for key in np.unique(keys):
-        members = np.flatnonzero(keys == key)
-        ds_k = ds_0 + alpha * float(ranges[members].mean())
-        local_keep = voxel_downsample(lidar_pts[members], ds_k)
-        chosen = members[local_keep]
-        buckets.append(Bucket(
-            rq_key=int(key),
-            observations=[observations[i] for i in chosen],
-            cell_size=ds_k,
-        ))
-        kept.extend(int(i) for i in chosen)
-    kept.sort()
-    return [observations[i] for i in kept], buckets
+    # Each bucket's mean range sums its members in input order with the
+    # reduction np.mean uses, so it equals ranges[keys == key].mean().
+    _, bucket = np.unique(keys, return_inverse=True)
+    sizes = np.bincount(bucket)
+    segments = np.split(ranges[np.argsort(bucket, kind="stable")], np.cumsum(sizes)[:-1])
+    means = np.array([np.add.reduce(seg) for seg in segments]) / sizes
+    edges = (ds_0 + alpha * means)[bucket][:, None]
+
+    cells = np.floor(pts / edges).astype(np.int64)
+    diff = pts - (cells + 0.5) * edges
+    dist = np.einsum("ij,ij->i", diff, diff)
+    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], dist))
+    # The first of each (bucket, voxel) pair in that order is kept.
+    _, first = np.unique(np.column_stack([bucket, cells])[order], axis=0, return_index=True)
+    return observations[np.sort(order[first])]
 
 
 @dataclass
@@ -230,30 +234,25 @@ class ObservationGroup:
     members: list
 
 
-def build_groups(observations, cb: Codebook) -> list[ObservationGroup]:
+def build_groups(observations: PlaneObservations, cb: Codebook) -> list[ObservationGroup]:
     """Quantize observations and group them under shared rq keys.
 
     Groups are ordered by ascending key; members within a group by ascending
     point indices (then z index), so the encoding is deterministic.
     """
-    if not observations:
+    if len(observations) == 0:
         return []
-    vectors = np.array([o.residual_vector for o in observations])
-    keys, _ = quantize_residual_vectors(vectors, cb)
-    pts = np.array([o.point_lidar for o in observations])
-    p_idx, _ = quantize_points(pts, cb)
-    zs = np.array([o.residual for o in observations])
-    z_idx, _, _, _ = quantize_zs(zs, cb)
+    keys, _ = quantize_residual_vectors(observations.residual_vector, cb)
+    p_idx, _ = quantize_points(observations.point_lidar, cb)
+    z_idx, _, _, _ = quantize_zs(observations.residual, cb)
 
-    grouped: dict[int, list] = {}
-    for key, pi, zi in zip(keys, p_idx, z_idx):
-        member = (int(zi), (int(pi[0]), int(pi[1]), int(pi[2])))
-        grouped.setdefault(int(key), []).append(member)
-    out = []
-    for key in sorted(grouped):
-        members = sorted(grouped[key], key=lambda m: (m[1], m[0]))
-        out.append(ObservationGroup(rq_key=key, members=members))
-    return out
+    order = np.lexsort((z_idx, p_idx[:, 2], p_idx[:, 1], p_idx[:, 0], keys))
+    rows = np.column_stack([z_idx, p_idx])[order].tolist()
+    members = [(zi, (p0, p1, p2)) for zi, p0, p1, p2 in rows]
+    uniq, starts = np.unique(keys[order], return_index=True)
+    ends = [*starts[1:].tolist(), len(rows)]
+    return [ObservationGroup(rq_key=key, members=members[a:b])
+            for key, a, b in zip(uniq.tolist(), starts.tolist(), ends)]
 
 
 class Coprocessor:
@@ -300,7 +299,7 @@ class Coprocessor:
                                           self.plane_threshold)
         raw_count = len(observations)
         if self.resample:
-            observations, _ = rq_resample(observations, self.cb, self.ds_0, self.alpha)
+            observations = rq_resample(observations, self.cb, self.ds_0, self.alpha)
         groups = build_groups(observations, self.cb)
         self._pending_lidar_points = lidar_end
         stats = {

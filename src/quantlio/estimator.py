@@ -118,15 +118,6 @@ def effective_measurement(iv: QuantInterval) -> tuple[float, float]:
     return z_eff, r_eff
 
 
-@dataclass
-class EffectiveMeasurement:
-    """Surrogate residual, variance and measurement row."""
-
-    z_eff: float
-    r_eff: float
-    h_row: np.ndarray
-
-
 def point_plane_rows(state: NavState, lidar_points, normals, extrinsic) -> np.ndarray:
     """Measurement Jacobian rows over the error state, one per observation.
 
@@ -226,19 +217,15 @@ def standard_update(state: NavState, cov: np.ndarray, observations,
                     sigma: float, extrinsic):
     """Unquantized point-to-plane update used by the float baseline.
 
-    observations carry exact residuals (z_i) and normals; every measurement
-    weighs in with variance sigma^2.
+    observations (a coprocessor PlaneObservations record) carry exact
+    residuals z_i and normals; every measurement weighs in with variance
+    sigma^2.
     """
-    if not observations:
+    if len(observations) == 0:
         return state.copy(), np.array(cov, copy=True)
-    rows = point_plane_rows(
-        state,
-        np.array([o.point_lidar for o in observations]),
-        np.array([o.normal for o in observations]),
-        extrinsic)
-    z = np.array([o.residual for o in observations])
+    rows = point_plane_rows(state, observations.point_lidar, observations.normal, extrinsic)
     r_diag = np.full(len(observations), sigma ** 2)
-    return _information_update(state, cov, rows, z, r_diag)
+    return _information_update(state, cov, rows, observations.residual, r_diag)
 
 
 @dataclass

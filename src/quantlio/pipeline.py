@@ -20,7 +20,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coprocessor import Coprocessor, associate, compose, invert, undistort, voxel_downsample
+from .coprocessor import (
+    Coprocessor, apply_transform, associate, compose, invert, undistort, voxel_downsample,
+)
 from .estimator import Host
 from .manifold import ERROR_DIM, NavState, NoiseParams, rot_to_quat, so3_log
 from .quantizer import Codebook, int8_minmax_quantize, int8_minmax_reconstruct
@@ -197,6 +199,11 @@ def run(cfg: RunConfig):
 
     scene = build_scene(cfg.scene, cfg.scene_size, seed=cfg.seed)
     gt = synth_trajectory(cfg.trajectory, cfg.duration, **cfg.trajectory_params)
+    clearance = float(scene.clearance(gt.positions).min())
+    if clearance < cfg.lidar.min_range:
+        raise ValueError(
+            f"the {cfg.trajectory} trajectory comes {clearance:.2f} m from the {cfg.scene} "
+            f"walls (negative: outside), under the LiDAR minimum range {cfg.lidar.min_range} m")
     host = _make_host(cfg, gt)
     extrinsic = (cfg.extrinsic_rotation, cfg.extrinsic_translation)
     sim_time = _time.perf_counter() - t0
@@ -329,8 +336,7 @@ def _run_baseline(cfg: RunConfig, scene, gt, host: Host, extrinsic, scan_seed):
         in_range = np.all(np.abs(lidar_end) < cfg.codebook.r_max, axis=1)
         lidar_end = lidar_end[in_range].astype(np.float32).astype(np.float64)
         pose_k = compose(pose_prev, invert(scan_delta))
-        world = np.asarray(lidar_end) @ compose(pose_k, extrinsic)[0].T \
-            + compose(pose_k, extrinsic)[1]
+        world = apply_transform(compose(pose_k, extrinsic), lidar_end)
         observations, _ = associate(world, lidar_end, coproc.vmap, cfg.codebook,
                                     coproc.plane_threshold)
         totals["coproc_time"] += _time.perf_counter() - tc

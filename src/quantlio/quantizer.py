@@ -147,15 +147,6 @@ def dequantize_z(index, cb: Codebook):
     return lo + 0.5 * step, (lo, lo + step)
 
 
-@dataclass(frozen=True)
-class QuantizedObservation:
-    """One observation reduced to its codebook indices."""
-
-    point_idx: tuple
-    rq_key: int
-    z_index: int
-
-
 def int8_minmax_quantize(points):
     """Per-axis min-max 256-level quantization of a whole scan.
 

@@ -46,6 +46,16 @@ class ScenePatch:
 class Scene:
     preset: str
     patches: list[ScenePatch] = field(default_factory=list)
+    # Free space between the walls: lower and upper corner of a box, with
+    # infinite bounds where the scene is open.
+    interior: tuple = ((-np.inf,) * 3, (np.inf,) * 3)
+
+    def clearance(self, points) -> np.ndarray:
+        """Distance from each point to the nearest wall of the interior;
+        negative outside it."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        lower, upper = self.interior
+        return np.minimum(points - lower, upper - points).min(axis=1)
 
     @property
     def normals(self) -> np.ndarray:
@@ -93,7 +103,7 @@ def build_scene(preset: str, size=None, seed: int = 0) -> Scene:
             _rect((0, d / 2, zm), (0, -1, 0), (1, 0, 0), w / 2, h / 2),
             _rect((0, -d / 2, zm), (0, 1, 0), (1, 0, 0), w / 2, h / 2),
         ]
-        return Scene(preset, patches)
+        return Scene(preset, patches, ((-w / 2, -d / 2, zf), (w / 2, d / 2, zc)))
     if preset == "corridor":
         length, w, h = size if size is not None else (40.0, 3.0, 2.5)
         x0, x1 = -5.0, length - 5.0
@@ -109,7 +119,7 @@ def build_scene(preset: str, size=None, seed: int = 0) -> Scene:
             _rect((x0, 0, zm), (1, 0, 0), (0, 1, 0), w / 2, h / 2),
             _rect((x1, 0, zm), (-1, 0, 0), (0, 1, 0), w / 2, h / 2),
         ]
-        return Scene(preset, patches)
+        return Scene(preset, patches, ((x0, -w / 2, zf), (x1, w / 2, zc)))
     if preset == "open-yard":
         half = float(size[0]) if size is not None else 15.0
         zf = -SENSOR_HEIGHT
@@ -121,7 +131,7 @@ def build_scene(preset: str, size=None, seed: int = 0) -> Scene:
             direction = np.array([math.cos(yaw), math.sin(yaw), 0.0])
             center = direction * radius + np.array([0.0, 0.0, 0.2])
             patches.append(_rect(center, -direction, (0, 0, 1), 1.5, 3.0))
-        return Scene(preset, patches)
+        return Scene(preset, patches, ((-half, -half, zf), (half, half, np.inf)))
     raise ValueError(f"unknown scene preset: {preset!r}")
 
 

@@ -1,44 +1,133 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from quantlio.coprocessor import (
-    ObservationGroup, PlaneObservation, apply_transform, associate,
-    build_groups, compose, invert, rq_resample, se3_exp, se3_log,
-    undistort, voxel_downsample,
+    PlaneObservations, apply_transform, associate, build_groups, compose,
+    invert, rq_resample, se3_exp, se3_log, undistort, voxel_downsample,
 )
-from quantlio.manifold import so3_exp
+from quantlio.manifold import skew, so3_exp
 from quantlio.quantizer import (
-    Codebook, quantize_points, quantize_residual_vector, quantize_zs,
+    Codebook, quantize_points, quantize_residual_vector,
+    quantize_residual_vectors, quantize_zs,
 )
 from quantlio.simworld import LidarModel, build_scene, synth_scan, synth_trajectory
-from quantlio.voxelmap import VoxelMap
+from quantlio.voxelmap import VoxelMap, plane_fit_batch
 
 IDENTITY = (np.eye(3), np.zeros(3))
 
 
-def make_obs(u, z, point_lidar=(1.0, 0.0, 0.0), point_world=None):
-    u = np.asarray(u, dtype=float)
-    u = u / np.linalg.norm(u)
-    return PlaneObservation(
-        point_world=np.asarray(point_world if point_world is not None else point_lidar, float),
-        point_lidar=np.asarray(point_lidar, dtype=float),
-        normal=u,
-        plane_offset=0.0,
-        residual_vector=z * u,
-        residual=z,
-    )
+def make_obs(us, zs, points_lidar, points_world=None):
+    """Observation rows with unit normals us, residuals zs and LiDAR points;
+    us, zs and points broadcast against each other."""
+    us = np.atleast_2d(np.asarray(us, dtype=float))
+    zs = np.atleast_1d(np.asarray(zs, dtype=float))
+    pts = np.atleast_2d(np.asarray(points_lidar, dtype=float))
+    n = max(len(us), len(zs), len(pts))
+    us = np.broadcast_to(us / np.linalg.norm(us, axis=1, keepdims=True), (n, 3)).copy()
+    pts = np.broadcast_to(pts, (n, 3)).copy()
+    world = pts if points_world is None else np.asarray(points_world, dtype=float)
+    return PlaneObservations(point_world=world, point_lidar=pts, normal=us,
+                             plane_offset=np.zeros(n),
+                             residual=np.broadcast_to(zs, (n,)).copy())
+
+
+# -- reference implementations: the per-column and per-observation loops the
+# -- array code replaced ------------------------------------------------------
+
+def se3_exp_single(rho, theta):
+    """One rigid transform from a twist, with the scalar so3_exp."""
+    theta = np.asarray(theta, dtype=float)
+    angle = np.linalg.norm(theta)
+    w = skew(theta)
+    if angle < 1e-8:
+        v = np.eye(3) + 0.5 * w + (w @ w) / 6.0
+    else:
+        a2 = angle * angle
+        v = (np.eye(3) + (1.0 - np.cos(angle)) / a2 * w
+             + (angle - np.sin(angle)) / (a2 * angle) * (w @ w))
+    return so3_exp(theta), v @ np.asarray(rho, dtype=float)
+
+
+def undistort_per_column(points, times, t_prev, t_k, scan_delta, extrinsic):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    rho, theta = se3_log(*scan_delta)
+    r_il, t_il = extrinsic
+    fractions = (t_k - np.asarray(times, dtype=float)) / (t_k - t_prev)
+    out = np.empty_like(points)
+    uniq, inverse = np.unique(fractions, return_inverse=True)
+    imu_pts = points @ r_il.T + t_il
+    for i, s in enumerate(uniq):
+        rot_j, trans_j = se3_exp_single(s * rho, s * theta)
+        sel = inverse == i
+        out[sel] = (imu_pts[sel] @ rot_j.T + trans_j - t_il) @ r_il
+    return out
+
+
+def associate_per_observation(world_points, lidar_points, vmap, cb, plane_threshold=0.1):
+    """(row, normal, offset, residual) per kept observation, and the skip count."""
+    neighbors = vmap.knn_batch(world_points, 5)
+    have5 = np.array([len(nb) == 5 for nb in neighbors])
+    if not np.any(have5):
+        return [], len(world_points)
+    stacks = np.stack([nb for nb, ok in zip(neighbors, have5) if ok])
+    normals, offsets, _, fit_ok = plane_fit_batch(stacks, max_residual=plane_threshold)
+    kept = []
+    skipped = int(np.count_nonzero(~have5))
+    rows = np.flatnonzero(have5)
+    signed = np.einsum("mj,mj->m", world_points[rows], normals) + offsets
+    for local, row in enumerate(rows):
+        if not fit_ok[local]:
+            skipped += 1
+            continue
+        z, u, d = float(signed[local]), normals[local], float(offsets[local])
+        if z < 0.0:
+            z, u, d = -z, -u, -d
+        if z >= cb.r_thr:
+            skipped += 1
+            continue
+        kept.append((row, u, d, z))
+    return kept, skipped
+
+
+def rq_resample_per_bucket(obs, cb, ds_0, alpha):
+    """Sorted kept row indices, from one voxel_downsample call per bucket."""
+    keys, _ = quantize_residual_vectors(obs.residual_vector, cb)
+    ranges = np.linalg.norm(obs.point_lidar, axis=1)
+    kept = []
+    for key in np.unique(keys):
+        members = np.flatnonzero(keys == key)
+        ds_k = ds_0 + alpha * float(ranges[members].mean())
+        kept.extend(members[voxel_downsample(obs.point_lidar[members], ds_k)])
+    return np.sort(np.array(kept, dtype=np.int64))
+
+
+def build_groups_per_observation(obs, cb):
+    keys, _ = quantize_residual_vectors(obs.residual_vector, cb)
+    p_idx, _ = quantize_points(obs.point_lidar, cb)
+    z_idx, _, _, _ = quantize_zs(obs.residual, cb)
+    grouped: dict = {}
+    for key, pi, zi in zip(keys, p_idx, z_idx):
+        grouped.setdefault(int(key), []).append((int(zi), tuple(int(v) for v in pi)))
+    return [(key, sorted(grouped[key], key=lambda m: (m[1], m[0]))) for key in sorted(grouped)]
 
 
 class TestSe3:
     def test_log_exp_round_trip(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            rot = so3_exp(rng.uniform(-2, 2, 3))
-            trans = rng.uniform(-3, 3, 3)
-            rho, theta = se3_log(rot, trans)
-            rot2, trans2 = se3_exp(rho, theta)
-            np.testing.assert_allclose(rot2, rot, atol=1e-10)
-            np.testing.assert_allclose(trans2, trans, atol=1e-10)
+        rots = [so3_exp(rng.uniform(-2, 2, 3)) for _ in range(50)]
+        trans = rng.uniform(-3, 3, (50, 3))
+        twists = [se3_log(r, t) for r, t in zip(rots, trans)]
+        rho = np.array([tw[0] for tw in twists])
+        theta = np.array([tw[1] for tw in twists])
+        rot2, trans2 = se3_exp(rho, theta)
+        assert rot2.shape == (50, 3, 3) and trans2.shape == (50, 3)
+        np.testing.assert_allclose(rot2, rots, atol=1e-10)
+        np.testing.assert_allclose(trans2, trans, atol=1e-10)
+        # An unbatched twist gives one transform.
+        rot1, trans1 = se3_exp(rho[0], theta[0])
+        np.testing.assert_array_equal(rot1, rot2[0])
+        np.testing.assert_array_equal(trans1, trans2[0])
 
     def test_compose_invert(self):
         rng = np.random.default_rng(1)
@@ -55,6 +144,12 @@ class TestUndistort:
         times = rng.uniform(0.0, 0.1, 100)
         out = undistort(pts, times, 0.0, 0.1, IDENTITY, IDENTITY)
         np.testing.assert_array_equal(out, pts)
+        assert not np.shares_memory(out, pts)
+
+    def test_empty(self):
+        delta = (so3_exp([0, 0, 0.02]), np.array([0.1, 0.0, 0.0]))
+        out = undistort(np.empty((0, 3)), np.empty(0), 0.0, 0.1, delta, IDENTITY)
+        assert out.shape == (0, 3)
 
     def test_pure_translation_midscan(self):
         pts = np.array([[2.0, 0.0, 0.0]])
@@ -69,6 +164,30 @@ class TestUndistort:
         assert len(undistort(pts, times, 0.0, 0.1, delta, IDENTITY)) == 10
         with pytest.raises(ValueError):
             undistort(pts, times + 0.05, 0.0, 0.1, delta, IDENTITY)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           angle=st.sampled_from([0.0, 1e-12, 1e-9, 5e-8, 1e-3, 0.05, 0.7, 2.5]),
+           translation=st.sampled_from([0.0, 1e-6, 0.3, 2.0]),
+           columns=st.integers(1, 48), rows=st.integers(1, 6),
+           tilted_extrinsic=st.booleans())
+    def test_matches_per_column_loop(self, seed, angle, translation, columns, rows,
+                                     tilted_extrinsic):
+        # Angles below 1e-8 rad per column take the series branch; 5e-8
+        # splits one scan between both branches; angle 0 is pure translation.
+        rng = np.random.default_rng(seed)
+        axis = rng.standard_normal(3)
+        delta = (so3_exp(angle * axis / np.linalg.norm(axis)),
+                 translation * rng.standard_normal(3))
+        extrinsic = IDENTITY
+        if tilted_extrinsic:
+            extrinsic = (so3_exp(rng.uniform(-0.5, 0.5, 3)), rng.uniform(-0.2, 0.2, 3))
+        t_prev, t_k = 3.0, 3.1
+        column_times = np.r_[t_prev, t_k, rng.uniform(t_prev, t_k, columns)][:columns]
+        times = rng.permutation(np.repeat(column_times, rows))
+        pts = rng.uniform(-30.0, 30.0, (len(times), 3))
+        got = undistort(pts, times, t_prev, t_k, delta, extrinsic)
+        want = undistort_per_column(pts, times, t_prev, t_k, delta, extrinsic)
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_moving_scan_lands_on_patches(self):
         # Circle motion has a constant body twist, so the interpolation is
@@ -129,8 +248,8 @@ class TestAssociate:
         cb = Codebook()
         obs, skipped = associate([[0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0]], vmap, cb)
         assert len(obs) == 1 and skipped == 0
-        assert obs[0].residual == pytest.approx(0.0, abs=1e-9)
-        np.testing.assert_allclose(obs[0].residual_vector, 0.0, atol=1e-9)
+        assert obs.residual[0] == pytest.approx(0.0, abs=1e-9)
+        np.testing.assert_allclose(obs.residual_vector[0], 0.0, atol=1e-9)
 
     def test_above_plane_residual_and_fold(self):
         # The q.n = -1 fit convention cannot represent planes through the
@@ -139,85 +258,156 @@ class TestAssociate:
         cb = Codebook()
         obs, _ = associate([[0.05, 0.05, 1.02]], [[0.05, 0.05, 1.02]], vmap, cb)
         assert len(obs) == 1
-        o = obs[0]
-        assert o.residual == pytest.approx(0.02, abs=1e-9)
-        np.testing.assert_allclose(o.normal, [0, 0, 1], atol=1e-9)
-        np.testing.assert_allclose(o.residual_vector, [0, 0, 0.02], atol=1e-9)
+        assert obs.residual[0] == pytest.approx(0.02, abs=1e-9)
+        np.testing.assert_allclose(obs.normal[0], [0, 0, 1], atol=1e-9)
+        np.testing.assert_allclose(obs.residual_vector[0], [0, 0, 0.02], atol=1e-9)
         # Invariants: z == |n| and n parallel to u.
-        assert np.linalg.norm(o.residual_vector) == pytest.approx(o.residual, abs=1e-12)
+        assert np.linalg.norm(obs.residual_vector[0]) == pytest.approx(obs.residual[0],
+                                                                       abs=1e-12)
 
     def test_threshold_gate_drops(self):
         vmap = build_plane_map(height=1.0)
         cb = Codebook(r_thr=0.04)
         obs, skipped = associate([[0.0, 0.0, 1.05]], [[0.0, 0.0, 1.05]], vmap, cb)
-        assert obs == [] and skipped == 1
+        assert len(obs) == 0 and skipped == 1
+
+    def test_residual_exactly_at_threshold_dropped(self):
+        vmap = build_plane_map(height=1.0)
+        pt = [[0.05, 0.05, 1.02]]
+        obs, _ = associate(pt, pt, vmap, Codebook())
+        z = float(obs.residual[0])
+        obs, skipped = associate(pt, pt, vmap, Codebook(r_thr=z))
+        assert len(obs) == 0 and skipped == 1
+        obs, skipped = associate(pt, pt, vmap, Codebook(r_thr=np.nextafter(z, 1.0)))
+        assert len(obs) == 1 and skipped == 0
 
     def test_unassociated_points_skipped(self):
         vmap = VoxelMap()
         vmap.insert(np.array([[0.0, 0.0, 0.0]]))
         cb = Codebook()
         obs, skipped = associate([[0.1, 0.0, 0.0]], [[0.1, 0.0, 0.0]], vmap, cb)
-        assert obs == [] and skipped == 1
+        assert len(obs) == 0 and skipped == 1
+
+    @given(seed=st.integers(0, 2**32 - 1), queries=st.integers(1, 80),
+           r_thr=st.sampled_from([0.01, 0.04, 0.1]),
+           offset_scale=st.sampled_from([0.005, 0.05, 0.2]))
+    def test_matches_per_observation_loop(self, seed, queries, r_thr, offset_scale):
+        # Three noisy walls, queries off them on both sides (the fold), some
+        # beyond r_thr and some far outside the map (no 5 neighbours).
+        rng = np.random.default_rng(seed)
+        vmap = VoxelMap(edge=0.5, cell_cap=16)
+        uv = rng.uniform(-2.0, 2.0, (300, 2))
+        walls = [np.c_[uv[:100], np.full(100, -1.3)],
+                 np.c_[np.full(100, 2.5), uv[100:200]],
+                 np.c_[uv[200:, 0], np.full(100, -2.0), uv[200:, 1]]]
+        vmap.insert(np.concatenate(walls) + 0.003 * rng.standard_normal((300, 3)))
+        picks = rng.integers(0, 300, queries)
+        world = np.concatenate(walls)[picks] + offset_scale * rng.standard_normal((queries, 3))
+        world[rng.random(queries) < 0.1] += 40.0
+        lidar = world - 1.0
+        cb = Codebook(r_thr=r_thr)
+
+        obs, skipped = associate(world, lidar, vmap, cb)
+        kept, want_skipped = associate_per_observation(world, lidar, vmap, cb)
+        assert skipped == want_skipped
+        assert len(obs) == len(kept)
+        rows = np.array([k[0] for k in kept], dtype=np.int64)
+        np.testing.assert_array_equal(obs.point_world, world[rows].reshape(-1, 3))
+        np.testing.assert_array_equal(obs.point_lidar, lidar[rows].reshape(-1, 3))
+        np.testing.assert_array_equal(obs.normal, np.array([k[1] for k in kept]).reshape(-1, 3))
+        np.testing.assert_array_equal(obs.plane_offset, [k[2] for k in kept])
+        np.testing.assert_array_equal(obs.residual, [k[3] for k in kept])
+        np.testing.assert_array_equal(
+            obs.residual_vector, np.array([k[3] * k[1] for k in kept]).reshape(-1, 3))
 
 
 class TestRqResample:
     def test_cell_size_formula(self):
+        # Mean range about 50.26 m, so the bucket's voxel is
+        # 0.5 + 0.01 * 50.26 = 1.0026 m: y = 0.1 and 0.6 share a voxel (0.6
+        # is nearer its center), y = 1.1 lies in the next. A 0.5 m voxel
+        # would keep all three.
         cb = Codebook()
-        far = [make_obs([0, 0, 1], 0.01, point_lidar=(50.0, 0.0, 0.0)) for _ in range(3)]
-        _, buckets = rq_resample(far, cb, ds_0=0.5, alpha=0.01)
-        assert len(buckets) == 1
-        assert buckets[0].cell_size == pytest.approx(1.0)
+        pts = [(50.25, y, 0.25) for y in (0.1, 0.6, 1.1)]
+        kept = rq_resample(make_obs([0, 0, 1], 0.01, pts), cb, ds_0=0.5, alpha=0.01)
+        np.testing.assert_array_equal(kept.point_lidar[:, 1], [0.6, 1.1])
+        assert len(rq_resample(make_obs([0, 0, 1], 0.01, pts), cb, ds_0=0.5, alpha=0.0)) == 3
 
     def test_distinct_buckets_pass_through(self):
         cb = Codebook(l_n=3)
         us = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)]
-        obs = [make_obs(u, 0.01 + 0.002 * i, point_lidar=(2.0 + i, 0.0, 0.0))
-               for i, u in enumerate(us)]
-        kept, buckets = rq_resample(obs, cb, ds_0=0.5, alpha=0.01)
+        obs = make_obs(us, 0.01 + 0.002 * np.arange(4),
+                       [(2.0 + i, 0.0, 0.0) for i in range(4)])
+        kept = rq_resample(obs, cb, ds_0=0.5, alpha=0.01)
         assert len(kept) == len(obs)
-        assert len(buckets) == len(us)
+        keys, _ = quantize_residual_vectors(kept.residual_vector, cb)
+        assert len(np.unique(keys)) == len(us)
 
     def test_coincident_members_collapse(self):
         cb = Codebook()
-        obs = [make_obs([0, 0, 1], 0.01, point_lidar=(1.0, 1.0, 1.0)) for _ in range(100)]
-        kept, buckets = rq_resample(obs, cb, ds_0=0.5, alpha=0.01)
+        obs = make_obs([0, 0, 1], np.full(100, 0.01), (1.0, 1.0, 1.0))
+        kept = rq_resample(obs, cb, ds_0=0.5, alpha=0.01)
         assert len(kept) == 1
-        assert len(buckets) == 1 and len(buckets[0].observations) == 1
 
     def test_partition_and_coherence_properties(self):
         rng = np.random.default_rng(4)
         cb = Codebook(l_n=2)
-        obs = []
-        for _ in range(300):
-            u = rng.standard_normal(3)
-            u /= np.linalg.norm(u)
-            z = rng.uniform(0.0, cb.r_thr * 0.99)
-            obs.append(make_obs(u, z, point_lidar=rng.uniform(-8, 8, 3)))
-        kept, buckets = rq_resample(obs, cb, ds_0=0.3, alpha=0.01)
-        assert sum(len(b.observations) for b in buckets) == len(kept)
+        us = rng.standard_normal((300, 3))
+        us /= np.linalg.norm(us, axis=1, keepdims=True)
+        zs = rng.uniform(0.0, cb.r_thr * 0.99, 300)
+        obs = make_obs(us, zs, rng.uniform(-8, 8, (300, 3)),
+                       points_world=np.c_[np.arange(300), np.zeros((300, 2))])
+        kept = rq_resample(obs, cb, ds_0=0.3, alpha=0.01)
         assert len(kept) <= len(obs)
-        for b in buckets:
-            assert len(b.observations) >= 1
-            assert b.cell_size >= 0.3
-            for o in b.observations:
-                key, _ = quantize_residual_vector(o.residual_vector, cb)
-                assert key == b.rq_key
+        rows = kept.point_world[:, 0].astype(int)
+        # Kept rows are input rows, in input order.
+        assert np.all(np.diff(rows) > 0)
+        for name in ("point_lidar", "normal", "plane_offset", "residual"):
+            np.testing.assert_array_equal(getattr(kept, name), getattr(obs, name)[rows])
+        # Every nonempty bucket keeps at least one member.
+        keys, _ = quantize_residual_vectors(obs.residual_vector, cb)
+        np.testing.assert_array_equal(np.unique(keys[rows]), np.unique(keys))
+        np.testing.assert_array_equal(rows, rq_resample_per_bucket(obs, cb, 0.3, 0.01))
 
     def test_empty(self):
-        assert rq_resample([], Codebook(), 0.5, 0.01) == ([], [])
+        assert len(rq_resample(PlaneObservations.empty(), Codebook(), 0.5, 0.01)) == 0
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
+           directions=st.integers(1, 5), lattice=st.sampled_from([0.0625, 0.125, 0.25]),
+           coincident=st.sampled_from([0.0, 0.3]),
+           ds_0=st.sampled_from([0.05, 0.3, 0.5]), alpha=st.sampled_from([0.0, 0.01, 0.05]))
+    def test_matches_per_bucket_loop(self, seed, n, directions, lattice, coincident,
+                                     ds_0, alpha):
+        # Lattice points tie on their distance to voxel centres; copied rows
+        # are coincident; few directions make buckets spanning many voxels.
+        rng = np.random.default_rng(seed)
+        cb = Codebook(l_n=3)
+        dirs = rng.standard_normal((directions, 3))
+        us = dirs[rng.integers(0, directions, n)]
+        zs = rng.uniform(0.0, 0.99 * cb.r_thr, n)
+        pts = rng.integers(-24, 24, (n, 3)) * lattice
+        copies = np.flatnonzero(rng.random(n) < coincident)
+        pts[copies] = pts[rng.integers(0, n, len(copies))]
+        obs = make_obs(us, zs, pts, points_world=np.c_[np.arange(n), np.zeros((n, 2))])
+
+        kept = rq_resample(obs, cb, ds_0, alpha)
+        np.testing.assert_array_equal(kept.point_world[:, 0].astype(int),
+                                      rq_resample_per_bucket(obs, cb, ds_0, alpha))
+        groups = build_groups(kept, cb)
+        assert [(g.rq_key, g.members) for g in groups] == build_groups_per_observation(kept, cb)
 
 
 class TestBuildGroups:
     def test_shared_key_single_group(self):
         cb = Codebook()
-        obs = [make_obs([0, 0, 1], 0.011, point_lidar=(1.0 + i, 0.0, 0.0)) for i in range(3)]
+        obs = make_obs([0, 0, 1], 0.011, [(1.0 + i, 0.0, 0.0) for i in range(3)])
         groups = build_groups(obs, cb)
         assert len(groups) == 1
         assert len(groups[0].members) == 3
 
     def test_two_keys_ascending(self):
         cb = Codebook()
-        obs = [make_obs([0, 0, 1], 0.011), make_obs([0, 0, -1], 0.011)]
+        obs = make_obs([[0, 0, 1], [0, 0, -1]], 0.011, (1.0, 0.0, 0.0))
         groups = build_groups(obs, cb)
         assert len(groups) == 2
         assert groups[0].rq_key < groups[1].rq_key
@@ -225,28 +415,24 @@ class TestBuildGroups:
     def test_flatten_is_permutation_of_quantized_inputs(self):
         rng = np.random.default_rng(5)
         cb = Codebook(l_p=6, l_n=2, l_z=3, r_max=20.0)
-        obs = []
-        for _ in range(500):
-            u = rng.standard_normal(3)
-            u /= np.linalg.norm(u)
-            z = rng.uniform(0.0, cb.r_thr * 0.99)
-            obs.append(make_obs(u, z, point_lidar=rng.uniform(-19, 19, 3)))
+        us = rng.standard_normal((500, 3))
+        us /= np.linalg.norm(us, axis=1, keepdims=True)
+        obs = make_obs(us, rng.uniform(0.0, cb.r_thr * 0.99, 500),
+                       rng.uniform(-19, 19, (500, 3)))
         groups = build_groups(obs, cb)
 
         expected = []
-        p_idx, _ = quantize_points(np.array([o.point_lidar for o in obs]), cb)
-        z_idx, _, _, _ = quantize_zs(np.array([o.residual for o in obs]), cb)
-        for o, pi, zi in zip(obs, p_idx, z_idx):
-            key, _ = quantize_residual_vector(o.residual_vector, cb)
+        p_idx, _ = quantize_points(obs.point_lidar, cb)
+        z_idx, _, _, _ = quantize_zs(obs.residual, cb)
+        for vec, pi, zi in zip(obs.residual_vector, p_idx, z_idx):
+            key, _ = quantize_residual_vector(vec, cb)
             expected.append((key, int(zi), tuple(int(v) for v in pi)))
         flattened = [(g.rq_key, m[0], m[1]) for g in groups for m in g.members]
         assert sorted(flattened) == sorted(expected)
 
     def test_member_ordering_deterministic(self):
         cb = Codebook()
-        obs = [make_obs([0, 0, 1], 0.011, point_lidar=(3.0, 0.0, 0.0)),
-               make_obs([0, 0, 1], 0.011, point_lidar=(1.0, 0.0, 0.0)),
-               make_obs([0, 0, 1], 0.011, point_lidar=(2.0, 0.0, 0.0))]
+        obs = make_obs([0, 0, 1], 0.011, [(3.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)])
         groups = build_groups(obs, cb)
         members = groups[0].members
         assert members == sorted(members, key=lambda m: (m[1], m[0]))

@@ -208,10 +208,8 @@ class TestQmapUpdate:
         # dequantized direction and point reconstructions, so the comparison
         # isolates the interval-likelihood machinery, which must converge to
         # the standard update as the z grid refines.
-        from quantlio.coprocessor import PlaneObservation
-        from quantlio.quantizer import (
-            dequantize_point, quantize_point, quantize_residual_vector,
-        )
+        from quantlio.coprocessor import PlaneObservations
+        from quantlio.quantizer import quantize_points, quantize_residual_vectors
 
         obs, cb = static_observations(sigma_r=0.01, seed=1)
         assert len(obs) >= 100
@@ -222,15 +220,12 @@ class TestQmapUpdate:
         groups = build_groups(obs, cb)
         q_state, q_cov, info = qmap_update(state, cov, groups, cb, sigma, IDENTITY)
 
-        oracle_obs = []
-        for o in obs:
-            _, n_center = quantize_residual_vector(o.residual_vector, cb)
-            u = n_center / np.linalg.norm(n_center)
-            _, p_recon = quantize_point(o.point_lidar, cb)
-            oracle_obs.append(PlaneObservation(
-                point_world=o.point_world, point_lidar=p_recon, normal=u,
-                plane_offset=o.plane_offset, residual_vector=o.residual * u,
-                residual=o.residual))
+        _, n_center = quantize_residual_vectors(obs.residual_vector, cb)
+        u = n_center / np.linalg.norm(n_center, axis=1, keepdims=True)
+        _, p_recon = quantize_points(obs.point_lidar, cb)
+        oracle_obs = PlaneObservations(
+            point_world=obs.point_world, point_lidar=p_recon, normal=u,
+            plane_offset=obs.plane_offset, residual=obs.residual)
         s_state, s_cov = standard_update(state, cov, oracle_obs, sigma, IDENTITY)
 
         assert info["updated"]
@@ -238,21 +233,20 @@ class TestQmapUpdate:
         assert np.abs(q_cov - s_cov).max() < 1e-8
 
     def _floor_observation(self):
-        from quantlio.coprocessor import PlaneObservation
-        return PlaneObservation(
-            point_world=np.array([0.0, 0.0, -1.5]),
-            point_lidar=np.array([0.0, 0.0, -1.5]),
-            normal=np.array([0.0, 0.0, 1.0]),
-            plane_offset=1.5,
-            residual_vector=np.array([0.0, 0.0, 0.01]),
-            residual=0.01)
+        from quantlio.coprocessor import PlaneObservations
+        return PlaneObservations(
+            point_world=np.array([[0.0, 0.0, -1.5]]),
+            point_lidar=np.array([[0.0, 0.0, -1.5]]),
+            normal=np.array([[0.0, 0.0, 1.0]]),
+            plane_offset=np.array([1.5]),
+            residual=np.array([0.01]))
 
     def test_floor_plane_shrinks_only_height_variance(self):
         # Exact-direction path: a single height observation touches only the
         # z position variance.
         state = NavState()
         cov = np.eye(ERROR_DIM) * 1e-2
-        _, post = standard_update(state, cov, [self._floor_observation()], 0.02, IDENTITY)
+        _, post = standard_update(state, cov, self._floor_observation(), 0.02, IDENTITY)
         assert post[5, 5] < cov[5, 5]
         assert abs(post[3, 3] - cov[3, 3]) < 1e-12
         assert abs(post[4, 4] - cov[4, 4]) < 1e-12
@@ -265,11 +259,11 @@ class TestQmapUpdate:
         cov = np.eye(ERROR_DIM) * 1e-2
         cb = Codebook(l_p=12, l_n=8, l_z=8, r_max=10.0)
         obs = self._floor_observation()
-        groups = build_groups([obs], cb)
+        groups = build_groups(obs, cb)
         _, post, info = qmap_update(state, cov, groups, cb, 0.02, IDENTITY)
         assert info["updated"]
         assert post[5, 5] < cov[5, 5]
-        angle = (cb.residual_step / 2.0) / obs.residual
+        angle = (cb.residual_step / 2.0) / obs.residual[0]
         budget = 4.0 * angle ** 2 * (cov[5, 5] - post[5, 5])
         assert abs(post[3, 3] - cov[3, 3]) < budget
         assert abs(post[4, 4] - cov[4, 4]) < budget

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from quantlio import pipeline
 from quantlio.voxelmap import VoxelMap
@@ -45,3 +46,13 @@ def test_socket_transport_matches_inproc():
     assert inproc.scans == 5 and inproc.bits_total > 0
     assert socket.deterministic_fields() == inproc.deterministic_fields()
     assert rows_socket.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("scene, trajectory", [("corridor", "circle"), ("box-room", "line")])
+def test_ground_truth_outside_the_scene_is_refused(monkeypatch, scene, trajectory):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan was simulated")
+
+    monkeypatch.setattr(pipeline, "synth_scan", no_scan)
+    with pytest.raises(ValueError, match=f"{trajectory} trajectory .* {scene} walls"):
+        pipeline.run(pipeline.RunConfig(scene=scene, trajectory=trajectory, duration=10.0))

@@ -48,6 +48,30 @@ class TestScenes:
         with pytest.raises(ValueError):
             build_scene("dungeon")
 
+    def test_clearance_to_walls(self):
+        room = build_scene("box-room")
+        np.testing.assert_allclose(room.clearance([[0.0, 0.0, 0.0], [4.5, 0.0, 0.0],
+                                                   [6.0, 0.0, 0.0]]), [1.3, 0.5, -1.0])
+        corridor = build_scene("corridor")
+        np.testing.assert_allclose(corridor.clearance([[0.0, 1.0, 0.0], [-5.5, 0.0, 0.0]]),
+                                   [0.5, -0.5])
+        # The yard is open above and bounded by its half-width around.
+        yard = build_scene("open-yard", (15.0,))
+        np.testing.assert_allclose(yard.clearance([[14.0, 0.0, 50.0], [0.0, -16.0, 0.0]]),
+                                   [1.0, -1.0])
+
+    @pytest.mark.parametrize("scene, trajectory, params, inside", [
+        ("box-room", "figure-eight", {"cycles": 1}, True),
+        ("open-yard", "circle", {"laps": 1}, True),
+        ("corridor", "line", {}, True),
+        ("corridor", "circle", {}, False),  # radius 3 m, 3 m wide corridor
+        ("box-room", "line", {}, False),    # 8 m long, wall at x = +5 m
+    ])
+    def test_presets_inside_their_scene(self, scene, trajectory, params, inside):
+        gt = synth_trajectory(trajectory, 10.0, **params)
+        clearance = build_scene(scene).clearance(gt.positions).min()
+        assert (clearance >= LidarModel().min_range) == inside
+
 
 class TestTrajectories:
     def test_static(self):
