@@ -24,6 +24,7 @@ from .quantizer import (
     Codebook, quantize_points, quantize_residual_vectors, quantize_zs,
 )
 from .voxelmap import VoxelMap, pack_cells, plane_fit_batch
+from .wire import ObservationGroup, unflatten_groups
 
 
 def se3_log(rot, trans):
@@ -226,33 +227,19 @@ def rq_resample(observations: PlaneObservations, cb: Codebook, ds_0: float,
     return observations[np.sort(order[first])]
 
 
-@dataclass
-class ObservationGroup:
-    """Shared rq key plus member (z index, point index triple) tuples."""
-
-    rq_key: int
-    members: list
-
-
 def build_groups(observations: PlaneObservations, cb: Codebook) -> list[ObservationGroup]:
     """Quantize observations and group them under shared rq keys.
 
     Groups are ordered by ascending key; members within a group by ascending
     point indices (then z index), so the encoding is deterministic.
     """
-    if len(observations) == 0:
-        return []
     keys, _ = quantize_residual_vectors(observations.residual_vector, cb)
     p_idx, _ = quantize_points(observations.point_lidar, cb)
     z_idx, _, _, _ = quantize_zs(observations.residual, cb)
 
     order = np.lexsort((z_idx, p_idx[:, 2], p_idx[:, 1], p_idx[:, 0], keys))
-    rows = np.column_stack([z_idx, p_idx])[order].tolist()
-    members = [(zi, (p0, p1, p2)) for zi, p0, p1, p2 in rows]
-    uniq, starts = np.unique(keys[order], return_index=True)
-    ends = [*starts[1:].tolist(), len(rows)]
-    return [ObservationGroup(rq_key=key, members=members[a:b])
-            for key, a, b in zip(uniq.tolist(), starts.tolist(), ends)]
+    uniq, counts = np.unique(keys[order], return_counts=True)
+    return unflatten_groups(uniq, counts, np.column_stack([z_idx, p_idx])[order])
 
 
 class Coprocessor:

@@ -31,19 +31,15 @@ from .manifold import (
     BG, ERROR_DIM, POS, THETA,
     NavState, NoiseParams, boxplus, propagate, skew,
 )
-from .quantizer import Codebook, dequantize_point, dequantize_residual_key, dequantize_z
+from .quantizer import Codebook, dequantize_point, dequantize_residual_key
 from .wire import (
     FrameType, ProtocolOrderError, SessionConfig, WireFrame,
     decode_pose_req, encode_config, encode_frame, encode_pose_resp,
-    encode_state_update, unpack_groups,
+    encode_state_update, flatten_groups, unpack_groups,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_VACUOUS = math.log(1e-300)
-
-
-class VacuousInterval(ValueError):
-    """Interval probability too small to carry information."""
 
 
 def gaussian_tail(x: float) -> float:
@@ -91,31 +87,22 @@ def interval_moments(alpha, beta):
     return lam, omega, log_p
 
 
-@dataclass
-class QuantInterval:
-    """Residual bounds in meters plus the measurement noise scale."""
+def interval_surrogate(lo, hi, sigma: float):
+    """Effective residual z', variance R' and validity per interval [lo, hi]
+    of residuals in meters, vectorized.
 
-    lo: float
-    hi: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("interval requires lo < hi")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-
-
-def effective_measurement(iv: QuantInterval) -> tuple[float, float]:
-    """Effective residual z' and variance R' for one interval."""
-    alpha = -iv.hi / iv.sigma
-    beta = -iv.lo / iv.sigma
-    lam, omega, log_p = interval_moments(alpha, beta)
-    if log_p < _LOG_VACUOUS or not np.isfinite(log_p) or omega <= 0.0:
-        raise VacuousInterval(f"interval [{iv.lo}, {iv.hi}] carries no mass")
-    r_eff = iv.sigma ** 2 / float(omega)
-    z_eff = -iv.sigma * float(lam) / float(omega)
-    return z_eff, r_eff
+    An interval is vacuous (valid False, z' and R' meaningless) when its mass
+    under N(0, sigma^2) is below 1e-300 or not finite, or omega is not
+    positive.
+    """
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    lam, omega, log_p = interval_moments(-hi / sigma, -lo / sigma)
+    valid = np.isfinite(log_p) & (log_p >= _LOG_VACUOUS) & (omega > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -sigma * lam / omega, sigma ** 2 / omega, valid
 
 
 def point_plane_rows(state: NavState, lidar_points, normals, extrinsic) -> np.ndarray:
@@ -174,42 +161,25 @@ def qmap_update(state: NavState, cov: np.ndarray, groups, cb: Codebook,
     if eig_min < -1e-9:
         raise ValueError(f"prior covariance is not PSD (min eigenvalue {eig_min:.2e})")
 
-    # Only 2^l_z distinct intervals exist, so the surrogate per z index is
-    # computed once per update.
-    cell_cache: dict[int, tuple | None] = {}
+    keys, counts, members = flatten_groups(groups)
+    # One surrogate per z index present (l_z may be 16).
+    cells, cell_of = np.unique(members[:, 0], return_inverse=True)
+    lo = cells * cb.z_step
+    z_cell, r_cell, valid_cell = interval_surrogate(lo, lo + cb.z_step, sigma)
+    keep = valid_cell[cell_of]
+    # One norm per key: a batched norm differs in the last bit for some keys.
+    units = np.array([c / np.linalg.norm(c) for c in dequantize_residual_key(keys, cb)])
+    us = units.reshape(-1, 3)[np.repeat(np.arange(len(keys)), counts)[keep]]
+    z_eff, r_eff = z_cell[cell_of[keep]], r_cell[cell_of[keep]]
+    vacuous = len(members) - len(z_eff)
 
-    def cell_effective(z_index: int):
-        if z_index not in cell_cache:
-            _, (lo, hi) = dequantize_z(z_index, cb)
-            try:
-                cell_cache[z_index] = effective_measurement(QuantInterval(lo, hi, sigma))
-            except VacuousInterval:
-                cell_cache[z_index] = None
-        return cell_cache[z_index]
-
-    z_eff, r_eff, pts, us = [], [], [], []
-    vacuous = 0
-    for group in groups:
-        center = dequantize_residual_key(group.rq_key, cb)
-        norm = np.linalg.norm(center)
-        u = center / norm
-        for z_index, p_idx in group.members:
-            eff = cell_effective(z_index)
-            if eff is None:
-                vacuous += 1
-                continue
-            z_eff.append(eff[0])
-            r_eff.append(eff[1])
-            pts.append(dequantize_point(np.asarray(p_idx), cb))
-            us.append(u)
-
-    info = {"measurements": len(z_eff), "vacuous": vacuous, "updated": bool(z_eff)}
-    if not z_eff:
+    info = {"measurements": len(z_eff), "vacuous": vacuous, "updated": len(z_eff) > 0}
+    if len(z_eff) == 0:
         return state.copy(), np.array(cov, copy=True), info
 
-    rows = point_plane_rows(state, np.array(pts), np.array(us), extrinsic)
-    out_state, out_cov = _information_update(
-        state, cov, rows, np.array(z_eff), np.array(r_eff))
+    pts = dequantize_point(members[keep, 1:], cb)
+    rows = point_plane_rows(state, pts, us, extrinsic)
+    out_state, out_cov = _information_update(state, cov, rows, z_eff, r_eff)
     return out_state, out_cov, info
 
 

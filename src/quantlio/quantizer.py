@@ -140,13 +140,6 @@ def quantize_z(z: float, cb: Codebook):
     return int(idx[0]), float(center[0]), (float(lo[0]), float(hi[0]))
 
 
-def dequantize_z(index, cb: Codebook):
-    """Cell center and interval bounds for a z index."""
-    step = cb.z_step
-    lo = float(index) * step
-    return lo + 0.5 * step, (lo, lo + step)
-
-
 def int8_minmax_quantize(points):
     """Per-axis min-max 256-level quantization of a whole scan.
 

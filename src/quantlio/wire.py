@@ -26,7 +26,9 @@ Payloads:
                   per group the rq key (3*l_n bits) and a 16-bit member
                   count, then per member the z index (l_z bits) and three
                   point indices (l_p bits each). Zero padding to a byte
-                  boundary once at payload end.
+                  boundary once at payload end. A payload that ends early
+                  raises TruncatedFrame; one with bytes past that boundary
+                  or a nonzero padding bit raises WireError.
     STATE_UPDATE  posterior pose, quaternion + translation as above.
 
 The session runs one CONFIG (host to coprocessor) then, per scan, strictly
@@ -123,98 +125,117 @@ def decode_frame(buf: bytes) -> WireFrame:
     return WireFrame(FrameType(ftype), timestamp, bytes(buf[HEADER.size: HEADER.size + length]))
 
 
-class BitWriter:
-    """MSB-first bit packer."""
+@dataclass
+class ObservationGroup:
+    """Shared rq key plus member (z index, point index triple) tuples."""
 
-    def __init__(self):
-        self._out = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value: int, width: int) -> None:
-        if value < 0 or value >> width:
-            raise WireError(f"value {value} does not fit in {width} bits")
-        self._acc = (self._acc << width) | value
-        self._nbits += width
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._out.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
-
-    def getvalue(self) -> bytes:
-        out = bytes(self._out)
-        if self._nbits:
-            out += bytes([(self._acc << (8 - self._nbits)) & 0xFF])
-        return out
-
-    @property
-    def bit_length(self) -> int:
-        return 8 * len(self._out) + self._nbits
+    rq_key: int
+    members: list
 
 
-class BitReader:
-    """MSB-first bit unpacker."""
+def flatten_groups(groups):
+    """Keys (g,), member counts (g,) and members (n, 4) as rows of
+    (z, px, py, pz), all int64, in group then member order."""
+    keys = np.array([g.rq_key for g in groups], dtype=np.int64)
+    counts = np.array([len(g.members) for g in groups], dtype=np.int64)
+    members = np.array([(z, *p) for g in groups for z, p in g.members],
+                       dtype=np.int64).reshape(-1, 4)
+    return keys, counts, members
 
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
 
-    def read(self, width: int) -> int:
-        end = self._pos + width
-        if end > 8 * len(self._data):
-            raise TruncatedFrame("bitstream exhausted")
-        value = 0
-        pos = self._pos
-        while width > 0:
-            byte = self._data[pos >> 3]
-            avail = 8 - (pos & 7)
-            take = min(avail, width)
-            shift = avail - take
-            value = (value << take) | ((byte >> shift) & ((1 << take) - 1))
-            pos += take
-            width -= take
-        self._pos = pos
-        return value
+def unflatten_groups(keys, counts, members) -> list[ObservationGroup]:
+    """Inverse of flatten_groups; keys and indices come back as plain ints."""
+    flat = [(z, (px, py, pz)) for z, px, py, pz in members.tolist()]
+    ends = np.cumsum(counts).tolist()
+    return [ObservationGroup(rq_key=key, members=flat[end - n:end])
+            for key, n, end in zip(keys.tolist(), counts.tolist(), ends)]
+
+
+def _field_widths(cb: Codebook):
+    """Bit widths of a group header (key, member count) and of a member
+    (z index, three point indices)."""
+    return (3 * cb.l_n, 16), (cb.l_z, cb.l_p, cb.l_p, cb.l_p)
+
+
+def _bit_fields(widths):
+    """Per bit of a record: the field it belongs to and its shift, MSB first."""
+    field = np.repeat(np.arange(len(widths)), widths)
+    shift = np.concatenate([np.arange(w - 1, -1, -1) for w in widths])
+    return field, shift
+
+
+def _field_weights(widths) -> np.ndarray:
+    """(bits, fields) matrix taking a record's bits to its field values."""
+    field, shift = _bit_fields(widths)
+    weights = np.zeros((len(field), len(widths)), dtype=np.int64)
+    weights[np.arange(len(field)), field] = 1 << shift
+    return weights
+
+
+def _record_offsets(counts, head_bits: int, member_bits: int):
+    """Bit offsets of every group header and every member in the stream."""
+    before = np.cumsum(counts) - counts
+    heads = np.arange(len(counts)) * head_bits + before * member_bits
+    members = ((np.repeat(np.arange(len(counts)), counts) + 1) * head_bits
+               + np.arange(int(counts.sum())) * member_bits)
+    return heads, members
 
 
 def pack_groups(groups, cb: Codebook) -> bytes:
     """Encode an observation group set into the OBS_GROUPS payload."""
     if len(groups) > 0xFFFF:
         raise WireError("too many groups for a 16-bit count")
-    writer = BitWriter()
-    for group in groups:
-        if len(group.members) > 0xFFFF:
-            raise WireError("too many members for a 16-bit count")
-        writer.write(group.rq_key, 3 * cb.l_n)
-        writer.write(len(group.members), 16)
-        for z_index, (px, py, pz) in group.members:
-            writer.write(z_index, cb.l_z)
-            writer.write(px, cb.l_p)
-            writer.write(py, cb.l_p)
-            writer.write(pz, cb.l_p)
-    return struct.pack("<H", len(groups)) + writer.getvalue()
+    try:
+        keys, counts, members = flatten_groups(groups)
+    except OverflowError as exc:
+        raise WireError(f"field value does not fit in 64 bits: {exc}") from None
+    head_w, member_w = _field_widths(cb)
+    records = (np.column_stack([keys, counts]), head_w), (members, member_w)
+    for values, widths in records:
+        # Nonzero after the shift: too wide, or negative (the shift keeps the sign).
+        if np.any(values >> np.array(widths)):
+            raise WireError(f"field value outside its bit widths {widths}")
+    offsets = _record_offsets(counts, sum(head_w), sum(member_w))
+    bits = np.zeros(len(keys) * sum(head_w) + len(members) * sum(member_w), np.uint8)
+    for (values, widths), at in zip(records, offsets):
+        field, shift = _bit_fields(widths)
+        bits[at[:, None] + np.arange(len(field))] = (values[:, field] >> shift) & 1
+    return struct.pack("<H", len(keys)) + np.packbits(bits).tobytes()
 
 
 def unpack_groups(payload: bytes, cb: Codebook):
-    """Decode an OBS_GROUPS payload back into observation groups."""
-    from .coprocessor import ObservationGroup
+    """Decode an OBS_GROUPS payload back into observation groups.
 
+    Only the group headers are read one by one, since each member count
+    places the next header; all members are then gathered at once.
+    """
     if len(payload) < 2:
         raise TruncatedFrame("missing group count")
     (count,) = struct.unpack_from("<H", payload)
-    reader = BitReader(payload[2:])
-    groups = []
+    stream_bits = 8 * (len(payload) - 2)
+    stream = int.from_bytes(payload[2:], "big")
+    head_w, member_w = _field_widths(cb)
+    head_bits, member_bits = sum(head_w), sum(member_w)
+    keys, counts = [], []
+    pos = 0
     for _ in range(count):
-        key = reader.read(3 * cb.l_n)
-        members = []
-        for _ in range(reader.read(16)):
-            z_index = reader.read(cb.l_z)
-            px = reader.read(cb.l_p)
-            py = reader.read(cb.l_p)
-            pz = reader.read(cb.l_p)
-            members.append((z_index, (px, py, pz)))
-        groups.append(ObservationGroup(rq_key=key, members=members))
-    return groups
+        if pos + head_bits > stream_bits:
+            raise TruncatedFrame("bitstream exhausted")
+        head = (stream >> (stream_bits - pos - head_bits)) & ((1 << head_bits) - 1)
+        keys.append(head >> 16)
+        counts.append(head & 0xFFFF)
+        pos += head_bits + counts[-1] * member_bits
+    if pos > stream_bits:
+        raise TruncatedFrame("bitstream exhausted")
+    if stream_bits - pos >= 8:
+        raise WireError(f"{(stream_bits - pos) // 8} bytes after the last group")
+    if stream & ((1 << (stream_bits - pos)) - 1):
+        raise WireError("nonzero padding bits")
+    counts = np.array(counts, dtype=np.int64)
+    _, at = _record_offsets(counts, head_bits, member_bits)
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, offset=2))
+    members = bits[at[:, None] + np.arange(member_bits)] @ _field_weights(member_w)
+    return unflatten_groups(np.array(keys, dtype=np.int64), counts, members)
 
 
 def payload_bits(groups, cb: Codebook) -> int:

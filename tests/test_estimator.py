@@ -1,17 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from quantlio.coprocessor import associate, build_groups
+from quantlio.coprocessor import ObservationGroup, associate, build_groups
 from quantlio.estimator import (
-    Host, QuantInterval, VacuousInterval, effective_measurement,
-    gaussian_tail, interval_moments, jacobian_point_plane,
-    point_plane_rows, qmap_update, residual_value, standard_update,
+    Host, _information_update, gaussian_tail, interval_moments, interval_surrogate,
+    jacobian_point_plane, point_plane_rows, qmap_update, residual_value, standard_update,
 )
 from quantlio.manifold import (
     ERROR_DIM, ImuSample, NavState, NoiseParams, boxplus, propagate, so3_exp,
 )
-from quantlio.quantizer import Codebook
+from quantlio.quantizer import (
+    Codebook, dequantize_point, dequantize_residual_key,
+)
 from quantlio.simworld import LidarModel, build_scene, synth_scan, synth_trajectory
 from quantlio.voxelmap import VoxelMap
 from quantlio.wire import (
@@ -52,7 +56,8 @@ class TestGaussianTail:
 
 class TestEffectiveMeasurement:
     def test_symmetric_interval_zero_residual(self):
-        z, r = effective_measurement(QuantInterval(-0.01, 0.01, 0.02))
+        z, r, valid = interval_surrogate(-0.01, 0.01, 0.02)
+        assert valid
         assert z == pytest.approx(0.0, abs=1e-15)
         assert r > 0.0
 
@@ -60,7 +65,8 @@ class TestEffectiveMeasurement:
         sigma = 0.02
         c = 0.007
         w = 1e-6 * sigma
-        z, r = effective_measurement(QuantInterval(c - w / 2, c + w / 2, sigma))
+        z, r, valid = interval_surrogate(c - w / 2, c + w / 2, sigma)
+        assert valid
         assert abs(z - c) < 1e-4 * sigma
         assert abs(r - sigma ** 2) / sigma ** 2 < 1e-3
 
@@ -91,17 +97,20 @@ class TestEffectiveMeasurement:
             assert omega == pytest.approx(1.0 - var, abs=1e-9)
 
     def test_vacuous_interval_rejected(self):
-        with pytest.raises(VacuousInterval):
-            effective_measurement(QuantInterval(0.9, 0.90001, 0.01))
+        _, _, valid = interval_surrogate(0.9, 0.90001, 0.01)
+        assert not valid
+        _, _, valid = interval_surrogate([0.0, 0.9], [0.01, 0.90001], 0.01)
+        np.testing.assert_array_equal(valid, [True, False])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            QuantInterval(0.2, 0.1, 1.0)
+            interval_surrogate(0.2, 0.1, 1.0)
         with pytest.raises(ValueError):
-            QuantInterval(0.0, 0.1, 0.0)
+            interval_surrogate(0.0, 0.1, 0.0)
 
     def surrogate_fd_errors(self, lo, hi, sigma, eps=1e-3):
-        z_eff, r_eff = effective_measurement(QuantInterval(lo, hi, sigma))
+        z_eff, r_eff, valid = interval_surrogate(lo, hi, sigma)
+        assert np.all(valid)
 
         def nll(shift):
             lam, omega, logp = interval_moments((-hi - shift) / sigma,
@@ -113,21 +122,18 @@ class TestEffectiveMeasurement:
         curv_fd = (nll(step) - 2 * nll(0.0) + nll(-step)) / step ** 2
         grad = z_eff / r_eff
         curv = 1.0 / r_eff
-        return (abs(grad_fd - grad) / max(abs(grad), abs(curv) * sigma),
+        return (abs(grad_fd - grad) / np.maximum(abs(grad), abs(curv) * sigma),
                 abs(curv_fd - curv) / abs(curv))
 
     def test_surrogate_consistency_random_intervals(self):
         rng = np.random.default_rng(2)
         sigma = 0.02
         r_thr = 0.04
-        worst = 0.0
-        for _ in range(2000):
-            l_z = int(rng.integers(1, 9))
-            step = r_thr / 2 ** l_z
-            idx = int(rng.integers(0, 2 ** l_z))
-            ge, ce = self.surrogate_fd_errors(idx * step, (idx + 1) * step, sigma)
-            worst = max(worst, ge, ce)
-        assert worst < 1e-5
+        l_z = rng.integers(1, 9, 2000)
+        step = r_thr / 2.0 ** l_z
+        idx = rng.integers(0, 2 ** l_z)
+        ge, ce = self.surrogate_fd_errors(idx * step, (idx + 1) * step, sigma)
+        assert max(ge.max(), ce.max()) < 1e-5
 
     def test_omega_positive_including_one_sided(self):
         rng = np.random.default_rng(3)
@@ -194,7 +200,122 @@ def static_observations(sigma_r=0.0, seed=0):
     return obs, cb
 
 
+def reference_qmap_update(state, cov, groups, cb, sigma, extrinsic):
+    """The per-member loop qmap_update replaced: one scalar surrogate per z
+    index, one direction per group, one dequantized point per member."""
+    eig_min = float(np.linalg.eigvalsh(cov).min())
+    if eig_min < -1e-9:
+        raise ValueError("prior covariance is not PSD")
+    cell_cache = {}
+
+    def cell_effective(z_index):
+        if z_index not in cell_cache:
+            lo = float(z_index) * cb.z_step
+            hi = lo + cb.z_step
+            lam, omega, log_p = interval_moments(-hi / sigma, -lo / sigma)
+            if log_p < math.log(1e-300) or not np.isfinite(log_p) or omega <= 0.0:
+                cell_cache[z_index] = None
+            else:
+                cell_cache[z_index] = (-sigma * float(lam) / float(omega),
+                                       sigma ** 2 / float(omega))
+        return cell_cache[z_index]
+
+    z_eff, r_eff, pts, us = [], [], [], []
+    vacuous = 0
+    for group in groups:
+        center = dequantize_residual_key(group.rq_key, cb)
+        u = center / np.linalg.norm(center)
+        for z_index, p_idx in group.members:
+            eff = cell_effective(z_index)
+            if eff is None:
+                vacuous += 1
+                continue
+            z_eff.append(eff[0])
+            r_eff.append(eff[1])
+            pts.append(dequantize_point(np.asarray(p_idx), cb))
+            us.append(u)
+
+    info = {"measurements": len(z_eff), "vacuous": vacuous, "updated": bool(z_eff)}
+    if not z_eff:
+        return state.copy(), np.array(cov, copy=True), info
+    rows = point_plane_rows(state, np.array(pts), np.array(us), extrinsic)
+    out_state, out_cov = _information_update(
+        state, cov, rows, np.array(z_eff), np.array(r_eff))
+    return out_state, out_cov, info
+
+
+def assert_same_update(state, cov, groups, cb, sigma, extrinsic):
+    got = qmap_update(state, cov, groups, cb, sigma, extrinsic)
+    want = reference_qmap_update(state, cov, groups, cb, sigma, extrinsic)
+    for name in ("rotation", "position", "velocity", "bias_gyro", "bias_accel"):
+        np.testing.assert_array_equal(getattr(got[0], name), getattr(want[0], name))
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert [type(v) for v in got[2].values()] == [type(v) for v in want[2].values()]
+    return got[2]
+
+
+@st.composite
+def qmap_cases(draw):
+    """Random groups, codebook and prior, in one of three regimes: sigma
+    and r_thr at which every z cell carries mass; sigma 0.01 with r_thr 1.0,
+    where cells above about 0.37 m carry none (some members vacuous); and
+    that setting with z drawn from the upper half only (all vacuous)."""
+    l_z = draw(st.integers(1, 16))
+    regime = draw(st.sampled_from(["informative", "mixed", "vacuous"]))
+    r_thr, sigma = ((draw(st.sampled_from([0.04, 0.3])), draw(st.sampled_from([0.02, 0.05])))
+                    if regime == "informative" else (1.0, 0.01))
+    cb = Codebook(l_p=draw(st.integers(1, 16)), l_n=draw(st.integers(1, 8)), l_z=l_z,
+                  r_max=draw(st.sampled_from([10.0, 50.0])), r_thr=r_thr)
+    z_min = 2 ** l_z // 2 if regime == "vacuous" else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    groups = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = int(rng.integers(0, 13))
+        z = rng.integers(z_min, 2 ** l_z, n).tolist()
+        p = rng.integers(0, 2 ** cb.l_p, (n, 3)).tolist()
+        groups.append(ObservationGroup(int(rng.integers(0, 2 ** (3 * cb.l_n))),
+                                       [(zi, tuple(pi)) for zi, pi in zip(z, p)]))
+    state = NavState()
+    state.rotation = so3_exp(rng.uniform(-1, 1, 3))
+    state.position = rng.uniform(-3, 3, 3)
+    a = rng.standard_normal((ERROR_DIM, ERROR_DIM)) * 0.01
+    cov = a @ a.T + np.eye(ERROR_DIM) * 1e-4
+    extrinsic = (so3_exp(rng.uniform(-0.3, 0.3, 3)), rng.uniform(-0.1, 0.1, 3))
+    return state, cov, groups, cb, sigma, extrinsic
+
+
 class TestQmapUpdate:
+    @given(qmap_cases())
+    def test_matches_member_loop_bitwise(self, case):
+        assert_same_update(*case)
+
+    def test_vacuous_and_empty_scans_match_member_loop(self):
+        state, cov = NavState(), np.eye(ERROR_DIM) * 1e-3
+        cb = Codebook(l_p=9, l_n=3, l_z=16, r_thr=1.0)
+        top = 2 ** 16 - 1
+        mixed = [ObservationGroup(9, [(0, (1, 2, 3)), (top, (4, 5, 6)), (700, (7, 8, 9))]),
+                 ObservationGroup(300, [(top - 5, (10, 11, 12))])]
+        info = assert_same_update(state, cov, mixed, cb, 0.01, IDENTITY)
+        assert info == {"measurements": 2, "vacuous": 2, "updated": True}
+        vacuous = [ObservationGroup(9, [(top, (1, 2, 3))]), ObservationGroup(10, [(40000, (0, 0, 0))])]
+        info = assert_same_update(state, cov, vacuous, cb, 0.01, IDENTITY)
+        assert info == {"measurements": 0, "vacuous": 2, "updated": False}
+        for empty in ([], [ObservationGroup(9, []), ObservationGroup(11, [])]):
+            info = assert_same_update(state, cov, empty, cb, 0.01, IDENTITY)
+            assert info == {"measurements": 0, "vacuous": 0, "updated": False}
+
+    def test_every_default_key_direction_matches_member_loop(self):
+        # One member under each of the 512 keys of the default codebook; a
+        # batched norm over the keys differs from the per-key norm in the
+        # last bit for some of them.
+        cb = Codebook()
+        rng = np.random.default_rng(5)
+        groups = [ObservationGroup(key, [(int(rng.integers(4)),
+                                          tuple(int(v) for v in rng.integers(512, size=3)))])
+                  for key in range(2 ** (3 * cb.l_n))]
+        assert_same_update(NavState(), np.eye(ERROR_DIM) * 1e-3, groups, cb, 0.02, IDENTITY)
+
     def test_empty_groups_no_change(self):
         state = NavState()
         cov = np.eye(ERROR_DIM) * 0.01

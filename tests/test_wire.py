@@ -1,13 +1,15 @@
+import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from quantlio.coprocessor import ObservationGroup
 from quantlio.manifold import so3_exp
 from quantlio.quantizer import Codebook
 from quantlio.wire import (
-    HEADER, BadCrc, BadMagic, BadVersion, BitReader, BitWriter, FrameType,
+    HEADER, BadCrc, BadMagic, BadVersion, FrameType,
     ProtocolOrderError, SessionConfig, SessionTracker, TruncatedFrame,
     UnknownFrameType, WireError, WireFrame,
     decode_config, decode_frame, decode_pose_req, decode_pose_resp,
@@ -29,6 +31,101 @@ def random_groups(rng, cb, max_groups=6, max_members=8):
         members.sort(key=lambda m: (m[1], m[0]))
         groups.append(ObservationGroup(rq_key=int(key), members=members))
     return groups
+
+
+class BitWriter:
+    """Reference MSB-first bit packer, one field at a time."""
+
+    def __init__(self):
+        self._out = bytearray()
+        self._acc = 0
+        self._nbits = 0
+
+    def write(self, value: int, width: int) -> None:
+        if value < 0 or value >> width:
+            raise WireError(f"value {value} does not fit in {width} bits")
+        self._acc = (self._acc << width) | value
+        self._nbits += width
+        while self._nbits >= 8:
+            self._nbits -= 8
+            self._out.append((self._acc >> self._nbits) & 0xFF)
+        self._acc &= (1 << self._nbits) - 1
+
+    def getvalue(self) -> bytes:
+        out = bytes(self._out)
+        if self._nbits:
+            out += bytes([(self._acc << (8 - self._nbits)) & 0xFF])
+        return out
+
+
+class BitReader:
+    """Reference MSB-first bit unpacker, one field at a time."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self._pos = 0
+
+    def read(self, width: int) -> int:
+        end = self._pos + width
+        if end > 8 * len(self._data):
+            raise TruncatedFrame("bitstream exhausted")
+        value = 0
+        pos = self._pos
+        while width > 0:
+            byte = self._data[pos >> 3]
+            avail = 8 - (pos & 7)
+            take = min(avail, width)
+            shift = avail - take
+            value = (value << take) | ((byte >> shift) & ((1 << take) - 1))
+            pos += take
+            width -= take
+        self._pos = pos
+        return value
+
+
+def reference_pack(groups, cb):
+    """OBS_GROUPS payload written field by field."""
+    writer = BitWriter()
+    for group in groups:
+        writer.write(group.rq_key, 3 * cb.l_n)
+        writer.write(len(group.members), 16)
+        for z_index, (px, py, pz) in group.members:
+            writer.write(z_index, cb.l_z)
+            writer.write(px, cb.l_p)
+            writer.write(py, cb.l_p)
+            writer.write(pz, cb.l_p)
+    return struct.pack("<H", len(groups)) + writer.getvalue()
+
+
+def reference_unpack(payload, cb):
+    """(key, members) per group, read field by field."""
+    (count,) = struct.unpack_from("<H", payload)
+    reader = BitReader(payload[2:])
+    groups = []
+    for _ in range(count):
+        key = reader.read(3 * cb.l_n)
+        members = [(reader.read(cb.l_z), (reader.read(cb.l_p), reader.read(cb.l_p),
+                                          reader.read(cb.l_p)))
+                   for _ in range(reader.read(16))]
+        groups.append((key, members))
+    return groups
+
+
+@st.composite
+def codebook_groups(draw, max_groups=6, max_members=8):
+    """A codebook with l_p 1-16, l_n 1-8, l_z 1-16 and a group set, possibly
+    empty, whose groups may have no members; field values span each width."""
+    cb = Codebook(l_p=draw(st.integers(1, 16)), l_n=draw(st.integers(1, 8)),
+                  l_z=draw(st.integers(1, 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    groups = []
+    for _ in range(draw(st.integers(0, max_groups))):
+        n = int(rng.integers(0, max_members + 1))
+        z = rng.integers(0, 2 ** cb.l_z, n).tolist()
+        p = rng.integers(0, 2 ** cb.l_p, (n, 3)).tolist()
+        groups.append(ObservationGroup(rq_key=int(rng.integers(0, 2 ** (3 * cb.l_n))),
+                                       members=[(zi, tuple(pi)) for zi, pi in zip(z, p)]))
+    return cb, groups
 
 
 class TestFraming:
@@ -102,6 +199,9 @@ class TestBitPacking:
     def test_overflow_rejected(self):
         with pytest.raises(WireError):
             BitWriter().write(4, 2)
+        with pytest.raises(WireError):
+            pack_groups([ObservationGroup(rq_key=0, members=[(4, (0, 0, 0))])],
+                        Codebook(l_z=2))
 
     def test_worked_example_sizes(self):
         cb = Codebook(l_p=3, l_n=3, l_z=2)
@@ -110,6 +210,7 @@ class TestBitPacking:
         # 9 + 16 + 11 = 36 bits -> 5 bitstream bytes, plus the 2-byte count.
         assert payload_bits(one, cb) == 36
         assert len(packed) == 7
+        assert packed == bytes.fromhex("0100028000a9c0")
 
     def test_empty_set_two_bytes(self):
         assert pack_groups([], Codebook()) == b"\x00\x00"
@@ -125,6 +226,81 @@ class TestBitPacking:
             assert [(g.rq_key, g.members) for g in decoded] == \
                    [(g.rq_key, g.members) for g in groups]
             assert pack_groups(decoded, cb) == packed
+
+    @given(codebook_groups())
+    def test_pack_matches_reference_and_round_trips(self, case):
+        cb, groups = case
+        packed = pack_groups(groups, cb)
+        assert packed == reference_pack(groups, cb)
+        decoded = unpack_groups(packed, cb)
+        assert [(g.rq_key, g.members) for g in decoded] == \
+               [(g.rq_key, g.members) for g in groups] == reference_unpack(packed, cb)
+        assert all(type(v) is int for g in decoded for z, p in g.members for v in (z, *p))
+
+    @given(codebook_groups(max_groups=3, max_members=3), st.data())
+    def test_out_of_range_fields_rejected(self, case, data):
+        cb, groups = case
+        groups.append(ObservationGroup(rq_key=0, members=[(0, (0, 0, 0))]))
+        field = data.draw(st.sampled_from(["key", "z", "px", "py", "pz"]))
+        width = {"key": 3 * cb.l_n, "z": cb.l_z}.get(field, cb.l_p)
+        bad = data.draw(st.one_of(st.integers(-2 ** 70, -1),
+                                  st.integers(2 ** width, 2 ** width + 2 ** 20),
+                                  st.integers(2 ** 63, 2 ** 70)))
+        target = groups[data.draw(st.integers(0, len(groups) - 1))]
+        if field == "key":
+            target.rq_key = bad
+        else:
+            target.members = target.members or [(0, (0, 0, 0))]
+            i = data.draw(st.integers(0, len(target.members) - 1))
+            z, p = target.members[i]
+            p = list(p)
+            if field == "z":
+                z = bad
+            else:
+                p["xyz".index(field[1])] = bad
+            target.members[i] = (z, tuple(p))
+        with pytest.raises(WireError):
+            pack_groups(groups, cb)
+
+    def test_count_limits(self):
+        cb = Codebook()
+        with pytest.raises(WireError):
+            pack_groups([ObservationGroup(0, [])] * 0x10000, cb)
+        with pytest.raises(WireError):
+            pack_groups([ObservationGroup(0, [(0, (0, 0, 0))] * 0x10000)], cb)
+
+    @given(codebook_groups(max_groups=4, max_members=4))
+    def test_every_strict_prefix_truncated(self, case):
+        cb, groups = case
+        packed = pack_groups(groups, cb)
+        for end in range(len(packed)):
+            with pytest.raises(TruncatedFrame):
+                unpack_groups(packed[:end], cb)
+
+    @given(codebook_groups(max_groups=4, max_members=4), st.binary(min_size=1, max_size=3),
+           st.data())
+    def test_trailing_bytes_and_padding_bits_rejected(self, case, extra, data):
+        cb, groups = case
+        packed = pack_groups(groups, cb)
+        bad = [packed + extra]
+        pad = 8 * (len(packed) - 2) - payload_bits(groups, cb)
+        if pad:
+            bit = data.draw(st.integers(0, pad - 1))
+            bad.append(packed[:-1] + bytes([packed[-1] | 1 << bit]))
+        for payload in bad:
+            with pytest.raises(WireError) as err:
+                unpack_groups(payload, cb)
+            assert not isinstance(err.value, TruncatedFrame)
+
+    def test_worked_example_strict(self):
+        cb = Codebook(l_p=3, l_n=3, l_z=2)
+        payload = bytes.fromhex("0100028000a9c0")
+        assert [(g.rq_key, g.members) for g in unpack_groups(payload, cb)] == \
+               [(5, [(1, (2, 3, 4))])]
+        for bad in (payload + b"\xff\xff", payload[:-1] + b"\xc1", payload[:-1] + b"\xcf"):
+            with pytest.raises(WireError) as err:
+                unpack_groups(bad, cb)
+            assert not isinstance(err.value, TruncatedFrame)
 
     def test_padding_bounded(self):
         rng = np.random.default_rng(3)
