@@ -21,10 +21,13 @@ import numpy as np
 
 from .manifold import skew, so3_log
 from .quantizer import (
-    Codebook, quantize_points, quantize_residual_vectors, quantize_zs,
+    Codebook, int8_minmax_quantize, int8_minmax_reconstruct, quantize_points,
+    quantize_residual_vectors, quantize_zs,
 )
 from .voxelmap import VoxelMap, pack_cells, plane_fit_batch
 from .wire import ObservationGroup, unflatten_groups
+
+MODES = ("qlio", "baseline-float", "baseline-int8", "qlio-no-rqrs")
 
 
 def se3_log(rot, trans):
@@ -155,8 +158,7 @@ class PlaneObservations:
         return self.residual[:, None] * self.normal
 
 
-def associate(world_points, lidar_points, vmap: VoxelMap, cb: Codebook,
-              plane_threshold: float = 0.1):
+def associate(world_points, lidar_points, vmap: VoxelMap, cb: Codebook):
     """Point-plane association against the map.
 
     For each world point: 5 nearest map points, a plane fit, then the signed
@@ -176,7 +178,7 @@ def associate(world_points, lidar_points, vmap: VoxelMap, cb: Codebook,
     if len(rows) == 0:
         return PlaneObservations.empty(), len(world_points)
     stacks = np.stack([neighbors[r] for r in rows])
-    normals, offsets, _, fit_ok = plane_fit_batch(stacks, max_residual=plane_threshold)
+    normals, offsets, _, fit_ok = plane_fit_batch(stacks)
 
     signed = np.einsum("mj,mj->m", world_points[rows], normals) + offsets
     sign = np.where(signed < 0.0, -1.0, 1.0)
@@ -243,60 +245,72 @@ def build_groups(observations: PlaneObservations, cb: Codebook) -> list[Observat
 
 
 class Coprocessor:
-    """Owns the map and turns raw scans into observation groups.
+    """Owns the map and turns raw scans into observations, one scan at a time.
+
+    observe() runs the stages every mode shares: the int8 min-max round trip
+    (baseline-int8 only), undistortion, voxel downsampling, the codebook
+    range gate, float32 rounding of the kept points (both baselines, which
+    send float32) and association; the float baselines hand its observations
+    to the host as they are. process_scan() is the qlio modes' path: observe,
+    then rq resampling (qlio only) and grouping. Either keeps the scan's
+    points until integrate_posterior() inserts them into the map.
 
     Transport-agnostic: the caller feeds it the pose response data and the
-    posterior pose, and ships the returned groups itself.
+    posterior pose, and ships what it returns itself.
     """
 
     def __init__(self, cb: Codebook, extrinsic, ds_0: float = 0.5, alpha: float = 0.01,
-                 plane_threshold: float = 0.1, map_edge: float = 0.5,
-                 map_cell_cap: int = 32, resample: bool = True):
+                 mode: str = "qlio"):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
         self.cb = cb
         self.extrinsic = extrinsic
         self.ds_0 = ds_0
         self.alpha = alpha
-        self.plane_threshold = plane_threshold
-        self.resample = resample
-        self.vmap = VoxelMap(edge=map_edge, cell_cap=map_cell_cap)
+        self.mode = mode
+        self.vmap = VoxelMap()
         self._pending_lidar_points = None
 
-    def process_scan(self, points, times, t_prev: float, t_k: float,
-                     scan_delta, pose_prev):
-        """Undistort, downsample, associate and group one scan.
+    def observe(self, points, times, t_prev: float, t_k: float, scan_delta, pose_prev):
+        """Undistort, downsample and associate one scan.
 
         pose_prev is the world-from-IMU pose at the previous scan end;
         combined with scan_delta it yields the end-of-scan world pose used
-        to place points for association. Returns (groups, observations,
-        stats dict).
+        to place points for association. Returns (observations, stats dict).
         """
+        if self.mode == "baseline-int8" and len(points):
+            points = int8_minmax_reconstruct(*int8_minmax_quantize(points))
         lidar_end = undistort(points, times, t_prev, t_k, scan_delta, self.extrinsic)
-        keep = voxel_downsample(lidar_end, self.ds_0)
-        lidar_end = lidar_end[keep]
+        lidar_end = lidar_end[voxel_downsample(lidar_end, self.ds_0)]
         # Codebook range gate: whatever the quantizer cannot represent is
         # dropped before association.
         in_range = np.all(np.abs(lidar_end) < self.cb.r_max, axis=1)
         lidar_end = lidar_end[in_range]
+        if self.mode.startswith("baseline"):  # the baselines send float32 points
+            lidar_end = lidar_end.astype(np.float32).astype(np.float64)
 
         pose_k = compose(pose_prev, invert(scan_delta))
-        world_from_lidar = compose(pose_k, self.extrinsic)
-        world = apply_transform(world_from_lidar, lidar_end)
-
-        observations, skipped = associate(world, lidar_end, self.vmap, self.cb,
-                                          self.plane_threshold)
-        raw_count = len(observations)
-        if self.resample:
-            observations = rq_resample(observations, self.cb, self.ds_0, self.alpha)
-        groups = build_groups(observations, self.cb)
+        world = apply_transform(compose(pose_k, self.extrinsic), lidar_end)
+        observations, skipped = associate(world, lidar_end, self.vmap, self.cb)
         self._pending_lidar_points = lidar_end
         stats = {
             "points_in": len(points),
             "points_assoc_input": int(np.count_nonzero(in_range)),
-            "observations_raw": raw_count,
+            "observations_raw": len(observations),
             "observations_sent": len(observations),
             "skipped": skipped,
         }
-        return groups, observations, stats
+        return observations, stats
+
+    def process_scan(self, points, times, t_prev: float, t_k: float,
+                     scan_delta, pose_prev):
+        """observe(), then rq resampling (qlio mode) and grouping. Returns
+        (groups, observations sent, stats dict)."""
+        observations, stats = self.observe(points, times, t_prev, t_k, scan_delta, pose_prev)
+        if self.mode == "qlio":
+            observations = rq_resample(observations, self.cb, self.ds_0, self.alpha)
+        stats["observations_sent"] = len(observations)
+        return build_groups(observations, self.cb), observations, stats
 
     def integrate_posterior(self, pose_k) -> None:
         """Insert the pending scan into the map at the posterior pose."""

@@ -42,11 +42,6 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_VACUOUS = math.log(1e-300)
 
 
-def gaussian_tail(x: float) -> float:
-    """P[N(0,1) > x]; exact limits at plus and minus infinity."""
-    return float(np.exp(log_ndtr(-np.asarray(x, dtype=float))))
-
-
 def _log_phi(x):
     return -0.5 * x * x - _LOG_SQRT_2PI
 
@@ -122,18 +117,6 @@ def point_plane_rows(state: NavState, lidar_points, normals, extrinsic) -> np.nd
     rt_u = normals @ state.rotation
     rows[:, THETA] = np.cross(imu_pts, rt_u)
     return rows
-
-
-def jacobian_point_plane(state: NavState, p_lidar, u, extrinsic) -> np.ndarray:
-    """Single measurement row; see point_plane_rows."""
-    return point_plane_rows(state, p_lidar, u, extrinsic)[0]
-
-
-def residual_value(state: NavState, p_lidar, u, d: float, extrinsic) -> float:
-    """Signed plane distance of a LiDAR point placed with the given state."""
-    r_il, t_il = extrinsic
-    world = state.rotation @ (r_il @ np.asarray(p_lidar, dtype=float) + t_il) + state.position
-    return float(np.dot(u, world) + d)
 
 
 def _information_update(state: NavState, cov: np.ndarray, rows: np.ndarray,

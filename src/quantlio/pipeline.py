@@ -8,36 +8,35 @@ estimator together in the selected mode:
     baseline-float  exact float observations, no codec (224 bits each)
     baseline-int8   per-scan min-max int8 points, then the float pipeline
 
-Transports: "inproc" pumps encoded frames synchronously through the codec;
-"socket:PORT" runs the host behind a localhost TCP socket.
+All four run the same scan loop. Transports: "inproc" pumps encoded frames
+synchronously through the codec; "socket:PORT" runs the host behind a
+localhost TCP socket. The float baselines have no wire encoding of their
+observations, so they run in-process whatever the transport says.
 """
 
 from __future__ import annotations
 
 import threading
 import time as _time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coprocessor import (
-    Coprocessor, apply_transform, associate, compose, invert, undistort, voxel_downsample,
-)
+from .coprocessor import MODES, Coprocessor
 from .estimator import Host
-from .manifold import ERROR_DIM, NavState, NoiseParams, rot_to_quat, so3_log
-from .quantizer import Codebook, int8_minmax_quantize, int8_minmax_reconstruct
+from .manifold import NavState, NoiseParams, so3_log
+from .quantizer import Codebook
 from .simworld import (
     GRAVITY_W, LidarModel, build_scene, load_descriptor, synth_imu,
     synth_scan, synth_trajectory,
 )
 from .wire import (
-    FrameType, SessionConfig, StreamTransport, WireError, WireFrame,
+    FrameType, PeerClosed, SessionConfig, StreamTransport, WireFrame,
     decode_config, decode_frame, decode_pose_resp, decode_state_update,
     encode_frame, encode_pose_req, pack_groups, payload_bits,
     tcp_connect, tcp_listen,
 )
-
-MODES = ("qlio", "baseline-float", "baseline-int8", "qlio-no-rqrs")
 
 FLOAT_OBS_BITS = 224  # 28-byte float32 observation: residual + vector + point
 POINT_OBS_BITS = 96   # bare float32 point triple
@@ -145,16 +144,52 @@ class _SocketChannel:
 
 
 def _host_serve(transport: StreamTransport, host: Host, errors: list) -> None:
-    transport.send_frame(host.config_frame())
+    """Answer frames until the coprocessor closes the link between frames.
+
+    Any other failure is recorded for the driving thread, and the link is
+    closed so that its pending request fails at once instead of timing out.
+    """
     try:
+        transport.send_frame(host.config_frame())
         while True:
-            try:
-                frame = transport.recv_frame()
-            except WireError:
-                return  # peer closed
-            transport.send_frame(host.handle_frame(frame))
+            transport.send_frame(host.handle_frame(transport.recv_frame()))
+    except PeerClosed:
+        pass
     except Exception as exc:  # surfaced to the driving thread
         errors.append(exc)
+    finally:
+        transport.close()
+
+
+@contextmanager
+def _open_channel(cfg: RunConfig, host: Host):
+    """Yield (channel, decoded CONFIG frame) for the run's transport.
+
+    The float baselines have no wire encoding of their observations and
+    always run in-process. On a socket, an error the host thread recorded
+    is raised when the channel closes.
+    """
+    if cfg.transport == "inproc" or not cfg.mode.startswith("qlio"):
+        yield _SyncChannel(host), decode_frame(host.config_frame())
+        return
+    server = tcp_listen(int(cfg.transport.split(":", 1)[1]))
+    errors: list = []
+
+    def accept_and_serve():
+        conn, _ = server.accept()
+        _host_serve(StreamTransport(conn), host, errors)
+
+    thread = threading.Thread(target=accept_and_serve, daemon=True)
+    thread.start()
+    client = tcp_connect(server.getsockname()[1])
+    try:
+        yield _SocketChannel(client), client.recv_frame()
+    finally:
+        client.close()
+        thread.join(timeout=10)
+        server.close()
+        if errors:
+            raise errors[0]
 
 
 def _make_host(cfg: RunConfig, gt) -> Host:
@@ -208,11 +243,7 @@ def run(cfg: RunConfig):
     extrinsic = (cfg.extrinsic_rotation, cfg.extrinsic_translation)
     sim_time = _time.perf_counter() - t0
 
-    if cfg.mode in ("qlio", "qlio-no-rqrs"):
-        stats = _run_wire(cfg, scene, gt, host, extrinsic, scan_seed)
-    else:
-        stats = _run_baseline(cfg, scene, gt, host, extrinsic, scan_seed)
-
+    stats = _run_scans(cfg, scene, gt, host, extrinsic, scan_seed)
     metrics = _finalize(cfg, gt, host, stats, sim_time, t0)
     rows = _trajectory_rows(host)
     if cfg.out_dir is not None:
@@ -220,44 +251,24 @@ def run(cfg: RunConfig):
     return metrics, rows
 
 
-def _run_wire(cfg: RunConfig, scene, gt, host: Host, extrinsic, scan_seed):
-    """Coprocessor drives the session over the encoded-frame channel."""
-    socket_thread = None
-    server = None
-    errors: list = []
-    if cfg.transport == "inproc":
-        channel = _SyncChannel(host)
-        config_frame = decode_frame(host.config_frame())
-    else:
-        port = int(cfg.transport.split(":", 1)[1])
-        server = tcp_listen(port)
-        actual_port = server.getsockname()[1]
-        socket_thread_transport = {}
+def _run_scans(cfg: RunConfig, scene, gt, host: Host, extrinsic, scan_seed):
+    """The scan loop of every mode.
 
-        def accept_and_serve():
-            conn, _ = server.accept()
-            transport = StreamTransport(conn)
-            socket_thread_transport["t"] = transport
-            _host_serve(transport, host, errors)
-
-        socket_thread = threading.Thread(target=accept_and_serve, daemon=True)
-        socket_thread.start()
-        client = tcp_connect(actual_port)
-        channel = _SocketChannel(client)
-        config_frame = client.recv_frame()
-
-    session = decode_config(config_frame.payload)
-    coproc = Coprocessor(
-        cb=session.codebook,
-        extrinsic=(session.extrinsic_rotation, session.extrinsic_translation),
-        ds_0=session.ds_0, alpha=session.alpha,
-        resample=(cfg.mode == "qlio"))
-
+    Per scan the coprocessor requests the prior pose, turns the scan into
+    observations, and inserts its points into the map at the posterior pose.
+    The qlio modes send groups in an OBS_GROUPS frame; the float baselines
+    hand their observations straight to the host.
+    """
     totals = {"bits": 0, "sent": 0, "assoc": 0, "assoc_input": 0,
               "coproc_time": 0.0, "host_time": 0.0, "scan_bits": [],
               "scan_members": []}
-    t_prev = 0.0
-    try:
+    with _open_channel(cfg, host) as (channel, config_frame):
+        session = decode_config(config_frame.payload)
+        coproc = Coprocessor(
+            cb=session.codebook,
+            extrinsic=(session.extrinsic_rotation, session.extrinsic_translation),
+            ds_0=session.ds_0, alpha=session.alpha, mode=cfg.mode)
+        t_prev = 0.0
         for t_k in _scan_schedule(cfg):
             pts, times = synth_scan(scene, gt, cfg.lidar, t_k,
                                     seed=scan_seed ^ int(t_k * 1e6),
@@ -270,19 +281,31 @@ def _run_wire(cfg: RunConfig, scene, gt, host: Host, extrinsic, scan_seed):
 
             tc = _time.perf_counter()
             scan_delta, pose_prev = decode_pose_resp(resp.payload)
-            groups, _, stats = coproc.process_scan(
-                pts, times, t_prev, t_k, scan_delta, pose_prev)
-            payload = pack_groups(groups, session.codebook)
-            obs_frame = encode_frame(FrameType.OBS_GROUPS, int(t_k * 1e6), payload)
-            totals["coproc_time"] += _time.perf_counter() - tc
-
-            tw = _time.perf_counter()
-            update = channel.request(obs_frame)
-            totals["host_time"] += _time.perf_counter() - tw
-            pose_post = decode_state_update(update.payload)
+            if cfg.mode.startswith("qlio"):
+                groups, _, stats = coproc.process_scan(
+                    pts, times, t_prev, t_k, scan_delta, pose_prev)
+                payload = pack_groups(groups, session.codebook)
+                obs_frame = encode_frame(FrameType.OBS_GROUPS, int(t_k * 1e6), payload)
+                totals["coproc_time"] += _time.perf_counter() - tc
+                tw = _time.perf_counter()
+                update = channel.request(obs_frame)
+                totals["host_time"] += _time.perf_counter() - tw
+                pose_post = decode_state_update(update.payload)
+                bits = 16 + payload_bits(groups, session.codebook)
+            else:
+                observations, stats = coproc.observe(
+                    pts, times, t_prev, t_k, scan_delta, pose_prev)
+                totals["coproc_time"] += _time.perf_counter() - tc
+                tw = _time.perf_counter()
+                host.apply_float_observations(t_k, observations)
+                totals["host_time"] += _time.perf_counter() - tw
+                pose_post = (host.state.rotation.copy(), host.state.position.copy())
+                if cfg.mode == "baseline-float":
+                    bits = FLOAT_OBS_BITS * len(observations)
+                else:  # int8 levels plus min/max side data; an empty scan sends none
+                    bits = 24 * stats["points_in"] + 6 * 32 if stats["points_in"] else 0
             coproc.integrate_posterior(pose_post)
 
-            bits = 16 + payload_bits(groups, session.codebook)
             totals["bits"] += bits
             totals["scan_bits"].append(bits)
             totals["scan_members"].append(stats["observations_sent"])
@@ -292,73 +315,6 @@ def _run_wire(cfg: RunConfig, scene, gt, host: Host, extrinsic, scan_seed):
             t_prev = t_k
             if _diverged(host):
                 break
-    finally:
-        if cfg.transport != "inproc":
-            channel.transport.close()
-            if socket_thread is not None:
-                socket_thread.join(timeout=10)
-            if server is not None:
-                server.close()
-    if errors:
-        raise errors[0]
-    return totals
-
-
-def _run_baseline(cfg: RunConfig, scene, gt, host: Host, extrinsic, scan_seed):
-    """Float observation path, optionally degraded by int8 min-max points."""
-    coproc = Coprocessor(cb=cfg.codebook, extrinsic=extrinsic,
-                         ds_0=cfg.ds_0, alpha=cfg.alpha, resample=False)
-    totals = {"bits": 0, "sent": 0, "assoc": 0, "assoc_input": 0,
-              "coproc_time": 0.0, "host_time": 0.0, "scan_bits": [],
-              "scan_members": []}
-    t_prev = 0.0
-    for t_k in _scan_schedule(cfg):
-        pts, times = synth_scan(scene, gt, cfg.lidar, t_k,
-                                seed=scan_seed ^ int(t_k * 1e6),
-                                extrinsic=extrinsic)
-        int8_bits = 0
-        if cfg.mode == "baseline-int8":
-            if len(pts):
-                levels, mins, maxs = int8_minmax_quantize(pts)
-                pts = int8_minmax_reconstruct(levels, mins, maxs)
-                int8_bits = 24 * len(pts) + 6 * 32  # levels plus min/max side data
-
-        tw = _time.perf_counter()
-        req = encode_frame(FrameType.POSE_REQ, int(t_k * 1e6),
-                           encode_pose_req(int(t_prev * 1e6), int(t_k * 1e6)))
-        resp = decode_frame(host.handle_frame(decode_frame(req)))
-        totals["host_time"] += _time.perf_counter() - tw
-        scan_delta, pose_prev = decode_pose_resp(resp.payload)
-
-        tc = _time.perf_counter()
-        lidar_end = undistort(pts, times, t_prev, t_k, scan_delta, extrinsic)
-        lidar_end = lidar_end[voxel_downsample(lidar_end, cfg.ds_0)]
-        in_range = np.all(np.abs(lidar_end) < cfg.codebook.r_max, axis=1)
-        lidar_end = lidar_end[in_range].astype(np.float32).astype(np.float64)
-        pose_k = compose(pose_prev, invert(scan_delta))
-        world = apply_transform(compose(pose_k, extrinsic), lidar_end)
-        observations, _ = associate(world, lidar_end, coproc.vmap, cfg.codebook,
-                                    coproc.plane_threshold)
-        totals["coproc_time"] += _time.perf_counter() - tc
-
-        tw = _time.perf_counter()
-        host.apply_float_observations(t_k, observations)
-        totals["host_time"] += _time.perf_counter() - tw
-        pose_post = (host.state.rotation.copy(), host.state.position.copy())
-        coproc._pending_lidar_points = lidar_end
-        coproc.integrate_posterior(pose_post)
-
-        bits = int8_bits if cfg.mode == "baseline-int8" \
-            else FLOAT_OBS_BITS * len(observations)
-        totals["bits"] += bits
-        totals["scan_bits"].append(bits)
-        totals["scan_members"].append(len(observations))
-        totals["sent"] += len(observations)
-        totals["assoc"] += len(observations)
-        totals["assoc_input"] += int(np.count_nonzero(in_range))
-        t_prev = t_k
-        if _diverged(host):
-            break
     return totals
 
 

@@ -79,12 +79,6 @@ def quantize_points(points, cb: Codebook):
     return idx, recon
 
 
-def quantize_point(p, cb: Codebook):
-    """Quantize one 3-vector point; returns (3 indices, reconstruction)."""
-    idx, recon = quantize_points(np.asarray(p, dtype=float).reshape(1, 3), cb)
-    return idx[0], recon[0]
-
-
 def dequantize_point(indices, cb: Codebook) -> np.ndarray:
     return np.asarray(indices, dtype=float) * cb.point_step - cb.r_max + 0.5 * cb.point_step
 
@@ -112,12 +106,6 @@ def quantize_residual_vectors(vectors, cb: Codebook):
     return residual_axes_to_key(idx, cb), recon
 
 
-def quantize_residual_vector(n, cb: Codebook):
-    """Quantize one residual 3-vector; returns (hash key, reconstruction)."""
-    keys, recon = quantize_residual_vectors(np.asarray(n, dtype=float).reshape(1, 3), cb)
-    return int(keys[0]), recon[0]
-
-
 def dequantize_residual_key(key, cb: Codebook) -> np.ndarray:
     axes = residual_key_to_axes(key, cb)
     return axes * cb.residual_step - cb.r_thr + 0.5 * cb.residual_step
@@ -132,12 +120,6 @@ def quantize_zs(values, cb: Codebook):
     idx = _grid_index(values, step, 0.0, 2 ** cb.l_z)
     lo = idx * step
     return idx, lo + 0.5 * step, lo, lo + step
-
-
-def quantize_z(z: float, cb: Codebook):
-    """Quantize one scalar residual; returns (index, center, (lo, hi))."""
-    idx, center, lo, hi = quantize_zs(np.array([z]), cb)
-    return int(idx[0]), float(center[0]), (float(lo[0]), float(hi[0]))
 
 
 def int8_minmax_quantize(points):

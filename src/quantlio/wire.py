@@ -31,9 +31,13 @@ Payloads:
                   or a nonzero padding bit raises WireError.
     STATE_UPDATE  posterior pose, quaternion + translation as above.
 
-The session runs one CONFIG (host to coprocessor) then, per scan, strictly
-POSE_REQ -> POSE_RESP -> OBS_GROUPS -> STATE_UPDATE; frames for the next
-scan must not precede the STATE_UPDATE of the current one.
+The session runs one CONFIG (host to coprocessor) then, per scan,
+POSE_REQ -> POSE_RESP -> OBS_GROUPS -> STATE_UPDATE. The host
+(estimator.Host) enforces the order: a POSE_REQ window must start at the
+host's time and end after it; OBS_GROUPS needs a pending POSE_REQ and
+answers it; any other frame type is refused. A POSE_REQ for a later scan
+while OBS_GROUPS is still pending drops the pending scan, which the host
+counts and dead-reckons through.
 """
 
 from __future__ import annotations
@@ -89,6 +93,10 @@ class UnknownFrameType(WireError):
 
 class ProtocolOrderError(WireError):
     pass
+
+
+class PeerClosed(WireError):
+    """The peer closed the link between frames."""
 
 
 @dataclass
@@ -318,30 +326,6 @@ def decode_state_update(payload: bytes):
     return _unpack_pose(payload)
 
 
-class SessionTracker:
-    """Enforces the per-scan frame ordering for one endpoint."""
-
-    _EXPECT = {
-        None: (FrameType.CONFIG,),
-        FrameType.CONFIG: (FrameType.POSE_REQ,),
-        FrameType.POSE_REQ: (FrameType.POSE_RESP,),
-        FrameType.POSE_RESP: (FrameType.OBS_GROUPS,),
-        FrameType.OBS_GROUPS: (FrameType.STATE_UPDATE,),
-        FrameType.STATE_UPDATE: (FrameType.POSE_REQ,),
-    }
-
-    def __init__(self):
-        self._last = None
-
-    def observe(self, frame_type: FrameType) -> None:
-        allowed = self._EXPECT[self._last]
-        if frame_type not in allowed:
-            raise ProtocolOrderError(
-                f"{frame_type.name} after "
-                f"{'session start' if self._last is None else self._last.name}")
-        self._last = frame_type
-
-
 class StreamTransport:
     """Reliable ordered byte link carrying whole frames over a socket."""
 
@@ -365,7 +349,10 @@ class StreamTransport:
         return bytes(chunks)
 
     def recv_frame(self) -> WireFrame:
-        head = self._recv_exact(HEADER.size)
+        first = self._sock.recv(HEADER.size)
+        if not first:
+            raise PeerClosed("connection closed")
+        head = first + self._recv_exact(HEADER.size - len(first))
         _, _, _, _, length = HEADER.unpack(head)
         rest = self._recv_exact(length + 4)
         raw = head + rest

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quantlio.coprocessor import (
-    PlaneObservations, apply_transform, associate, build_groups, compose,
-    invert, rq_resample, se3_exp, se3_log, undistort, voxel_downsample,
+    MODES, Coprocessor, PlaneObservations, apply_transform, associate, build_groups,
+    compose, invert, rq_resample, se3_exp, se3_log, undistort, voxel_downsample,
 )
 from quantlio.manifold import skew, so3_exp
 from quantlio.quantizer import (
-    Codebook, quantize_points, quantize_residual_vector,
+    Codebook, int8_minmax_quantize, int8_minmax_reconstruct, quantize_points,
     quantize_residual_vectors, quantize_zs,
 )
 from quantlio.simworld import LidarModel, build_scene, synth_scan, synth_trajectory
@@ -424,9 +424,9 @@ class TestBuildGroups:
         expected = []
         p_idx, _ = quantize_points(obs.point_lidar, cb)
         z_idx, _, _, _ = quantize_zs(obs.residual, cb)
-        for vec, pi, zi in zip(obs.residual_vector, p_idx, z_idx):
-            key, _ = quantize_residual_vector(vec, cb)
-            expected.append((key, int(zi), tuple(int(v) for v in pi)))
+        keys, _ = quantize_residual_vectors(obs.residual_vector, cb)
+        for key, pi, zi in zip(keys, p_idx, z_idx):
+            expected.append((int(key), int(zi), tuple(int(v) for v in pi)))
         flattened = [(g.rq_key, m[0], m[1]) for g in groups for m in g.members]
         assert sorted(flattened) == sorted(expected)
 
@@ -436,3 +436,48 @@ class TestBuildGroups:
         groups = build_groups(obs, cb)
         members = groups[0].members
         assert members == sorted(members, key=lambda m: (m[1], m[0]))
+
+
+class TestCoprocessor:
+    @staticmethod
+    def static_scans():
+        """Two scans of the box room from a sensor at rest at the origin."""
+        scene = build_scene("box-room")
+        gt = synth_trajectory("static", 1.0)
+        lidar = LidarModel(n_azimuth=64, n_elevation=8)
+        return [synth_scan(scene, gt, lidar, t_k=t, seed=s) for t, s in ((0.1, 1), (0.2, 2))]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_observe_and_process_scan_per_mode(self, mode):
+        (pts0, times0), (pts1, times1) = self.static_scans()
+        coproc = Coprocessor(Codebook(), IDENTITY, mode=mode)
+        obs, stats = coproc.observe(pts0, times0, 0.0, 0.1, IDENTITY, IDENTITY)
+        assert len(obs) == 0 and stats["skipped"] == stats["points_assoc_input"] > 0
+        coproc.integrate_posterior(IDENTITY)
+
+        obs, stats = coproc.observe(pts1, times1, 0.1, 0.2, IDENTITY, IDENTITY)
+        assert stats["points_in"] == len(pts1)
+        assert stats["observations_raw"] == stats["observations_sent"] == len(obs) > 0
+        # At rest, undistortion moves no point: every observed point is a
+        # scan point, after the int8 round trip and float32 rounding where
+        # the mode has them.
+        sent = pts1
+        if mode == "baseline-int8":
+            sent = int8_minmax_reconstruct(*int8_minmax_quantize(pts1))
+        if mode.startswith("baseline"):
+            sent = sent.astype(np.float32).astype(np.float64)
+        assert set(map(tuple, obs.point_lidar)) <= set(map(tuple, sent))
+
+        groups, sent_obs, scan_stats = coproc.process_scan(
+            pts1, times1, 0.1, 0.2, IDENTITY, IDENTITY)
+        assert scan_stats["observations_raw"] == len(obs)
+        assert scan_stats["observations_sent"] == len(sent_obs) \
+            == sum(len(g.members) for g in groups)
+        if mode == "qlio":
+            assert len(sent_obs) < len(obs)
+        else:
+            assert len(sent_obs) == len(obs)
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="mode"):
+            Coprocessor(Codebook(), IDENTITY, mode="float")

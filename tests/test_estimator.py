@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from quantlio.coprocessor import ObservationGroup, associate, build_groups
 from quantlio.estimator import (
-    Host, _information_update, gaussian_tail, interval_moments, interval_surrogate,
-    jacobian_point_plane, point_plane_rows, qmap_update, residual_value, standard_update,
+    Host, _information_update, interval_moments, interval_surrogate,
+    point_plane_rows, qmap_update, standard_update,
 )
 from quantlio.manifold import (
     ERROR_DIM, ImuSample, NavState, NoiseParams, boxplus, propagate, so3_exp,
@@ -29,29 +29,6 @@ IDENTITY = (np.eye(3), np.zeros(3))
 
 def phi(x):
     return np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
-
-
-class TestGaussianTail:
-    def test_symmetry_at_zero(self):
-        assert gaussian_tail(0.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_reflection(self):
-        rng = np.random.default_rng(0)
-        for x in rng.uniform(-6, 6, 100):
-            assert gaussian_tail(-x) == pytest.approx(1.0 - gaussian_tail(x), abs=1e-15)
-
-    def test_against_quadrature_oracle(self):
-        value, _ = quad(phi, 1.959964, 12.0)
-        assert gaussian_tail(1.959964) == pytest.approx(0.025, abs=1e-7)
-        assert gaussian_tail(1.959964) == pytest.approx(value, abs=1e-12)
-
-    def test_limits(self):
-        assert gaussian_tail(np.inf) == 0.0
-        assert gaussian_tail(-np.inf) == 1.0
-
-    def test_deep_tail_stable(self):
-        v = gaussian_tail(20.0)
-        assert 0.0 < v < 1e-80
 
 
 class TestEffectiveMeasurement:
@@ -149,17 +126,25 @@ class TestEffectiveMeasurement:
             assert omega_up > 0.0 and omega_dn > 0.0
 
 
+def residual_value(state: NavState, p_lidar, u, d: float, extrinsic) -> float:
+    """Signed plane distance of a LiDAR point placed with the given state:
+    the finite-difference oracle for point_plane_rows."""
+    r_il, t_il = extrinsic
+    world = state.rotation @ (r_il @ np.asarray(p_lidar, dtype=float) + t_il) + state.position
+    return float(np.dot(u, world) + d)
+
+
 class TestJacobian:
     def test_translation_block_is_normal(self):
         state = NavState()
         u = np.array([0.0, 0.0, 1.0])
-        row = jacobian_point_plane(state, [1.0, 2.0, 3.0], u, IDENTITY)
+        row = point_plane_rows(state, [[1.0, 2.0, 3.0]], [u], IDENTITY)[0]
         np.testing.assert_array_equal(row[3:6], u)
         assert np.count_nonzero(row[6:]) == 0
 
     def test_axis_aligned_lever_arm_vanishes(self):
         state = NavState()
-        row = jacobian_point_plane(state, [0.0, 0.0, 2.0], [0.0, 0.0, 1.0], IDENTITY)
+        row = point_plane_rows(state, [[0.0, 0.0, 2.0]], [[0.0, 0.0, 1.0]], IDENTITY)[0]
         np.testing.assert_allclose(row[0:3], 0.0, atol=1e-15)
 
     def test_matches_finite_differences(self):
@@ -173,7 +158,7 @@ class TestJacobian:
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
             d = rng.uniform(-2, 2)
-            row = jacobian_point_plane(state, p, u, extrinsic)
+            row = point_plane_rows(state, p, u, extrinsic)[0]
 
             eps = 1e-6
             fd = np.zeros(ERROR_DIM)
@@ -466,6 +451,12 @@ class TestHost:
         with pytest.raises(ProtocolOrderError):
             host.handle_frame(decode_frame(
                 encode_frame(FrameType.OBS_GROUPS, 100000, payload)))
+
+    @pytest.mark.parametrize("frame_type", [FrameType.CONFIG, FrameType.POSE_RESP,
+                                            FrameType.STATE_UPDATE])
+    def test_frames_the_host_sends_are_refused(self, frame_type):
+        with pytest.raises(ProtocolOrderError):
+            make_host().handle_frame(WireFrame(frame_type, 0, b""))
 
     def test_no_imu_coverage_refused(self):
         host = make_host()

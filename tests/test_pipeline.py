@@ -1,8 +1,12 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from quantlio import pipeline
 from quantlio.voxelmap import VoxelMap
+from quantlio.wire import HEADER, BadCrc, FrameType
 
 
 def short_run():
@@ -40,12 +44,99 @@ def test_run_is_deterministic_and_real_map_knn_is_exact(monkeypatch):
 def test_socket_transport_matches_inproc():
     # Both channels hand back decoded reply frames; the session over a
     # localhost TCP link must end exactly where the in-process pump does.
-    runs = [pipeline.run(pipeline.RunConfig(duration=0.5, mode="qlio", transport=t, seed=4))
-            for t in ("inproc", "socket:0")]
-    (inproc, rows), (socket, rows_socket) = runs
-    assert inproc.scans == 5 and inproc.bits_total > 0
-    assert socket.deterministic_fields() == inproc.deterministic_fields()
-    assert rows_socket.tobytes() == rows.tobytes()
+    for mode in ("qlio", "qlio-no-rqrs"):
+        runs = [pipeline.run(pipeline.RunConfig(duration=0.5, mode=mode, transport=t, seed=4))
+                for t in ("inproc", "socket:0")]
+        (inproc, rows), (socket, rows_socket) = runs
+        assert inproc.scans == 5 and inproc.bits_total > 0
+        assert socket.deterministic_fields() == inproc.deterministic_fields()
+        assert rows_socket.tobytes() == rows.tobytes()
+
+
+def test_float_baselines_run_in_process_whatever_the_transport(monkeypatch):
+    def no_socket(port):
+        raise AssertionError("a float baseline opened a socket")
+
+    monkeypatch.setattr(pipeline, "tcp_listen", no_socket)
+    cfg = pipeline.RunConfig(duration=0.5, mode="baseline-float", seed=4)
+    metrics, rows = pipeline.run(replace(cfg, transport="socket:0"))
+    inproc, rows_inproc = pipeline.run(cfg)
+    assert metrics.deterministic_fields() == inproc.deterministic_fields()
+    assert rows.tobytes() == rows_inproc.tobytes()
+
+
+def recorded_run(monkeypatch, cfg):
+    """run(cfg), plus the point count of every simulated scan and the
+    (groups, payload) of every OBS_GROUPS payload packed."""
+    points, packed = [], []
+    synth, pack = pipeline.synth_scan, pipeline.pack_groups
+
+    def synth_scan(*args, **kwargs):
+        pts, times = synth(*args, **kwargs)
+        points.append(len(pts))
+        return pts, times
+
+    def pack_groups(groups, cb):
+        payload = pack(groups, cb)
+        packed.append((groups, payload))
+        return payload
+
+    monkeypatch.setattr(pipeline, "synth_scan", synth_scan)
+    monkeypatch.setattr(pipeline, "pack_groups", pack_groups)
+    metrics, rows = pipeline.run(cfg)
+    monkeypatch.undo()
+    return metrics, rows, points, packed
+
+
+@pytest.mark.parametrize("mode", pipeline.MODES)
+def test_every_mode_is_deterministic_and_counts_its_bits(monkeypatch, mode):
+    cfg = pipeline.RunConfig(duration=1.0, mode=mode, seed=5)
+    metrics, rows, points, packed = recorded_run(monkeypatch, cfg)
+    again, rows_again = pipeline.run(cfg)
+    assert again.deterministic_fields() == metrics.deterministic_fields()
+    assert rows_again.tobytes() == rows.tobytes()
+    assert metrics.scans == len(points) == 10 and metrics.measurements_total > 0
+
+    cb = cfg.codebook
+    assert len(packed) == (metrics.scans if mode.startswith("qlio") else 0)
+    if mode == "baseline-float":
+        assert metrics.bits_total == pipeline.FLOAT_OBS_BITS * metrics.measurements_total
+    elif mode == "baseline-int8":
+        # 8 bits per coordinate plus the per-axis min and max as float32.
+        assert metrics.bits_total == sum(24 * n + 192 for n in points)
+    else:
+        # A 16-bit group count, then per group the key and a 16-bit member
+        # count, then the members; the payload pads to whole bytes.
+        bits = 0
+        for groups, payload in packed:
+            stream = sum(3 * cb.l_n + 16 + len(g.members) * (cb.l_z + 3 * cb.l_p)
+                         for g in groups)
+            assert len(payload) == 2 + -(-stream // 8)
+            bits += 16 + stream
+        assert metrics.bits_total == bits
+        assert sum(len(g.members) for groups, _ in packed for g in groups) \
+            == metrics.measurements_total
+    if mode == "qlio":
+        assert metrics.measurements_total < metrics.measurements_assoc_total
+    else:  # every associated observation is sent
+        assert metrics.measurements_total == metrics.measurements_assoc_total
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket:0"])
+def test_corrupted_frame_raises_bad_crc_at_once(monkeypatch, transport):
+    encode = pipeline.encode_frame
+
+    def flip_a_bit_in_obs_groups(frame_type, timestamp_us, payload):
+        frame = bytearray(encode(frame_type, timestamp_us, payload))
+        if frame_type == FrameType.OBS_GROUPS:
+            frame[HEADER.size] ^= 0x10
+        return bytes(frame)
+
+    monkeypatch.setattr(pipeline, "encode_frame", flip_a_bit_in_obs_groups)
+    start = time.perf_counter()
+    with pytest.raises(BadCrc):
+        pipeline.run(pipeline.RunConfig(duration=0.5, mode="qlio", transport=transport))
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("scene, trajectory", [("corridor", "circle"), ("box-room", "line")])

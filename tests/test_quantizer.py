@@ -5,8 +5,7 @@ from quantlio.quantizer import (
     Codebook, bits_per_measurement,
     dequantize_point, dequantize_residual_key,
     int8_minmax_quantize, int8_minmax_reconstruct,
-    quantize_point, quantize_points, quantize_residual_vector,
-    quantize_residual_vectors, quantize_z, quantize_zs,
+    quantize_points, quantize_residual_vectors, quantize_zs,
     residual_axes_to_key, residual_key_to_axes,
 )
 
@@ -30,9 +29,9 @@ class TestPointGrid:
         # With one bit over [-200, 200) there are two 200 m cells; -1 lands
         # in the lower cell whose center is -100.
         cb = Codebook(l_p=1, r_max=200.0)
-        idx, recon = quantize_point([-1.0, -1.0, -1.0], cb)
-        assert list(idx) == [0, 0, 0]
-        np.testing.assert_allclose(recon, [-100.0, -100.0, -100.0])
+        idx, recon = quantize_points([[-1.0, -1.0, -1.0]], cb)
+        assert list(idx[0]) == [0, 0, 0]
+        np.testing.assert_allclose(recon[0], [-100.0, -100.0, -100.0])
 
     def test_half_cell_error_bound(self):
         rng = np.random.default_rng(0)
@@ -59,13 +58,13 @@ class TestPointGrid:
 
     def test_boundary_takes_upper_cell_and_top_clamps(self):
         cb = Codebook(l_p=2, r_max=8.0)  # edges at -8, -4, 0, 4, 8
-        idx, _ = quantize_point([0.0, 4.0, 8.0], cb)
-        assert list(idx) == [2, 3, 3]
+        idx, _ = quantize_points([[0.0, 4.0, 8.0]], cb)
+        assert list(idx[0]) == [2, 3, 3]
 
     def test_out_of_range_reported(self):
         cb = Codebook(l_p=4, r_max=10.0)
         with pytest.raises(ValueError):
-            quantize_point([10.5, 0.0, 0.0], cb)
+            quantize_points([[10.5, 0.0, 0.0]], cb)
 
 
 class TestResidualGrid:
@@ -75,13 +74,13 @@ class TestResidualGrid:
 
     def test_positive_epsilon_hits_upper_octant(self):
         cb = Codebook(l_n=1, r_thr=0.04)
-        key, _ = quantize_residual_vector([1e-12, 1e-12, 1e-12], cb)
-        assert key == 0b111
+        keys, _ = quantize_residual_vectors([[1e-12, 1e-12, 1e-12]], cb)
+        assert keys[0] == 0b111
 
     def test_zero_takes_upper_cells(self):
         cb = Codebook(l_n=1, r_thr=0.04)
-        key, _ = quantize_residual_vector([0.0, 0.0, 0.0], cb)
-        assert key == 0b111
+        keys, _ = quantize_residual_vectors([[0.0, 0.0, 0.0]], cb)
+        assert keys[0] == 0b111
 
     def test_idempotent(self):
         # Corner-cell centers may fall outside the admissible norm ball, so
@@ -110,7 +109,7 @@ class TestResidualGrid:
     def test_norm_gate_reported(self):
         cb = Codebook(l_n=3, r_thr=0.04)
         with pytest.raises(ValueError):
-            quantize_residual_vector([0.04, 0.0, 0.0], cb)
+            quantize_residual_vectors([[0.04, 0.0, 0.0]], cb)
 
     def test_key_partition_and_adjacency(self):
         cb = Codebook(l_n=2, r_thr=0.04)
@@ -133,30 +132,31 @@ class TestResidualGrid:
 
     def test_dequantize_matches_reconstruction(self):
         cb = Codebook(l_n=3, r_thr=0.04)
-        key, recon = quantize_residual_vector([0.01, -0.02, 0.005], cb)
-        np.testing.assert_allclose(dequantize_residual_key(key, cb), recon)
+        keys, recon = quantize_residual_vectors([[0.01, -0.02, 0.005]], cb)
+        np.testing.assert_allclose(dequantize_residual_key(keys[0], cb), recon[0])
 
 
 class TestScalarGrid:
     def test_worked_example(self):
         cb = Codebook(l_z=2, r_thr=0.04)
-        idx, center, (lo, hi) = quantize_z(0.013, cb)
-        assert idx == 1
-        assert center == pytest.approx(0.015)
-        assert (lo, hi) == (pytest.approx(0.01), pytest.approx(0.02))
+        idx, center, lo, hi = quantize_zs([0.013], cb)
+        assert idx[0] == 1
+        assert center[0] == pytest.approx(0.015)
+        assert (lo[0], hi[0]) == (pytest.approx(0.01), pytest.approx(0.02))
 
     def test_zero_lowest_cell(self):
         cb = Codebook(l_z=3, r_thr=0.04)
-        idx, center, _ = quantize_z(0.0, cb)
-        assert idx == 0
-        assert center == pytest.approx(cb.z_step / 2)
+        idx, center, _, _ = quantize_zs([0.0], cb)
+        assert idx[0] == 0
+        assert center[0] == pytest.approx(cb.z_step / 2)
 
     def test_idempotent_centers(self):
         cb = Codebook(l_z=4, r_thr=0.04)
-        for i in range(2 ** cb.l_z):
-            center = i * cb.z_step + 0.5 * cb.z_step
-            idx, center2, _ = quantize_z(center, cb)
-            assert idx == i and center2 == pytest.approx(center)
+        cells = np.arange(2 ** cb.l_z)
+        centers = cells * cb.z_step + 0.5 * cb.z_step
+        idx, centers2, _, _ = quantize_zs(centers, cb)
+        np.testing.assert_array_equal(idx, cells)
+        assert list(centers2) == pytest.approx(list(centers))
 
     def test_error_bound_and_interval(self):
         cb = Codebook(l_z=2, r_thr=0.04)
@@ -170,9 +170,9 @@ class TestScalarGrid:
     def test_out_of_range_reported(self):
         cb = Codebook(l_z=2, r_thr=0.04)
         with pytest.raises(ValueError):
-            quantize_z(0.04, cb)
+            quantize_zs([0.04], cb)
         with pytest.raises(ValueError):
-            quantize_z(-1e-9, cb)
+            quantize_zs([-1e-9], cb)
 
 
 class TestBitsPerMeasurement:

@@ -9,8 +9,8 @@ from quantlio.coprocessor import ObservationGroup
 from quantlio.manifold import so3_exp
 from quantlio.quantizer import Codebook
 from quantlio.wire import (
-    HEADER, BadCrc, BadMagic, BadVersion, FrameType,
-    ProtocolOrderError, SessionConfig, SessionTracker, TruncatedFrame,
+    HEADER, BadCrc, BadMagic, BadVersion, FrameType, PeerClosed,
+    SessionConfig, TruncatedFrame,
     UnknownFrameType, WireError, WireFrame,
     decode_config, decode_frame, decode_pose_req, decode_pose_resp,
     decode_state_update, encode_config, encode_frame, encode_pose_req,
@@ -352,29 +352,6 @@ class TestPayloadCodecs:
         np.testing.assert_allclose(trans, pose[1], atol=1e-12)
 
 
-class TestSessionTracker:
-    def test_accepts_canonical_order(self):
-        tracker = SessionTracker()
-        tracker.observe(FrameType.CONFIG)
-        for _ in range(3):
-            tracker.observe(FrameType.POSE_REQ)
-            tracker.observe(FrameType.POSE_RESP)
-            tracker.observe(FrameType.OBS_GROUPS)
-            tracker.observe(FrameType.STATE_UPDATE)
-
-    def test_rejects_missing_config(self):
-        with pytest.raises(ProtocolOrderError):
-            SessionTracker().observe(FrameType.POSE_REQ)
-
-    def test_rejects_next_scan_before_state_update(self):
-        tracker = SessionTracker()
-        tracker.observe(FrameType.CONFIG)
-        tracker.observe(FrameType.POSE_REQ)
-        tracker.observe(FrameType.POSE_RESP)
-        with pytest.raises(ProtocolOrderError):
-            tracker.observe(FrameType.POSE_REQ)
-
-
 class TestTransports:
     def test_inproc_round_trip(self):
         a, b = inproc_pair()
@@ -387,6 +364,20 @@ class TestTransports:
         finally:
             a.close()
             b.close()
+
+    def test_close_between_frames_is_peer_closed_and_mid_frame_truncated(self):
+        frame = encode_frame(FrameType.POSE_REQ, 42, encode_pose_req(0, 42))
+        for tail, error in ((b"", PeerClosed), (frame[:HEADER.size - 3], TruncatedFrame),
+                            (frame[:-1], TruncatedFrame)):
+            a, b = inproc_pair()
+            try:
+                a.send_frame(frame + tail)
+                a.close()
+                b.recv_frame()
+                with pytest.raises(error):
+                    b.recv_frame()
+            finally:
+                b.close()
 
     def test_capture_records_bytes(self):
         a, b = inproc_pair()
