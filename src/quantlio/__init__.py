@@ -9,11 +9,11 @@ ground truth for every claim that can be checked.
 
 from .manifold import NavState, ImuSample, NoiseParams, boxplus, boxminus, propagate
 from .quantizer import Codebook, bits_per_measurement
-from .voxelmap import VoxelMap, Plane, plane_fit
+from .voxelmap import VoxelMap
 from .pipeline import RunConfig, RunMetrics, ate, run, sweep
 
 __all__ = [
     "NavState", "ImuSample", "NoiseParams", "boxplus", "boxminus", "propagate",
-    "Codebook", "bits_per_measurement", "VoxelMap", "Plane", "plane_fit",
+    "Codebook", "bits_per_measurement", "VoxelMap",
     "RunConfig", "RunMetrics", "ate", "run", "sweep",
 ]

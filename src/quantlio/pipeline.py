@@ -418,17 +418,25 @@ def ate(est_t, est_p, est_q, gt_t, gt_p, gt_rot, max_dt: float = 0.005):
 
 
 def parse_sweep_expr(expr: str) -> dict:
-    """Parse 'lp=3..12,ln=3,lz=2' into {lp: range-list, ...}."""
+    """Parse 'lp=3..12,ln=3,lz=2' into {lp: range-list, ...}.
+
+    Raises ValueError for an unknown or repeated field and for a range
+    whose end lies below its start.
+    """
     out = {}
     for part in expr.split(","):
         key, _, value = part.partition("=")
         key = key.strip()
         if key not in ("lp", "ln", "lz"):
             raise ValueError(f"unknown sweep field {key!r}")
+        if key in out:
+            raise ValueError(f"sweep field {key!r} given twice")
         value = value.strip()
         if ".." in value:
-            lo, hi = value.split("..", 1)
-            out[key] = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in value.split("..", 1))
+            if hi < lo:
+                raise ValueError(f"sweep range {key}={value} is empty")
+            out[key] = list(range(lo, hi + 1))
         else:
             out[key] = [int(value)]
     for key in ("lp", "ln", "lz"):

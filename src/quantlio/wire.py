@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import time
 import zlib
 from dataclasses import dataclass
 from enum import IntEnum
@@ -57,6 +58,9 @@ MAGIC = b"\x51\x4c"
 VERSION = 1
 HEADER = struct.Struct("<2sBBQI")
 MAX_PAYLOAD = 2 ** 24
+# Once a frame's first bytes arrive, the rest of it must arrive within this
+# many seconds, or StreamTransport.recv_frame raises TruncatedFrame.
+FRAME_DEADLINE_S = 1.0
 
 
 class FrameType(IntEnum):
@@ -339,23 +343,35 @@ class StreamTransport:
             self.capture_tx.append(data)
         self._sock.sendall(data)
 
-    def _recv_exact(self, n: int) -> bytes:
+    def _recv_exact(self, n: int, deadline: float) -> bytes:
         chunks = bytearray()
         while len(chunks) < n:
-            got = self._sock.recv(n - len(chunks))
+            self._sock.settimeout(max(deadline - time.monotonic(), 1e-6))
+            try:
+                got = self._sock.recv(n - len(chunks))
+            except TimeoutError:
+                raise TruncatedFrame(
+                    f"frame incomplete {FRAME_DEADLINE_S} s after it began") from None
             if not got:
                 raise TruncatedFrame("connection closed mid-frame")
             chunks.extend(got)
         return bytes(chunks)
 
     def recv_frame(self) -> WireFrame:
+        """Wait for the next frame as long as the socket's timeout allows;
+        once its first bytes arrive, the rest must follow within
+        FRAME_DEADLINE_S."""
         first = self._sock.recv(HEADER.size)
         if not first:
             raise PeerClosed("connection closed")
-        head = first + self._recv_exact(HEADER.size - len(first))
-        _, _, _, _, length = HEADER.unpack(head)
-        rest = self._recv_exact(length + 4)
-        raw = head + rest
+        deadline = time.monotonic() + FRAME_DEADLINE_S
+        idle_timeout = self._sock.gettimeout()
+        try:
+            head = first + self._recv_exact(HEADER.size - len(first), deadline)
+            _, _, _, _, length = HEADER.unpack(head)
+            raw = head + self._recv_exact(length + 4, deadline)
+        finally:
+            self._sock.settimeout(idle_timeout)
         if self.capture_rx is not None:
             self.capture_rx.append(raw)
         return decode_frame(raw)

@@ -6,7 +6,7 @@ import pytest
 
 from quantlio import pipeline
 from quantlio.voxelmap import VoxelMap
-from quantlio.wire import HEADER, BadCrc, FrameType
+from quantlio.wire import HEADER, BadCrc, FrameType, TruncatedFrame
 
 
 def short_run():
@@ -139,6 +139,22 @@ def test_corrupted_frame_raises_bad_crc_at_once(monkeypatch, transport):
     assert time.perf_counter() - start < 2.0
 
 
+def test_short_frame_over_a_socket_raises_truncated_frame_promptly(monkeypatch):
+    # The host holds an OBS_GROUPS frame missing its last 3 bytes; it gives
+    # up after FRAME_DEADLINE_S instead of waiting for the driver's timeout.
+    encode = pipeline.encode_frame
+
+    def cut_obs_groups(frame_type, timestamp_us, payload):
+        frame = encode(frame_type, timestamp_us, payload)
+        return frame[:-3] if frame_type == FrameType.OBS_GROUPS else frame
+
+    monkeypatch.setattr(pipeline, "encode_frame", cut_obs_groups)
+    start = time.perf_counter()
+    with pytest.raises(TruncatedFrame):
+        pipeline.run(pipeline.RunConfig(duration=0.5, mode="qlio", transport="socket:0"))
+    assert time.perf_counter() - start < 2.0
+
+
 @pytest.mark.parametrize("scene, trajectory", [("corridor", "circle"), ("box-room", "line")])
 def test_ground_truth_outside_the_scene_is_refused(monkeypatch, scene, trajectory):
     def no_scan(*args, **kwargs):
@@ -147,3 +163,24 @@ def test_ground_truth_outside_the_scene_is_refused(monkeypatch, scene, trajector
     monkeypatch.setattr(pipeline, "synth_scan", no_scan)
     with pytest.raises(ValueError, match=f"{trajectory} trajectory .* {scene} walls"):
         pipeline.run(pipeline.RunConfig(scene=scene, trajectory=trajectory, duration=10.0))
+
+
+def test_parse_sweep_expr_is_strict():
+    assert pipeline.parse_sweep_expr("lp=5,ln=2..3") == {"lp": [5], "ln": [2, 3], "lz": [2]}
+    with pytest.raises(ValueError, match="empty"):
+        pipeline.parse_sweep_expr("lp=12..3")
+    with pytest.raises(ValueError, match="twice"):
+        pipeline.parse_sweep_expr("lp=5,ln=2,lp=6")
+    with pytest.raises(ValueError, match="unknown"):
+        pipeline.parse_sweep_expr("lq=5")
+
+
+def test_sweep_pairs_both_modes_per_configuration():
+    rows = pipeline.sweep(pipeline.RunConfig(duration=1.0), [5], [2, 3], [2])
+    assert [(r["l_p"], r["l_n"], r["l_z"]) for r in rows] == [(5, 2, 2), (5, 3, 2)]
+    assert [r["bits_formula"] for r in rows] == [23, 26]
+    for row in rows:
+        for label in ("rqrs", "norqrs"):
+            assert np.isfinite(row[f"ate_{label}"]) and not row[f"diverged_{label}"]
+            assert row[f"bits_per_meas_sent_{label}"] > 0.0
+    assert rows[0]["ate_baseline"] == rows[1]["ate_baseline"]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quantlio.voxelmap import _INITIAL_ROWS, Plane, VoxelMap, plane_fit, plane_fit_batch
+from quantlio.voxelmap import _INITIAL_ROWS, VoxelMap, _sq_dist, plane_fit_batch
 
 
 def brute_knn(points, query, k, radius=5.0):
@@ -97,6 +97,47 @@ class TestInsert:
         assert len(vm) == len(expected)
         np.testing.assert_array_equal(vm.points, expected)
 
+    @settings(max_examples=25)
+    @given(cap=st.sampled_from([1, 2, 3, 5]), clusters=st.integers(1, 120),
+           per_cluster=st.integers(1, 30), spread=st.sampled_from([0.02, 0.1, 0.3]),
+           calls=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    # One call that claims more than _INITIAL_ROWS cells and fills, then
+    # overflows, most of them.
+    @example(cap=3, clusters=120, per_cluster=30, spread=0.3, calls=1, seed=0)
+    def test_batched_insert_matches_replay(self, cap, clusters, per_cluster, spread,
+                                           calls, seed):
+        # Clustered points send many points to one cell in one call, so cells
+        # reach the cap mid-call and then replace; a fifth are exact copies of
+        # other points, which a full cell refuses.
+        rng = np.random.default_rng(seed)
+        centres = rng.uniform(-6, 6, (clusters, 3))
+        n = clusters * per_cluster
+        pts = centres[rng.integers(0, clusters, n)] + rng.normal(0, spread, (n, 3))
+        copies = rng.random(n) < 0.2
+        pts[copies] = pts[rng.integers(0, n, np.count_nonzero(copies))]
+        batches = np.array_split(pts, calls)
+        vm = VoxelMap(edge=0.5, cell_cap=cap)
+        for batch in batches:
+            vm.insert(batch)
+        expected = replay_insert(batches, 0.5, cap)
+        assert len(vm) == len(expected)
+        np.testing.assert_array_equal(vm.points, expected)
+
+    def test_one_round_per_point_of_the_fullest_cell(self, monkeypatch):
+        # insert loops over rounds, not points: 500 points in distinct cells
+        # take one round, and a cell that receives 7 points takes 7.
+        rounds = []
+        place = VoxelMap._place
+        monkeypatch.setattr(VoxelMap, "_place",
+                            lambda vm, pts, rows: rounds.append(len(pts)) or place(vm, pts, rows))
+        vm = VoxelMap(edge=0.5, cell_cap=4)
+        spread = np.arange(500)[:, None] * [0.5, 0.0, 0.0] + 0.25
+        vm.insert(spread)
+        assert rounds == [500]
+        rounds.clear()
+        vm.insert(np.concatenate([spread[:3], np.full((7, 3), -0.4) + np.arange(7)[:, None] * 0.05]))
+        assert rounds == [4, 1, 1, 1, 1, 1, 1]
+
     def test_empty_insert_is_noop(self):
         vm = VoxelMap()
         vm.insert(np.empty((0, 3)))
@@ -106,6 +147,15 @@ class TestInsert:
         vm = VoxelMap()
         with pytest.raises(ValueError):
             vm.insert([np.nan, 0.0, 0.0])
+
+
+def test_sq_dist_has_einsum_bits():
+    # The map's distances and every einsum brute force (here and in the
+    # benchmark's checks) must rank by the same bits.
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 7, 8, 9, 64, 1001):
+        diff = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-4, 4, (n, 3))
+        np.testing.assert_array_equal(_sq_dist(*diff.T), np.einsum("ij,ij->i", diff, diff))
 
 
 class TestKnn:
@@ -183,15 +233,17 @@ class TestKnnBatchProperties:
 
     def test_ties_at_the_partition_boundary(self):
         # Around lattice points, 12 neighbors tie at spacing * sqrt(2); for k
-        # from 6 up, the k + 8 kept candidates cut through such a tie, and
-        # only the tie check keeps a dropped, lexicographically smaller
-        # point from being missed.
+        # from 8 to 19 the k-th distance falls inside that tie, so more than
+        # k candidates sit at or below it and the lexicographically smallest
+        # of the tied ones must win. Every such query is inside its box's
+        # margin, so the box passes answer it without the shell fallback.
         axis = np.arange(-2, 3)
         grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3) * 0.25
         queries = grid[np.abs(grid).max(axis=1) <= 0.25]
         for seed in range(4):
             vm = VoxelMap(edge=0.5)
             vm.insert(np.random.default_rng(seed).permutation(grid))
+            vm.knn = lambda q, k: pytest.fail("shell fallback")
             stored = vm.points
             for k in range(6, 20):
                 for q, got in zip(queries, vm.knn_batch(queries, k)):
@@ -242,42 +294,52 @@ class TestKnnBatchProperties:
             VoxelMap().knn_batch(np.zeros((1, 3)), 0)
 
 
+def fit_one(points, **kwargs):
+    """plane_fit_batch on a single 5-point set: (normal, offset, residual, ok)."""
+    normals, offsets, residuals, ok = plane_fit_batch(np.asarray(points, float)[None], **kwargs)
+    return normals[0], offsets[0], residuals[0], ok[0]
+
+
 class TestPlaneFit:
     def test_flat_z_plane(self):
         pts = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1], [0.5, 0.5, 1]], float)
-        plane = plane_fit(pts)
-        assert plane is not None
-        assert abs(abs(plane.normal[2]) - 1.0) < 1e-12
-        assert plane.normal @ pts[0] + plane.offset == pytest.approx(0.0, abs=1e-12)
-        assert plane.fit_residual == pytest.approx(0.0, abs=1e-12)
+        normal, offset, residual, ok = fit_one(pts)
+        assert ok
+        assert abs(abs(normal[2]) - 1.0) < 1e-12
+        assert normal @ pts[0] + offset == pytest.approx(0.0, abs=1e-12)
+        assert residual == pytest.approx(0.0, abs=1e-12)
 
     def test_collinear_rejected(self):
         pts = np.array([[x, 0, 0] for x in range(5)], float)
-        assert plane_fit(pts) is None
+        assert not fit_one(pts)[3]
 
     def test_noisy_oblique_plane_vs_svd_oracle(self):
         # Points near x + y + z = 3, fitted normal within 2 degrees of the truth.
         rng = np.random.default_rng(5)
         truth = np.ones(3) / np.sqrt(3.0)
+        stacks = []
         for _ in range(50):
             base = rng.uniform(-1, 1, (5, 2))
             pts = np.array([[u, v, 3.0 - u - v] for u, v in base])
             pts += rng.uniform(-0.01, 0.01, (5, 3))
-            plane = plane_fit(pts)
-            assert plane is not None
-            angle = np.arccos(np.clip(abs(plane.normal @ truth), -1, 1))
+            stacks.append(pts)
+        stacks = np.array(stacks)
+        normals, _, _, ok = plane_fit_batch(stacks)
+        assert ok.all()
+        for pts, normal in zip(stacks, normals):
+            angle = np.arccos(np.clip(abs(normal @ truth), -1, 1))
             assert np.degrees(angle) < 2.0
 
             # Independent total-least-squares oracle: smallest singular vector.
             centered = pts - pts.mean(axis=0)
             _, _, vt = np.linalg.svd(centered)
             oracle_normal = vt[-1]
-            angle_oracle = np.arccos(np.clip(abs(plane.normal @ oracle_normal), -1, 1))
+            angle_oracle = np.arccos(np.clip(abs(normal @ oracle_normal), -1, 1))
             assert np.degrees(angle_oracle) < 2.0
 
     def test_loose_fit_rejected(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.5], [0.5, 0.5, -0.5]], float)
-        assert plane_fit(pts, max_residual=0.1) is None
+        assert not fit_one(pts, max_residual=0.1)[3]
 
     def test_scale_consistency(self):
         rng = np.random.default_rng(6)
@@ -285,23 +347,6 @@ class TestPlaneFit:
             pts = rng.uniform(-1, 1, (5, 3)) + [0, 0, 2.0]
             scale = rng.uniform(0.1, 10.0)
             thr = 0.05
-            a = plane_fit(pts, max_residual=thr) is not None
-            b = plane_fit(pts * scale, max_residual=thr * scale) is not None
+            a = fit_one(pts, max_residual=thr)[3]
+            b = fit_one(pts * scale, max_residual=thr * scale)[3]
             assert a == b
-
-    def test_wrong_count_rejected(self):
-        with pytest.raises(ValueError):
-            plane_fit(np.zeros((4, 3)))
-
-    def test_batch_agrees_with_single(self):
-        rng = np.random.default_rng(7)
-        stacks = rng.uniform(-1, 1, (40, 5, 3)) + np.array([0, 0, 3.0])
-        normals, offsets, residuals, ok = plane_fit_batch(stacks)
-        for i in range(40):
-            single = plane_fit(stacks[i])
-            if single is None:
-                assert not ok[i]
-            else:
-                assert ok[i]
-                np.testing.assert_allclose(normals[i], single.normal)
-                assert offsets[i] == pytest.approx(single.offset)
