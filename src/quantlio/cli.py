@@ -5,13 +5,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
-from .pipeline import (
-    MODES, RunConfig, config_from_descriptor, parse_sweep_expr, run,
-    sweep, write_sweep_csv,
-)
+from .pipeline import MODES, RunConfig, parse_sweep_expr, run, sweep, write_sweep_csv
 from .quantizer import Codebook
+from .simworld import load_descriptor
+
+# Every key a --config file may set, with the parser of its value. The run
+# flags set the same keys (argparse dest) and override the file.
+CONFIG_KEYS = {
+    "scene": str, "trajectory": str, "mode": str, "transport": str, "out_dir": str,
+    "duration": float, "ds_0": float, "alpha": float, "sigma": float,
+    "imu_rate": float, "seed": int,
+    "scene_size": lambda text: tuple(float(v) for v in text.split()),
+    "l_p": int, "l_n": int, "l_z": int, "r_max": float, "r_thr": float,
+}
+CODEBOOK_KEYS = tuple(f.name for f in fields(Codebook))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -20,72 +29,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the quantized LiDAR-inertial odometry pipeline on a "
                     "synthetic scene and report trajectory and bandwidth metrics.")
     parser.add_argument("--config", help="key-value config file")
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--transport", help="'inproc' or 'socket:PORT'")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output directory for CSV reports")
-    parser.add_argument("--scene", help="scene preset")
-    parser.add_argument("--trajectory", help="trajectory preset")
-    parser.add_argument("--duration", type=float)
-    parser.add_argument("--lp", type=int, help="point bits per axis")
-    parser.add_argument("--ln", type=int, help="residual-vector bits per axis")
-    parser.add_argument("--lz", type=int, help="scalar residual bits")
-    parser.add_argument("--ds0", type=float, help="preprocessing voxel size (m)")
-    parser.add_argument("--alpha", type=float, help="distance penalty coefficient")
-    parser.add_argument("--sigma", type=float, help="measurement noise std (m)")
+
+    def key_flag(flag, key, **kwargs):
+        parser.add_argument(flag, dest=key, type=CONFIG_KEYS[key], **kwargs)
+
+    key_flag("--mode", "mode", choices=MODES)
+    key_flag("--transport", "transport", help="'inproc' or 'socket:PORT'")
+    key_flag("--seed", "seed")
+    key_flag("--out", "out_dir", help="output directory for CSV reports")
+    key_flag("--scene", "scene", help="scene preset")
+    key_flag("--trajectory", "trajectory", help="trajectory preset")
+    key_flag("--duration", "duration")
+    key_flag("--lp", "l_p", help="point bits per axis")
+    key_flag("--ln", "l_n", help="residual-vector bits per axis")
+    key_flag("--lz", "l_z", help="scalar residual bits")
+    key_flag("--ds0", "ds_0", help="preprocessing voxel size (m)")
+    key_flag("--alpha", "alpha", help="distance penalty coefficient")
+    key_flag("--sigma", "sigma", help="measurement noise std (m)")
     parser.add_argument("--sweep", help="e.g. 'lp=3..12,ln=3,lz=2'")
     return parser
 
 
-def _assemble_config(args) -> RunConfig:
-    overrides = {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.transport:
-        overrides["transport"] = args.transport
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out:
-        overrides["out_dir"] = args.out
-    if args.scene:
-        overrides["scene"] = args.scene
-    if args.trajectory:
-        overrides["trajectory"] = args.trajectory
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.ds0 is not None:
-        overrides["ds_0"] = args.ds0
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.sigma is not None:
-        overrides["sigma"] = args.sigma
-
+def config_from_args(args) -> RunConfig:
+    """The run's configuration: the --config file's keys, then the flags
+    given over them. A flag given as an empty string counts as not given."""
+    values = {}
     if args.config:
-        cfg = config_from_descriptor(args.config, **overrides)
-    else:
-        cfg = RunConfig(**overrides)
-
-    cb_over = {}
-    if args.lp is not None:
-        cb_over["l_p"] = args.lp
-    if args.ln is not None:
-        cb_over["l_n"] = args.ln
-    if args.lz is not None:
-        cb_over["l_z"] = args.lz
-    if cb_over:
-        cfg = replace(cfg, codebook=replace(cfg.codebook, **cb_over))
-    return cfg
+        for key, text in load_descriptor(args.config).items():
+            if key not in CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            values[key] = CONFIG_KEYS[key](text)
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in CONFIG_KEYS and value not in (None, ""))
+    codebook = Codebook(**{key: values.pop(key) for key in CODEBOOK_KEYS if key in values})
+    return RunConfig(codebook=codebook, **values)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _assemble_config(args)
+        cfg = config_from_args(args)
         if args.sweep:
             ranges = parse_sweep_expr(args.sweep)
-            for field in ("lp", "ln", "lz"):
-                for v in ranges[field]:
-                    Codebook(**{f"l_{field[1]}": v})  # validate early
             rows = sweep(cfg, ranges["lp"], ranges["ln"], ranges["lz"])
             out_dir = cfg.out_dir or "."
             os.makedirs(out_dir, exist_ok=True)

@@ -189,8 +189,6 @@ class HostLog:
     position: np.ndarray
     quaternion: np.ndarray
     trace_cov: float
-    measurements: int
-    payload_bits: int
     contraction_ok: bool
     psd_ok: bool
 
@@ -254,7 +252,6 @@ class Host:
         self.state, self.cov = propagate(self.state, self.cov,
                                          self._imu_window(self.time, t_k), self.noise,
                                          t_start=self.time, t_end=t_k)
-        self._prior_cov = self.cov.copy()
         pose_k = (self.state.rotation, self.state.position)
         # Transform taking scan-start IMU coordinates into the end frame.
         delta_rot = pose_k[0].T @ pose_prev[0]
@@ -271,10 +268,10 @@ class Host:
         groups = unpack_groups(frame.payload, self.config.codebook)
         extrinsic = (self.config.extrinsic_rotation, self.config.extrinsic_translation)
         prior_cov = self.cov
-        self.state, self.cov, info = qmap_update(
+        self.state, self.cov, _ = qmap_update(
             self.state, self.cov, groups, self.config.codebook,
             self.config.sigma, extrinsic)
-        self._log_scan(prior_cov, info["measurements"], 8 * len(frame.payload))
+        self._log_scan(prior_cov)
         self.awaiting_obs = False
         return encode_frame(FrameType.STATE_UPDATE, frame.timestamp_us,
                             encode_state_update((self.state.rotation, self.state.position)))
@@ -287,11 +284,10 @@ class Host:
         prior_cov = self.cov
         self.state, self.cov = standard_update(self.state, self.cov, observations,
                                                self.config.sigma, extrinsic)
-        # 28 bytes per float32 observation: residual, vector, point.
-        self._log_scan(prior_cov, len(observations), 224 * len(observations))
+        self._log_scan(prior_cov)
         self.awaiting_obs = False
 
-    def _log_scan(self, prior_cov: np.ndarray, measurements: int, bits: int) -> None:
+    def _log_scan(self, prior_cov: np.ndarray) -> None:
         from .manifold import rot_to_quat
         gap_eigs = np.linalg.eigvalsh(prior_cov - self.cov)
         post_eigs = np.linalg.eigvalsh(self.cov)
@@ -300,8 +296,6 @@ class Host:
             position=self.state.position.copy(),
             quaternion=rot_to_quat(self.state.rotation),
             trace_cov=float(np.trace(self.cov)),
-            measurements=measurements,
-            payload_bits=bits,
             contraction_ok=bool(gap_eigs.min() >= -1e-9),
             psd_ok=bool(post_eigs.min() >= -1e-9),
         ))

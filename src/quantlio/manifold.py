@@ -141,16 +141,6 @@ class NavState:
         return NavState(self.rotation.copy(), self.position.copy(), self.velocity.copy(),
                         self.bias_gyro.copy(), self.bias_accel.copy(), self.gravity.copy())
 
-    def renormalized(self) -> "NavState":
-        """Project the rotation back onto SO(3) via SVD."""
-        u, _, vt = np.linalg.svd(self.rotation)
-        rot = u @ vt
-        if np.linalg.det(rot) < 0.0:
-            rot = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-        out = self.copy()
-        out.rotation = rot
-        return out
-
 
 @dataclass
 class ImuSample:

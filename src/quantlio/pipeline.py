@@ -25,11 +25,10 @@ import numpy as np
 
 from .coprocessor import MODES, Coprocessor
 from .estimator import Host
-from .manifold import NavState, NoiseParams, so3_log
-from .quantizer import Codebook
+from .manifold import NavState, NoiseParams, quat_to_rot, so3_log
+from .quantizer import Codebook, bits_per_measurement
 from .simworld import (
-    GRAVITY_W, LidarModel, build_scene, load_descriptor, synth_imu,
-    synth_scan, synth_trajectory,
+    GRAVITY_W, LidarModel, build_scene, synth_imu, synth_scan, synth_trajectory,
 )
 from .wire import (
     FrameType, PeerClosed, SessionConfig, StreamTransport, WireFrame,
@@ -43,6 +42,7 @@ POINT_OBS_BITS = 96   # bare float32 point triple
 
 DIVERGENCE_TRACE = 1e6
 DIVERGENCE_POSITION = 1e4
+SWEEP_DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass
@@ -68,7 +68,6 @@ class RunConfig:
     extrinsic_translation: np.ndarray = field(
         default_factory=lambda: np.array([0.05, 0.0, 0.08]))
     trajectory_params: dict = field(default_factory=dict)
-    init_cov: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -81,7 +80,15 @@ class RunConfig:
 
 @dataclass
 class RunMetrics:
-    """Aggregated outcomes of one run."""
+    """Aggregated outcomes of one run.
+
+    Both reductions divide a float observation's size by bits_per_meas_assoc,
+    the bits sent per associated measurement: reduction_vs_float_obs uses
+    224 bits (a float32 residual, residual vector and point),
+    reduction_vs_float_point 96 bits (a float32 point). The paper's abstract
+    reports a 14.1x reduction in "per-observation residual data" without
+    naming the float size it divides, so which ratio matches it is unsettled.
+    """
 
     ate_trans: float
     ate_rot: float
@@ -203,8 +210,7 @@ def _make_host(cfg: RunConfig, gt) -> Host:
         extrinsic_translation=cfg.extrinsic_translation)
     imu_seed = int(np.random.SeedSequence(cfg.seed).generate_state(1)[0])
     stream = synth_imu(gt, cfg.noise, rate_hz=cfg.imu_rate, seed=imu_seed)
-    cov = cfg.init_cov if cfg.init_cov is not None else default_init_cov()
-    return Host(state=state, cov=np.array(cov, dtype=float), config=session,
+    return Host(state=state, cov=default_init_cov(), config=session,
                 noise=cfg.noise, imu=stream)
 
 
@@ -244,8 +250,8 @@ def run(cfg: RunConfig):
     sim_time = _time.perf_counter() - t0
 
     stats = _run_scans(cfg, scene, gt, host, extrinsic, scan_seed)
-    metrics = _finalize(cfg, gt, host, stats, sim_time, t0)
     rows = _trajectory_rows(host)
+    metrics = _finalize(gt, host, rows, stats, sim_time, t0)
     if cfg.out_dir is not None:
         _write_outputs(cfg, gt, metrics, rows, stats)
     return metrics, rows
@@ -325,18 +331,13 @@ def _trajectory_rows(host: Host) -> np.ndarray:
     return np.array(rows) if rows else np.empty((0, 9))
 
 
-def _finalize(cfg: RunConfig, gt, host: Host, stats, sim_time, t0) -> RunMetrics:
-    rows = _trajectory_rows(host)
+def _finalize(gt, host: Host, rows, stats, sim_time, t0) -> RunMetrics:
     diverged = _diverged(host)
     if len(rows) >= 2 and not diverged:
-        est_t = rows[:, 0]
-        est_p = rows[:, 1:4]
-        est_q = rows[:, 4:8]
-        gt_poses = [gt.pose_at(t) for t in est_t]
-        ate_trans, ate_rot = ate(
-            est_t, est_p, est_q,
-            np.array(est_t), np.array([p for _, p in gt_poses]),
-            [r for r, _ in gt_poses])
+        gt_poses = [gt.pose_at(t) for t in rows[:, 0]]
+        ate_trans, ate_rot = ate(rows[:, 1:4], rows[:, 4:8],
+                                 np.array([p for _, p in gt_poses]),
+                                 [r for r, _ in gt_poses])
     else:
         ate_trans, ate_rot = float("inf"), float("inf")
         diverged = True
@@ -370,32 +371,19 @@ def _finalize(cfg: RunConfig, gt, host: Host, stats, sim_time, t0) -> RunMetrics
     )
 
 
-def ate(est_t, est_p, est_q, gt_t, gt_p, gt_rot, max_dt: float = 0.005):
+def ate(est_p, est_q, gt_p, gt_rot):
     """Absolute trajectory error after rigid (no-scale) alignment.
 
-    Pose pairs are matched by nearest timestamp within max_dt. Returns
-    (translational RMSE in meters, rotational RMSE in radians).
+    Pose i of the estimate (position, unit quaternion w, x, y, z) pairs with
+    pose i of the truth (position, rotation matrix). Returns (translational
+    RMSE in meters, rotational RMSE in radians).
     """
-    from .manifold import quat_to_rot
-
-    est_t = np.asarray(est_t, dtype=float)
-    gt_t = np.asarray(gt_t, dtype=float)
-    idx = np.searchsorted(gt_t, est_t)
-    pairs = []
-    for i, t in enumerate(est_t):
-        best, best_dt = None, max_dt
-        for j in (idx[i] - 1, idx[i]):
-            if 0 <= j < len(gt_t) and abs(gt_t[j] - t) <= best_dt:
-                best, best_dt = j, abs(gt_t[j] - t)
-        if best is not None:
-            pairs.append((i, best))
-    if len(pairs) < 2:
-        raise ValueError("fewer than two timestamp-aligned poses")
-    ei = np.array([p[0] for p in pairs])
-    gi = np.array([p[1] for p in pairs])
-
-    a = np.asarray(est_p, dtype=float)[ei]
-    b = np.asarray(gt_p, dtype=float)[gi]
+    a = np.asarray(est_p, dtype=float)
+    b = np.asarray(gt_p, dtype=float)
+    if not len(a) == len(est_q) == len(b) == len(gt_rot):
+        raise ValueError("estimate and truth differ in pose count")
+    if len(a) < 2:
+        raise ValueError("fewer than two poses")
     mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
     cov = (b - mu_b).T @ (a - mu_a) / len(a)
     u, _, vt = np.linalg.svd(cov)
@@ -409,9 +397,8 @@ def ate(est_t, est_p, est_q, gt_t, gt_p, gt_rot, max_dt: float = 0.005):
     trans_rmse = float(np.sqrt(np.mean(np.sum(resid ** 2, axis=1))))
 
     angles = []
-    for i, j in zip(ei, gi):
-        r_est = quat_to_rot(np.asarray(est_q)[i])
-        r_err = (rot_align @ r_est) @ np.asarray(gt_rot[j]).T
+    for q, r_gt in zip(est_q, gt_rot):
+        r_err = (rot_align @ quat_to_rot(np.asarray(q))) @ np.asarray(r_gt).T
         angles.append(np.linalg.norm(so3_log(r_err)))
     rot_rmse = float(np.sqrt(np.mean(np.square(angles))))
     return trans_rmse, rot_rmse
@@ -420,8 +407,8 @@ def ate(est_t, est_p, est_q, gt_t, gt_p, gt_rot, max_dt: float = 0.005):
 def parse_sweep_expr(expr: str) -> dict:
     """Parse 'lp=3..12,ln=3,lz=2' into {lp: range-list, ...}.
 
-    Raises ValueError for an unknown or repeated field and for a range
-    whose end lies below its start.
+    Raises ValueError for an unknown or repeated field, for a range whose
+    end lies below its start, and for a bit count a Codebook refuses.
     """
     out = {}
     for part in expr.split(","):
@@ -441,16 +428,17 @@ def parse_sweep_expr(expr: str) -> dict:
             out[key] = [int(value)]
     for key in ("lp", "ln", "lz"):
         out.setdefault(key, [getattr(Codebook(), f"l_{key[1]}")])
+        for value in out[key]:
+            Codebook(**{f"l_{key[1]}": value})
     return out
 
 
-def sweep(base: RunConfig, lp_values, ln_values, lz_values,
-          divergence_factor: float = 10.0):
+def sweep(base: RunConfig, lp_values, ln_values, lz_values):
     """Paired runs (resampling on and off) per codebook combination.
 
     A shared baseline-float run anchors the divergence flag: a combination
-    is marked diverged when its error exceeds divergence_factor times the
-    baseline or the estimator blew up. Returns a list of row dicts.
+    is marked diverged when its error exceeds SWEEP_DIVERGENCE_FACTOR times
+    the baseline or the estimator blew up. Returns a list of row dicts.
     """
     rows = []
     baseline = replace(base, mode="baseline-float")
@@ -460,12 +448,12 @@ def sweep(base: RunConfig, lp_values, ln_values, lz_values,
             for lz in lz_values:
                 cb = replace(base.codebook, l_p=lp, l_n=ln, l_z=lz)
                 row = {"l_p": lp, "l_n": ln, "l_z": lz,
-                       "bits_formula": 3 * lp + 3 * ln + lz,
+                       "bits_formula": bits_per_measurement(cb),
                        "ate_baseline": base_metrics.ate_trans}
                 for label, mode in (("rqrs", "qlio"), ("norqrs", "qlio-no-rqrs")):
                     m, _ = run(replace(base, mode=mode, codebook=cb))
                     flagged = (m.diverged or not np.isfinite(m.ate_trans)
-                               or m.ate_trans > divergence_factor * base_metrics.ate_trans)
+                               or m.ate_trans > SWEEP_DIVERGENCE_FACTOR * base_metrics.ate_trans)
                     row[f"ate_{label}"] = m.ate_trans
                     row[f"ate_rot_{label}"] = m.ate_rot
                     row[f"bits_per_meas_sent_{label}"] = m.bits_per_meas_sent
@@ -515,31 +503,3 @@ def write_sweep_csv(rows, path) -> None:
         fh.write(",".join(keys) + "\n")
         for row in rows:
             fh.write(",".join(str(row[k]) for k in keys) + "\n")
-
-
-def config_from_descriptor(path, **overrides) -> RunConfig:
-    """Build a RunConfig from a key-value file plus keyword overrides."""
-    raw = load_descriptor(path)
-    kwargs: dict = {}
-    cb_kwargs: dict = {}
-    for key, value in raw.items():
-        if key in ("scene", "trajectory", "mode", "transport"):
-            kwargs[key] = value
-        elif key in ("duration", "ds_0", "alpha", "sigma", "imu_rate"):
-            kwargs[key] = float(value)
-        elif key == "seed":
-            kwargs[key] = int(value)
-        elif key == "out_dir":
-            kwargs[key] = value
-        elif key in ("l_p", "l_n", "l_z"):
-            cb_kwargs[key] = int(value)
-        elif key in ("r_max", "r_thr"):
-            cb_kwargs[key] = float(value)
-        elif key == "scene_size":
-            kwargs["scene_size"] = tuple(float(v) for v in value.split())
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    kwargs.update(overrides)
-    if cb_kwargs and "codebook" not in kwargs:
-        kwargs["codebook"] = Codebook(**cb_kwargs)
-    return RunConfig(**kwargs)

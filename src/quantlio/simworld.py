@@ -162,8 +162,6 @@ class GroundTruth:
         self.rate_hz = float(rate_hz)
         self.times = np.arange(0.0, self.duration + 0.5 / rate_hz, 1.0 / rate_hz)
         self.positions = np.array([profile.position(t) for t in self.times])
-        self.rotations = np.array([profile.rotation(t) for t in self.times])
-        self.velocities = np.array([profile.velocity(t) for t in self.times])
 
     def pose_at(self, t: float):
         return self.profile.rotation(t), self.profile.position(t)
@@ -171,9 +169,8 @@ class GroundTruth:
     def to_csv(self, path) -> None:
         from .manifold import rot_to_quat
         rows = []
-        for t, rot, pos in zip(self.times, self.rotations, self.positions):
-            q = rot_to_quat(rot)
-            rows.append((t, *pos, *q))
+        for t, pos in zip(self.times, self.positions):
+            rows.append((t, *pos, *rot_to_quat(self.profile.rotation(t))))
         header = "t,px,py,pz,qw,qx,qy,qz"
         np.savetxt(path, np.array(rows), delimiter=",", header=header, comments="")
 
@@ -292,19 +289,13 @@ def synth_trajectory(preset: str, duration_s: float, rate_hz: float = 200.0,
 
 
 def synth_imu(gt: GroundTruth, noise: NoiseParams, rate_hz: float = 200.0,
-              bias_gyro=(0.0, 0.0, 0.0), bias_accel=(0.0, 0.0, 0.0),
-              seed: int = 0, gravity=GRAVITY_W) -> list[ImuSample]:
-    """IMU stream from ground truth: specific force plus bias plus noise.
-
-    White noise uses the spectral densities scaled by sqrt(rate); the bias
-    vectors are held constant over the stream.
+              seed: int = 0) -> list[ImuSample]:
+    """Bias-free IMU stream from ground truth: body rate and specific force
+    plus white noise, whose spectral densities are scaled by sqrt(rate).
     """
     if gt.rate_hz < rate_hz:
         raise ValueError("ground-truth rate must cover the requested IMU rate")
     rng = np.random.default_rng(seed)
-    bias_gyro = np.asarray(bias_gyro, dtype=float)
-    bias_accel = np.asarray(bias_accel, dtype=float)
-    gravity = np.asarray(gravity, dtype=float)
     dt = 1.0 / rate_hz
     n = int(round(gt.duration * rate_hz)) + 1
     sigma_g = noise.gyro_density * math.sqrt(rate_hz)
@@ -314,36 +305,28 @@ def synth_imu(gt: GroundTruth, noise: NoiseParams, rate_hz: float = 200.0,
         t = i * dt
         rot = gt.profile.rotation(t)
         omega = gt.profile.omega_body(t)
-        spec_force = rot.T @ (gt.profile.accel(t) - gravity)
-        gyro = omega + bias_gyro + sigma_g * rng.standard_normal(3)
-        accel = spec_force + bias_accel + sigma_a * rng.standard_normal(3)
+        spec_force = rot.T @ (gt.profile.accel(t) - GRAVITY_W)
+        gyro = omega + sigma_g * rng.standard_normal(3)
+        accel = spec_force + sigma_a * rng.standard_normal(3)
         samples.append(ImuSample(t_us=int(round(t * 1e6)), gyro=gyro, accel=accel))
     return samples
 
 
 @dataclass
 class LidarModel:
-    """Scan pattern and noise model for the simulated sensor."""
+    """Spinning scan pattern and noise model for the simulated sensor."""
 
     rate_hz: float = 10.0
     n_azimuth: int = 48
     n_elevation: int = 16
-    pattern: str = "spinning"
     elevation_span: tuple = (-0.45, 0.35)
     range_noise: float = 0.02
     max_range: float = 35.0
     min_range: float = 0.2
-    azimuth_span: tuple = (-1.0, 1.0)  # raster pattern only
 
     def __post_init__(self):
         if self.range_noise < 0.0:
             raise ValueError("range noise must be nonnegative")
-        if self.pattern not in ("spinning", "raster"):
-            raise ValueError(f"unknown scan pattern: {self.pattern!r}")
-
-    @property
-    def points_per_scan(self) -> int:
-        return self.n_azimuth * self.n_elevation
 
     @property
     def period(self) -> float:
@@ -352,12 +335,8 @@ class LidarModel:
     def ray_table(self):
         """(directions (N, 3) sensor frame, time offsets (N,) in [0, period))."""
         el = np.linspace(self.elevation_span[0], self.elevation_span[1], self.n_elevation)
-        if self.pattern == "spinning":
-            az = np.arange(self.n_azimuth) / self.n_azimuth * 2.0 * math.pi
-            offsets_col = np.arange(self.n_azimuth) / self.n_azimuth * self.period
-        else:
-            az = np.linspace(self.azimuth_span[0], self.azimuth_span[1], self.n_azimuth)
-            offsets_col = np.arange(self.n_azimuth) / self.n_azimuth * self.period
+        az = np.arange(self.n_azimuth) / self.n_azimuth * 2.0 * math.pi
+        offsets_col = np.arange(self.n_azimuth) / self.n_azimuth * self.period
         azg, elg = np.meshgrid(az, el, indexing="ij")
         dirs = np.stack([np.cos(elg) * np.cos(azg),
                          np.cos(elg) * np.sin(azg),

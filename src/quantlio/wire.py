@@ -7,7 +7,7 @@ Frame layout, all multi-byte integers little-endian:
     2       1     version (1)
     3       1     frame type
     4       8     timestamp, unsigned microseconds
-    12      4     payload length
+    12      4     payload length, below MAX_PAYLOAD (2^24)
     16      n     payload
     16+n    4     IEEE CRC-32 over bytes [0, 16+n)
 
@@ -118,14 +118,24 @@ def encode_frame(frame_type: int, timestamp_us: int, payload: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def decode_frame(buf: bytes) -> WireFrame:
-    if len(buf) < HEADER.size + 4:
-        raise TruncatedFrame("incomplete header")
-    magic, version, ftype, timestamp, length = HEADER.unpack_from(buf)
+def _read_header(head: bytes):
+    """Frame type, timestamp and payload length from a frame's first
+    HEADER.size bytes; a bad magic, version or payload length raises at once,
+    before any payload byte is awaited."""
+    magic, version, ftype, timestamp, length = HEADER.unpack_from(head)
     if magic != MAGIC:
         raise BadMagic(f"magic {magic!r}")
     if version != VERSION:
         raise BadVersion(f"version {version}")
+    if length >= MAX_PAYLOAD:
+        raise WireError(f"header claims a payload of {length} bytes, over the frame limit")
+    return ftype, timestamp, length
+
+
+def decode_frame(buf: bytes) -> WireFrame:
+    if len(buf) < HEADER.size:
+        raise TruncatedFrame("incomplete header")
+    ftype, timestamp, length = _read_header(buf)
     total = HEADER.size + length + 4
     if len(buf) < total:
         raise TruncatedFrame(f"need {total} bytes, have {len(buf)}")
@@ -335,12 +345,8 @@ class StreamTransport:
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self.capture_tx: list[bytes] | None = None
-        self.capture_rx: list[bytes] | None = None
 
     def send_frame(self, data: bytes) -> None:
-        if self.capture_tx is not None:
-            self.capture_tx.append(data)
         self._sock.sendall(data)
 
     def _recv_exact(self, n: int, deadline: float) -> bytes:
@@ -368,12 +374,10 @@ class StreamTransport:
         idle_timeout = self._sock.gettimeout()
         try:
             head = first + self._recv_exact(HEADER.size - len(first), deadline)
-            _, _, _, _, length = HEADER.unpack(head)
+            _, _, length = _read_header(head)
             raw = head + self._recv_exact(length + 4, deadline)
         finally:
             self._sock.settimeout(idle_timeout)
-        if self.capture_rx is not None:
-            self.capture_rx.append(raw)
         return decode_frame(raw)
 
     def close(self) -> None:

@@ -1,6 +1,7 @@
 import numpy as np
 
-from quantlio import cli
+from quantlio import cli, pipeline
+from quantlio.quantizer import Codebook, bits_per_measurement
 
 
 def test_run_writes_reports(tmp_path, capsys):
@@ -29,9 +30,44 @@ def test_sweep_writes_csv(tmp_path, capsys):
     keys = header.split(",")
     assert {"ate_rqrs", "ate_norqrs", "diverged_rqrs", "diverged_norqrs"} <= set(keys)
     assert [row.split(",")[keys.index("l_n")] for row in rows] == ["2", "3"]
+    for row in rows:
+        fields = dict(zip(keys, row.split(",")))
+        cb = Codebook(**{k: int(fields[k]) for k in ("l_p", "l_n", "l_z")})
+        assert int(fields["bits_formula"]) == bits_per_measurement(cb)
 
 
-def test_reversed_sweep_range_exits_2(tmp_path, capsys):
+def test_reversed_sweep_range_exits_2(tmp_path, capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(pipeline, "run", no_run)
     assert cli.main(["--out", str(tmp_path), "--sweep", "lp=12..3"]) == 2
     assert "sweep range lp=12..3 is empty" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+    # A bit count no Codebook accepts is refused before any run.
+    assert cli.main(["--out", str(tmp_path), "--sweep", "lp=0"]) == 2
+    assert "l_p must be in [1, 16]" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def config(tmp_path, text, *flags):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return cli.config_from_args(cli.build_parser().parse_args(["--config", str(path), *flags]))
+
+
+def test_flags_override_the_config_file(tmp_path):
+    cfg = config(tmp_path, "l_p = 5\nseed = 3\nduration = 1\n", "--ln", "2", "--seed", "4")
+    assert (cfg.codebook.l_p, cfg.codebook.l_n, cfg.seed, cfg.duration) == (5, 2, 4, 1.0)
+    assert cfg.codebook.l_z == Codebook().l_z
+
+
+def test_config_file_scene_size(tmp_path):
+    assert config(tmp_path, "scene_size = 8 8 3\n").scene_size == (8.0, 8.0, 3.0)
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("duration = 1\nwheel_base = 2\n")
+    assert cli.main(["--config", str(path)]) == 2
+    assert "unknown config key 'wheel_base'" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quantlio import pipeline
+from quantlio.manifold import rot_to_quat, so3_exp
 from quantlio.voxelmap import VoxelMap
 from quantlio.wire import HEADER, BadCrc, FrameType, TruncatedFrame
 
@@ -184,3 +185,39 @@ def test_sweep_pairs_both_modes_per_configuration():
             assert np.isfinite(row[f"ate_{label}"]) and not row[f"diverged_{label}"]
             assert row[f"bits_per_meas_sent_{label}"] > 0.0
     assert rows[0]["ate_baseline"] == rows[1]["ate_baseline"]
+
+
+def ate_inputs(n=12, seed=6):
+    """Positions and rotations of a non-collinear, non-planar path."""
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-3.0, 3.0, (n, 3))
+    rotations = [so3_exp(rng.normal(0.0, 1.0, 3)) for _ in range(n)]
+    return positions, rotations
+
+
+def test_ate_of_the_truth_under_a_rigid_motion_is_zero():
+    positions, rotations = ate_inputs()
+    move_r, move_t = so3_exp([0.3, -0.2, 1.1]), np.array([2.0, -1.0, 0.5])
+    est_q = [rot_to_quat(move_r @ r) for r in rotations]
+    trans, rot = pipeline.ate(positions @ move_r.T + move_t, est_q, positions, rotations)
+    assert trans < 1e-9 and rot < 1e-9
+
+
+def test_ate_rot_reads_a_constant_yaw_error():
+    positions, rotations = ate_inputs()
+    eps = 0.01
+    est_q = [rot_to_quat(r @ so3_exp([0.0, 0.0, eps])) for r in rotations]
+    trans, rot = pipeline.ate(positions, est_q, positions, rotations)
+    assert trans < 1e-9
+    assert abs(rot - eps) < 1e-9
+
+
+def test_ate_needs_two_poses_paired_by_index():
+    positions, rotations = ate_inputs(n=3)
+    est_q = [rot_to_quat(r) for r in rotations]
+    with pytest.raises(ValueError, match="two poses"):
+        pipeline.ate(positions[:1], est_q[:1], positions[:1], rotations[:1])
+    with pytest.raises(ValueError, match="pose count"):
+        pipeline.ate(positions, est_q, positions[:2], rotations[:2])
+    with pytest.raises(ValueError, match="pose count"):
+        pipeline.ate(positions, est_q[:2], positions, rotations)

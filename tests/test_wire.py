@@ -1,5 +1,6 @@
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from quantlio.coprocessor import ObservationGroup
 from quantlio.manifold import so3_exp
 from quantlio.quantizer import Codebook
 from quantlio.wire import (
-    HEADER, BadCrc, BadMagic, BadVersion, FrameType, PeerClosed,
+    HEADER, MAGIC, MAX_PAYLOAD, VERSION, BadCrc, BadMagic, BadVersion, FrameType, PeerClosed,
     SessionConfig, TruncatedFrame,
     UnknownFrameType, WireError, WireFrame,
     decode_config, decode_frame, decode_pose_req, decode_pose_resp,
@@ -379,19 +380,28 @@ class TestTransports:
             finally:
                 b.close()
 
-    def test_capture_records_bytes(self):
+    @pytest.mark.parametrize("length", [2 ** 31, MAX_PAYLOAD])
+    def test_oversized_length_is_refused_at_once(self, length):
+        # Refused once the 16 header bytes are in, not after the frame
+        # deadline spent waiting for a payload that cannot be accepted.
+        head = HEADER.pack(MAGIC, VERSION, FrameType.OBS_GROUPS, 0, length)
         a, b = inproc_pair()
-        a.capture_tx = []
-        b.capture_rx = []
         try:
-            frame = encode_frame(FrameType.CONFIG, 7, b"hi")
-            a.send_frame(frame)
-            b.recv_frame()
-            assert a.capture_tx == [frame]
-            assert b.capture_rx == [frame]
+            a.send_frame(head)
+            start = time.perf_counter()
+            with pytest.raises(WireError, match="frame limit") as err:
+                b.recv_frame()
+            assert time.perf_counter() - start < 0.2
+            assert not isinstance(err.value, TruncatedFrame)
         finally:
             a.close()
             b.close()
+        with pytest.raises(WireError, match="frame limit") as err:
+            decode_frame(head + bytes(4))
+        assert not isinstance(err.value, TruncatedFrame)
+        # One byte under the limit is a frame still to be completed.
+        with pytest.raises(TruncatedFrame):
+            decode_frame(HEADER.pack(MAGIC, VERSION, 0, 0, MAX_PAYLOAD - 1) + bytes(4))
 
     def test_tcp_round_trip(self):
         server = tcp_listen(0)
