@@ -74,8 +74,10 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if not (self.transport == "inproc" or self.transport.startswith("socket:")):
             raise ValueError("transport must be 'inproc' or 'socket:PORT'")
-        if self.duration > 300.0:
-            raise ValueError("duration must not exceed 300 s")
+        if not 0.0 < self.duration <= 300.0:
+            raise ValueError("duration must be in (0, 300] s")
+        if self.out_dir == "":
+            raise ValueError("out_dir must not be empty")
 
 
 @dataclass
@@ -440,6 +442,8 @@ def sweep(base: RunConfig, lp_values, ln_values, lz_values):
     is marked diverged when its error exceeds SWEEP_DIVERGENCE_FACTOR times
     the baseline or the estimator blew up. Returns a list of row dicts.
     """
+    # The runs write no reports; they would overwrite one another.
+    base = replace(base, out_dir=None)
     rows = []
     baseline = replace(base, mode="baseline-float")
     base_metrics, _ = run(baseline)

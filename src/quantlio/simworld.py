@@ -57,10 +57,6 @@ class Scene:
         lower, upper = self.interior
         return np.minimum(points - lower, upper - points).min(axis=1)
 
-    @property
-    def normals(self) -> np.ndarray:
-        return np.array([p.normal for p in self.patches])
-
     def point_to_patch_distances(self, points) -> np.ndarray:
         """Distance from each point to the nearest patch (bounded rectangle)."""
         points = np.atleast_2d(points)

@@ -24,8 +24,9 @@ appends; a full cell lets a newcomer replace its nearest resident when the
 newcomer sits farther than the min-separation from every resident. The
 loop count is the largest number of points any one cell receives.
 
-Batched search (knn_batch). Per scan, one vectorized pass ranks for every
-query the points of a box of cells around it: whole rows are gathered, a
+Search (knn_batch). Every query is answered by box passes. A pass ranks,
+for each pending query, the points of a box of cells around it: the box's
+occupied rows are gathered (so a wide box costs only its occupied cells), a
 partition finds each query's k-th smallest d^2, every candidate at or below
 it is kept (ties included), and one lexicographic sort on
 (query, d^2, x, y, z) orders the kept candidates. For a query at fractional
@@ -35,35 +36,35 @@ margin = edge * min over axes of max(f, 1 - f) >= edge / 2 away, so its k
 best are exact when the k-th d^2 is strictly below margin^2 (the margin
 shrunk by a tiny safety factor against rounding, and capped at the search
 radius): no point outside the box can then tie with or beat a kept one.
-Rows the octant cannot certify retry the same way on the 3x3x3 block
-centred on their cell, whose margin is
-edge * min over axes of (1 + min(f, 1 - f)) >= edge.
-
-Shell expansion (knn). A single query, and every batched query neither box
-certifies (sparse or one-sided geometry, fewer than k points nearby),
-expands Chebyshev shells of cells around the query, looking each shell's
-keys up at once, until no unvisited cell can hold a closer point or the
-search radius is passed. All paths rank by bitwise-identical distances and
-break ties by lexicographic coordinates, so they return identical arrays.
+Rows a pass cannot certify retry on the box centred on their cell with the
+next odd side of 3, 5, 9, 17, ..., whose margin for side 2h + 1 is
+edge * min over axes of (h + min(f, 1 - f)) >= h * edge. The last pass uses
+the cover side 2h + 1 with h = floor(search_radius / edge) + 1. Every point
+within the search radius lies within h cells of the query's cell on each
+axis; when search_radius / edge is whole, as at the defaults, exact
+arithmetic needs only h - 1, and the spare cell holds the points whose
+coordinates round onto the next cell's face. So the cover pass certifies
+every row it gets. It keeps the candidates up to
+min(k-th d^2, search_radius^2) and so returns fewer than k points where the
+radius cuts the search off.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 _AXIS_BITS = 21
 _AXIS_OFF = 1 << (_AXIS_BITS - 1)
 
-# Cell offsets of a side x side x side box from its lowest corner.
-_BOX = {side: np.array(list(product(range(side), repeat=3)), dtype=np.int64)
-        for side in (2, 3)}
 # Candidate slots gathered per chunk of queries: 64 octants of full 32-point
 # cells. Bounds the temporaries of a pass (and so peak memory) whatever the
 # box size.
 _CHUNK_SLOTS = 64 * 8 * 32
+# Box cells looked up per group of queries; bounds the lookup's temporaries
+# when a wide box reaches many queries.
+_GROUP_CELLS = 1 << 16
 # Shrinks a box's margin so rounding in cell assignment and in the
 # squared distances can never certify a point that lies outside it.
 _MARGIN_SAFETY = 1.0 - 1e-8
@@ -79,13 +80,12 @@ def pack_cells(cells) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _shell_deltas(radius: int) -> np.ndarray:
-    """Key offsets of the cells on the Chebyshev shell of a radius; packing
-    is linear in the coordinates, so a neighbor's key is the center key
-    plus a constant."""
-    span = np.arange(-radius, radius + 1)
+def _box(side: int) -> np.ndarray:
+    """Key offsets of the cells of a side x side x side box from its lowest
+    corner; packing is linear in the coordinates, so a cell's key is the
+    corner's key plus a constant."""
+    span = np.arange(side)
     cells = np.stack(np.meshgrid(span, span, span, indexing="ij"), -1).reshape(-1, 3)
-    cells = cells[np.abs(cells).max(axis=1) == radius]
     deltas = (cells[:, 0] << (2 * _AXIS_BITS)) + (cells[:, 1] << _AXIS_BITS) + cells[:, 2]
     deltas.setflags(write=False)
     return deltas
@@ -151,8 +151,6 @@ class VoxelMap:
         self._keys = np.empty(0, dtype=np.int64)
         self._key_rows = np.empty(0, dtype=np.int64)
         self._count = 0
-        self._cell_lo = np.full(3, np.iinfo(np.int64).max >> 2, dtype=np.int64)
-        self._cell_hi = np.full(3, -(np.iinfo(np.int64).max >> 2), dtype=np.int64)
 
     def __len__(self) -> int:
         return self._count
@@ -190,10 +188,7 @@ class VoxelMap:
             raise ValueError("insert expects finite points")
         if len(points) == 0:
             return
-        cells = np.floor(points / self.edge).astype(np.int64)
-        np.minimum(self._cell_lo, cells.min(axis=0), out=self._cell_lo)
-        np.maximum(self._cell_hi, cells.max(axis=0), out=self._cell_hi)
-        keys = pack_cells(cells)
+        keys = pack_cells(np.floor(points / self.edge).astype(np.int64))
         # Group the points by cell, batch order kept within each cell.
         perm = np.argsort(keys, kind="stable")
         sorted_keys = keys[perm]
@@ -245,65 +240,13 @@ class VoxelMap:
         np.minimum(pos, len(known) - 1, out=pos)
         return np.where(known[pos] == keys, self._key_rows[pos], 0)
 
-    def _ring_points(self, center_key: int, radius: int) -> np.ndarray:
-        """Slots (3, n) of the occupied cells on one Chebyshev shell,
-        padding (+inf) included."""
-        rows = self._lookup(center_key + _shell_deltas(radius))
-        return np.take(self._slots, rows[rows > 0], axis=1).reshape(3, -1)
-
-    def _ring_span(self, center) -> tuple[int, int]:
-        """Chebyshev cell distances from center to the nearest and farthest
-        occupied-cell bounding-box corners; (1, 0) when the map is empty."""
-        if self._count == 0:
-            return 1, 0
-        # Three coordinates: Python ints are cheaper than array calls here.
-        axes = list(zip(center.tolist(), self._cell_lo.tolist(), self._cell_hi.tolist()))
-        near = max(max(lo - c, c - hi, 0) for c, lo, hi in axes)
-        far = max(max(abs(c - lo), abs(c - hi)) for c, lo, hi in axes)
-        return near, far
-
-    def knn(self, query, k: int) -> np.ndarray:
-        """Up to k nearest stored points within the search radius.
+    def knn_batch(self, queries, k: int) -> list[np.ndarray]:
+        """Up to k nearest stored points within the search radius, per query.
 
         Exact Euclidean nearest neighbors, ascending distance, ties broken
-        by lexicographic coordinates. Returns fewer than k points when the
-        radius cap prunes the search.
-        """
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        query = np.asarray(query, dtype=float).reshape(3)
-        center = np.floor(query / self.edge).astype(np.int64)
-        center_key = int(pack_cells(center))
-        cap_sq = self.search_radius ** 2
-        ring_lo, ring_hi = self._ring_span(center)
-
-        best = np.empty((3, 0))
-        best_d = np.empty(0)
-        radius = 0
-        while True:
-            if ring_lo <= radius <= ring_hi:
-                # Points outside the best k so far can never re-enter it.
-                pts = np.concatenate((best, self._ring_points(center_key, radius)), axis=1)
-                d2 = _sq_dist(*(pts - query[:, None]))
-                keep = d2 <= cap_sq  # drops the padding too
-                pts, d2 = pts.compress(keep, axis=1), d2.compress(keep)
-                order = np.lexsort((pts[2], pts[1], pts[0], d2))[:k]
-                best, best_d = pts.take(order, axis=1), d2.take(order)
-            # Cells on ring radius+1 hold points no closer than radius*edge.
-            floor_sq = (radius * self.edge) ** 2
-            if len(best_d) == k and best_d[-1] <= floor_sq:
-                break
-            if floor_sq > cap_sq or radius >= ring_hi:
-                break
-            radius += 1
-        return np.ascontiguousarray(best.T)
-
-    def knn_batch(self, queries, k: int) -> list[np.ndarray]:
-        """knn for many queries; exact, same contract as knn.
-
-        Each query ranks the points of its 2x2x2 octant of cells in one
-        batched pass, rows the octant cannot certify retry on their 3x3x3
-        block, and the rest fall back to knn (see the module docstring).
+        by lexicographic coordinates; fewer than k points where the radius
+        cuts the search off. Box passes of growing side answer the queries,
+        the last one every query still open (see the module docstring).
         """
         if k < 1:
             raise ValueError("k must be at least 1")
@@ -312,54 +255,80 @@ class VoxelMap:
             return [np.empty((0, 3)) for _ in range(len(queries))]
         results: list = [None] * len(queries)
         pending = np.arange(len(queries))
-        for side in (2, 3):
-            pending = self._box_pass(queries, pending, k, results, side)
-        for r in pending.tolist():
-            results[r] = self.knn(queries[r], k)
+        cover = 2 * (int(self.search_radius / self.edge) + 1) + 1
+        side = 2
+        while side < cover:
+            pending = self._box_pass(queries, pending, k, results, side, cover=False)
+            side = 2 * side - 1
+        self._box_pass(queries, pending, k, results, cover, cover=True)
         return results
 
     def _box_pass(self, queries: np.ndarray, pending: np.ndarray, k: int,
-                  results: list, side: int) -> np.ndarray:
+                  results: list, side: int, cover: bool) -> np.ndarray:
         """Rank each pending query's side**3 box of cells: the octant toward
-        the nearest cell corner (side 2) or the block centred on its cell
-        (side 3). Fills results[r] for every row the box certifies and
-        returns the rows it could not."""
-        width = side ** 3 * self.cell_cap
-        if k > width or len(pending) == 0:
+        the nearest cell corner (side 2) or the box centred on its cell (odd
+        side). Fills results[r] for every row the box certifies, or for every
+        row in the cover pass, and returns the rows it could not."""
+        if len(pending) == 0:
             return pending
         scaled = queries[pending] / self.edge
         cells = np.floor(scaled)
         frac = scaled - cells
-        low = np.where(frac >= 0.5, 0, -1) if side == 2 else np.full(cells.shape, -1)
+        low = np.where(frac >= 0.5, 0, -1) if side == 2 else -(side // 2)
         # Distance from the query to the box's nearest face, in cells.
         margin = np.min(np.minimum(frac - low, low + side - frac), axis=1)
         certify_sq = np.minimum(margin * self.edge * _MARGIN_SAFETY, self.search_radius) ** 2
-        corner = cells.astype(np.int64) + low
-        box_rows = self._lookup(pack_cells(corner[:, None, :] + _BOX[side]))
+        corner_keys = pack_cells(cells.astype(np.int64) + low)
         certified = np.zeros(len(pending), dtype=bool)
-        chunk = max(1, _CHUNK_SLOTS // width)
-        for lo in range(0, len(pending), chunk):
-            hi = lo + chunk
-            q = queries[pending[lo:hi]]
-            cand = np.take(self._slots, box_rows[lo:hi], axis=1).reshape(3, len(q), width)
-            d2 = _sq_dist(*(cand - q.T[:, :, None]))
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-            ok = kth < certify_sq[lo:hi]
-            if not ok.any():
-                continue
-            # Keep every candidate up to the k-th distance of a certified
-            # row, ties included; uncertified rows keep none.
-            kept = d2 <= np.where(ok, kth, -np.inf)[:, None]
-            flat = np.flatnonzero(kept)
-            pts = cand.reshape(3, -1).take(flat, axis=1)
-            # The row is the primary key, so row i's candidates fill
-            # order[starts[i]:starts[i] + counts[i]], best first.
-            order = np.lexsort((pts[2], pts[1], pts[0], d2.take(flat), flat // width))
-            counts = kept.sum(axis=1)
-            starts = np.cumsum(counts) - counts
-            top = order[(starts[ok, None] + np.arange(k)).ravel()]
-            best = pts.take(top, axis=1).T.reshape(-1, k, 3)
-            for r, b in zip(pending[lo:hi][ok].tolist(), best):
-                results[r] = b
-            certified[lo:hi] = ok
+        group = max(1, _GROUP_CELLS // side ** 3)
+        for g in range(0, len(pending), group):
+            box_rows = self._lookup(corner_keys[g:g + group, None] + _box(side))
+            # Occupied cells first (absent ones look up the sentinel row 0),
+            # trimmed to the box with the most of them.
+            box_rows = np.sort(box_rows, axis=1)[:, ::-1]
+            box_rows = box_rows[:, :max(1, np.count_nonzero(box_rows, axis=1).max())]
+            chunk = max(1, _CHUNK_SLOTS // (box_rows.shape[1] * self.cell_cap))
+            for lo in range(g, g + len(box_rows), chunk):
+                hi = min(lo + chunk, g + len(box_rows))
+                certified[lo:hi] = self._rank(queries, pending[lo:hi], box_rows[lo - g:hi - g],
+                                              k, None if cover else certify_sq[lo:hi], results)
         return pending[~certified]
+
+    def _rank(self, queries: np.ndarray, pending: np.ndarray, box_rows: np.ndarray, k: int,
+              certify_sq, results: list) -> np.ndarray:
+        """Rank the points of the cell rows box_rows[i] for the query
+        pending[i]. Fills results[r] with the up to k best points within the
+        search radius of every query it certifies (all when certify_sq is
+        None) and returns which those are."""
+        q = queries[pending]
+        width = box_rows.shape[1] * self.cell_cap
+        cand = np.take(self._slots, box_rows, axis=1).reshape(3, len(q), width)
+        d2 = _sq_dist(*(cand - q.T[:, :, None]))
+        kth = (np.partition(d2, k - 1, axis=1)[:, k - 1] if k <= width
+               else np.full(len(q), np.inf))
+        ok = np.ones(len(q), dtype=bool) if certify_sq is None else kth < certify_sq
+        if not ok.any():
+            return ok
+        # Keep every candidate up to the k-th distance of a certified row,
+        # ties included, and within the search radius; uncertified rows
+        # keep none.
+        limit = np.where(ok, np.minimum(kth, self.search_radius ** 2), -np.inf)
+        kept = d2 <= limit[:, None]
+        flat = np.flatnonzero(kept)
+        pts = cand.reshape(3, -1).take(flat, axis=1)
+        # The row is the primary key, so row i's candidates fill
+        # order[starts[i]:starts[i] + counts[i]], best first.
+        order = np.lexsort((pts[2], pts[1], pts[0], d2.take(flat), flat // width))
+        counts = kept.sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        take = np.minimum(counts, k)
+        ends = np.cumsum(take)
+        top = order[np.arange(ends[-1]) + np.repeat(starts - ends + take, take)]
+        best = np.ascontiguousarray(pts.take(top, axis=1).T)
+        # Every certified row holds k points unless the search radius cut
+        # it short, which only the cover pass certifies.
+        per_row = (best.reshape(-1, k, 3) if len(best) == k * np.count_nonzero(ok)
+                   else np.split(best, ends[ok][:-1]))
+        for r, b in zip(pending[ok].tolist(), per_row):
+            results[r] = b
+        return ok

@@ -26,6 +26,7 @@ def test_sweep_writes_csv(tmp_path, capsys):
     argv = ["--duration", "1", "--out", str(tmp_path), "--sweep", "lp=5,ln=2..3,lz=2"]
     assert cli.main(argv) == 0
     assert "sweep: 2 configurations" in capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
     header, *rows = (tmp_path / "sweep.csv").read_text().splitlines()
     keys = header.split(",")
     assert {"ate_rqrs", "ate_norqrs", "diverged_rqrs", "diverged_norqrs"} <= set(keys)
@@ -48,6 +49,21 @@ def test_reversed_sweep_range_exits_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["--out", str(tmp_path), "--sweep", "lp=0"]) == 2
     assert "l_p must be in [1, 16]" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_bad_duration_or_out_dir_exits_2(tmp_path, capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(pipeline, "run", no_run)
+    monkeypatch.setattr(cli, "run", no_run)
+    for duration in ("0", "-1"):
+        assert cli.main(["--duration", duration]) == 2
+        assert "duration must be in (0, 300] s" in capsys.readouterr().err
+    path = tmp_path / "run.cfg"
+    path.write_text("duration = 1\nout_dir =\n")
+    assert cli.main(["--config", str(path)]) == 2
+    assert "out_dir must not be empty" in capsys.readouterr().err
 
 
 def config(tmp_path, text, *flags):

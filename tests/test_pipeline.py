@@ -34,8 +34,16 @@ def test_run_is_deterministic_and_real_map_knn_is_exact(monkeypatch):
     queries = np.concatenate([q for _, q in calls[-3:]])
     got = vmap.knn_batch(queries, 5)
     assert all(len(g) == 5 for g in got)
+    # Brute-force 5-NN within the search radius: einsum distances, ties
+    # broken by lexicographic coordinates.
+    stored = vmap.points
     for q, g in zip(queries, got):
-        np.testing.assert_array_equal(g, vmap.knn(q, 5))
+        diff = stored - q
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        keep = d2 <= vmap.search_radius ** 2
+        near = stored[keep]
+        order = np.lexsort((near[:, 2], near[:, 1], near[:, 0], d2[keep]))[:5]
+        np.testing.assert_array_equal(g, near[order])
 
     again, rows_again = short_run()
     assert again.deterministic_fields() == metrics.deterministic_fields()

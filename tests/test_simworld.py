@@ -30,7 +30,7 @@ class TestScenes:
     def test_observability_normal_diversity(self):
         for preset in ("box-room", "open-yard"):
             scene = build_scene(preset)
-            normals = scene.normals
+            normals = np.array([p.normal for p in scene.patches])
             distinct = 0
             for i in range(len(normals)):
                 if all(normals[i] @ normals[j] < 0.999 for j in range(i)):

@@ -37,21 +37,35 @@ def replay_insert(batches, edge, cap):
 
 
 def assert_exact(vm, queries, k):
-    """knn_batch and knn both equal the brute force, array for array."""
+    """knn_batch equals the brute force, array for array."""
     stored = vm.points
     got = vm.knn_batch(queries, k)
     assert len(got) == len(queries)
     for q, g in zip(queries, got):
-        want = brute_knn(stored, q, k, vm.search_radius)
-        np.testing.assert_array_equal(g, want)
-        np.testing.assert_array_equal(vm.knn(q, k), want)
+        np.testing.assert_array_equal(g, brute_knn(stored, q, k, vm.search_radius))
+
+
+def record_passes(monkeypatch):
+    """Wrap VoxelMap._box_pass; the returned list collects, per pass that
+    got rows, (side, rows it answered)."""
+    answered = []
+    box_pass = VoxelMap._box_pass
+
+    def recording(vm, queries, pending, k, results, side, cover):
+        rest = box_pass(vm, queries, pending, k, results, side, cover)
+        if len(pending):
+            answered.append((side, len(pending) - len(rest)))
+        return rest
+
+    monkeypatch.setattr(VoxelMap, "_box_pass", recording)
+    return answered
 
 
 class TestInsert:
     def test_single_point_retrievable(self):
         vm = VoxelMap()
         vm.insert([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(vm.knn([0.0, 0.0, 0.0], 1), [[1.0, 2.0, 3.0]])
+        np.testing.assert_allclose(vm.knn_batch([0.0, 0.0, 0.0], 1)[0], [[1.0, 2.0, 3.0]])
 
     def test_duplicate_at_cap_unchanged(self):
         vm = VoxelMap(edge=1.0, cell_cap=4)
@@ -167,7 +181,7 @@ class TestKnn:
         stored = vm.points
         for _ in range(100):
             q = rng.uniform(-5, 5, 3)
-            got = vm.knn(q, 5)
+            got = vm.knn_batch(q, 5)[0]
             np.testing.assert_allclose(got, brute_knn(stored, q, 5), atol=0)
 
     def test_batch_matches_brute_force(self):
@@ -183,12 +197,12 @@ class TestKnn:
     def test_radius_cap_empty(self):
         vm = VoxelMap(edge=0.5, search_radius=5.0)
         vm.insert([0.0, 0.0, 0.0])
-        assert vm.knn([10.0, 0.0, 0.0], 3).shape == (0, 3)
+        assert vm.knn_batch([10.0, 0.0, 0.0], 3)[0].shape == (0, 3)
 
     def test_partial_result_inside_cap(self):
         vm = VoxelMap(edge=0.5, search_radius=5.0)
         vm.insert(np.array([[0.0, 0.0, 0.0], [20.0, 0.0, 0.0]]))
-        got = vm.knn([0.5, 0.0, 0.0], 5)
+        got = vm.knn_batch([0.5, 0.0, 0.0], 5)[0]
         assert got.shape == (1, 3)
 
     def test_sparse_instances_randomized(self):
@@ -202,18 +216,19 @@ class TestKnn:
             for _ in range(5):
                 q = rng.uniform(-9, 9, 3)
                 k = int(rng.integers(1, 8))
-                np.testing.assert_allclose(vm.knn(q, k), brute_knn(stored, q, k))
+                np.testing.assert_allclose(vm.knn_batch(q, k)[0], brute_knn(stored, q, k))
 
     def test_k_validation(self):
         vm = VoxelMap()
         with pytest.raises(ValueError):
-            vm.knn([0, 0, 0], 0)
+            vm.knn_batch([0, 0, 0], 0)
 
 
 class TestKnnBatchProperties:
     """knn_batch against the brute force on maps built to hit the edges of
-    the box certification: exact ties, half-cell queries, fallbacks, and
-    cell caps small enough to clamp the candidate count."""
+    the box certification: exact ties, half-cell queries, queries only wide
+    boxes or the cover pass answer, and cell caps small enough to clamp the
+    candidate count."""
 
     @given(spacing=st.sampled_from([0.125, 0.25, 0.5]), n=st.integers(2, 6),
            origin=st.tuples(*[st.integers(-6, 6)] * 3), density=st.floats(0.2, 1.0),
@@ -231,23 +246,24 @@ class TestKnnBatchProperties:
         queries = base + rng.integers(-2, 2 * n + 2, (16, 3)) * (spacing / 2)
         assert_exact(vm, queries, k)
 
-    def test_ties_at_the_partition_boundary(self):
+    def test_ties_at_the_partition_boundary(self, monkeypatch):
         # Around lattice points, 12 neighbors tie at spacing * sqrt(2); for k
         # from 8 to 19 the k-th distance falls inside that tie, so more than
         # k candidates sit at or below it and the lexicographically smallest
-        # of the tied ones must win. Every such query is inside its box's
-        # margin, so the box passes answer it without the shell fallback.
+        # of the tied ones must win. Every such query is inside the margin
+        # of its octant or its 3x3x3 block, so no wider box is needed.
         axis = np.arange(-2, 3)
         grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3) * 0.25
         queries = grid[np.abs(grid).max(axis=1) <= 0.25]
+        answered = record_passes(monkeypatch)
         for seed in range(4):
             vm = VoxelMap(edge=0.5)
             vm.insert(np.random.default_rng(seed).permutation(grid))
-            vm.knn = lambda q, k: pytest.fail("shell fallback")
             stored = vm.points
             for k in range(6, 20):
                 for q, got in zip(queries, vm.knn_batch(queries, k)):
                     np.testing.assert_array_equal(got, brute_knn(stored, q, k))
+        assert {side for side, _ in answered} <= {2, 3}
 
     @given(edge=st.sampled_from([0.25, 0.5, 1.0]), cap=st.sampled_from([1, 2, 32]),
            k=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
@@ -264,8 +280,9 @@ class TestKnnBatchProperties:
            cap=st.sampled_from([1, 2, 32]), k=st.integers(1, 12),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_sparse_maps_fall_back(self, n, radius, cap, k, seed):
-        # Few points far apart: most rows need shell expansion, k can exceed
-        # the map, and a small search radius caps the octant margin.
+        # Few points far apart: most rows need wide boxes or the cover pass,
+        # k can exceed the map, and a small search radius caps the margins
+        # and shrinks the cover box (to 3x3x3 at 0.3 m).
         rng = np.random.default_rng(seed)
         vm = VoxelMap(edge=0.5, cell_cap=cap, search_radius=radius)
         vm.insert(rng.uniform(-2, 2, (n, 3)))
@@ -277,17 +294,44 @@ class TestKnnBatchProperties:
         got = VoxelMap().knn_batch(queries, k)
         assert [g.shape for g in got] == [(0, 3)] * 5
 
-    def test_dense_map_mostly_certified(self):
+    @pytest.mark.parametrize("cell", [(1, -3, 0), (-8, 19, 40), (2000, -1000, 7)])
+    def test_cover_pass_reaches_the_search_radius(self, cell):
+        # From a query whose offset inside its cell is near 0 or near 1 on
+        # each axis, points along every axis exactly at the search radius
+        # and one ulp inside it. Near the top of a cell, query + radius can
+        # round up onto the next cell's face: the point then sits one cell
+        # beyond floor(radius / edge) cells yet its distance rounds to the
+        # radius, so only a cover box with a cell to spare holds it. Each
+        # map holds 12 points, fewer than k = 20, so the cover pass returns
+        # every point in range; k = 1 and 5 cut inside them.
+        edge, radius = 0.5, 5.0
+        cell = np.array(cell, dtype=float)
+        for corner in np.ndindex(2, 2, 2):
+            low, high = cell * edge, (cell + 1) * edge
+            query = np.where(corner, np.nextafter(high, -np.inf), np.nextafter(low, np.inf))
+            points = []
+            for axis in range(3):
+                for sign in (-1.0, 1.0):
+                    p = query.copy()
+                    p[axis] = query[axis] + sign * radius
+                    points.append(p.copy())
+                    p[axis] = np.nextafter(p[axis], query[axis])
+                    points.append(p)
+            vm = VoxelMap(edge=edge, search_radius=radius)
+            vm.insert(np.array(points))
+            for k in (1, 5, 20):
+                assert_exact(vm, query[None], k)
+
+    def test_dense_map_mostly_certified(self, monkeypatch):
         # On a dense map the octant answers almost every query itself.
         rng = np.random.default_rng(12)
         vm = VoxelMap(edge=0.5, cell_cap=32)
         vm.insert(rng.uniform(-2, 2, (20_000, 3)))
-        calls = []
-        knn = vm.knn
-        vm.knn = lambda q, k: calls.append(q) or knn(q, k)
+        answered = record_passes(monkeypatch)
         queries = rng.uniform(-1.5, 1.5, (400, 3))
         vm.knn_batch(queries, 5)
-        assert len(calls) < 0.05 * len(queries)
+        assert answered[0][0] == 2 and answered[0][1] >= 0.95 * len(queries)
+        assert sum(n for _, n in answered) == len(queries)
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
