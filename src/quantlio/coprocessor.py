@@ -11,6 +11,23 @@ A scan stays in arrays up to group building: one batched pose per column
 timestamp, gathered per point (within 1e-12 m of a per-column loop, not bit
 for bit), then one PlaneObservations record that resampling and grouping
 filter and quantize whole, selecting exactly what per-row loops would.
+
+Voxel selection, in voxel_downsample and per rq bucket in rq_resample,
+keeps the member nearest each voxel's center, ties broken by coordinates and
+then by input order. One stable integer sort on a folded (group, voxel) key
+gathers each voxel's members, and only rows tied at a voxel's nearest
+distance are sorted by coordinates; the result is the same indices as one
+float lexsort over every point.
+
+Association fits its planes with voxelmap.plane_fit_batch, in closed form:
+the 3x3 normal equations of each 5-point set, solved by adjugate and
+determinant and refined twice, for every set whose Gram matrix G satisfies
+tr(G)^3 <= 4e12 det(G), a bound that proves cond <= 1e6. Those sets' normals
+and offsets agree with an SVD solve to about 1e-10 and the accept decisions
+are the SVD's; the sets the bound cannot certify go through the SVD solve
+itself. The float baselines therefore move by rounding only. The qlio modes
+quantize what association returns, so they send the same bits unless a
+rounding difference crosses a quantizer bin edge.
 """
 
 from __future__ import annotations
@@ -24,7 +41,7 @@ from .quantizer import (
     Codebook, int8_minmax_quantize, int8_minmax_reconstruct, quantize_points,
     quantize_residual_vectors, quantize_zs,
 )
-from .voxelmap import VoxelMap, pack_cells, plane_fit_batch
+from .voxelmap import VoxelMap, plane_fit_batch
 from .wire import ObservationGroup, unflatten_groups
 
 MODES = ("qlio", "baseline-float", "baseline-int8", "qlio-no-rqrs")
@@ -114,17 +131,52 @@ def undistort(points, times, t_prev: float, t_k: float, scan_delta, extrinsic):
 
 def voxel_downsample(points, edge: float) -> np.ndarray:
     """Indices of one representative per occupied voxel: the member nearest
-    the voxel center, ties broken by lexicographic coordinates."""
+    the voxel center, ties broken by lexicographic coordinates, then by
+    input order."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         return np.empty(0, dtype=np.int64)
-    cells = np.floor(points / edge).astype(np.int64)
-    centers = (cells + 0.5) * edge
-    diff = points - centers
+    return _voxel_representatives(points, edge, np.zeros(len(points), dtype=np.int64))
+
+
+def _voxel_representatives(points: np.ndarray, edges, groups: np.ndarray) -> np.ndarray:
+    """Ascending indices of one point per (group, voxel) pair, voxels of side
+    edges (a scalar or one per point): the member nearest the voxel center,
+    ties broken by lexicographic coordinates, then by input order.
+
+    The pair is folded into one int64 key over the occupied span of cells,
+    so one stable integer sort groups the members of each voxel in input
+    order; each voxel's nearest distance is a segment minimum, and only the
+    rows tied at it are sorted by coordinates.
+    """
+    cells = np.floor(points / edges).astype(np.int64)
+    diff = points - (cells + 0.5) * edges
     dist = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0], dist))
-    _, first = np.unique(pack_cells(cells[order]), return_index=True)
-    return np.sort(order[first])
+    # Column by column: an axis-0 reduction over (n, 3) rows is many times
+    # slower.
+    key, size = groups, int(groups.max()) + 1
+    for col in cells.T:
+        low = col.min()
+        span = int(col.max() - low) + 1
+        key, size = key * span + (col - low), size * span
+    if size > 1 << 63:
+        raise ValueError("points span too many voxels for an int64 key")
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    boundary = np.diff(sorted_key, prepend=sorted_key[0] - 1) != 0
+    voxel = np.cumsum(boundary) - 1
+    dist = dist[order]
+    tied = dist == np.minimum.reduceat(dist, np.flatnonzero(boundary))[voxel]
+    rows, voxel = order[tied], voxel[tied]
+    # A voxel with one row at its minimum distance keeps it; the rows of the
+    # others are ranked by coordinates, and lexsort is stable, so rows tied
+    # on every key stay in input order.
+    shared = np.bincount(voxel)[voxel] > 1
+    rows_shared, voxel = rows[shared], voxel[shared]
+    pts = points[rows_shared]
+    ranked = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], voxel))
+    first = ranked[np.flatnonzero(np.diff(voxel[ranked], prepend=-1))]
+    return np.sort(np.concatenate([rows[~shared], rows_shared[first]]))
 
 
 @dataclass(frozen=True)
@@ -220,13 +272,7 @@ def rq_resample(observations: PlaneObservations, cb: Codebook, ds_0: float,
     means = np.array([np.add.reduce(seg) for seg in segments]) / sizes
     edges = (ds_0 + alpha * means)[bucket][:, None]
 
-    cells = np.floor(pts / edges).astype(np.int64)
-    diff = pts - (cells + 0.5) * edges
-    dist = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], dist))
-    # The first of each (bucket, voxel) pair in that order is kept.
-    _, first = np.unique(np.column_stack([bucket, cells])[order], axis=0, return_index=True)
-    return observations[np.sort(order[first])]
+    return observations[_voxel_representatives(pts, edges, bucket)]
 
 
 def build_groups(observations: PlaneObservations, cb: Codebook) -> list[ObservationGroup]:

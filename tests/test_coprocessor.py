@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quantlio.coprocessor import (
     MODES, Coprocessor, PlaneObservations, apply_transform, associate, build_groups,
@@ -12,7 +12,7 @@ from quantlio.quantizer import (
     quantize_residual_vectors, quantize_zs,
 )
 from quantlio.simworld import LidarModel, build_scene, synth_scan, synth_trajectory
-from quantlio.voxelmap import VoxelMap, plane_fit_batch
+from quantlio.voxelmap import VoxelMap, pack_cells, plane_fit_batch
 
 IDENTITY = (np.eye(3), np.zeros(3))
 
@@ -90,15 +90,28 @@ def associate_per_observation(world_points, lidar_points, vmap, cb, plane_thresh
     return kept, skipped
 
 
+def voxel_downsample_lexsort(points, edge):
+    """One float lexsort on (distance, x, y, z) over every point, then the
+    first of each voxel: the selection voxel_downsample replaced."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    cells = np.floor(points / edge).astype(np.int64)
+    centers = (cells + 0.5) * edge
+    diff = points - centers
+    dist = np.einsum("ij,ij->i", diff, diff)
+    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0], dist))
+    _, first = np.unique(pack_cells(cells[order]), return_index=True)
+    return np.sort(order[first])
+
+
 def rq_resample_per_bucket(obs, cb, ds_0, alpha):
-    """Sorted kept row indices, from one voxel_downsample call per bucket."""
+    """Sorted kept row indices, from one reference voxel selection per bucket."""
     keys, _ = quantize_residual_vectors(obs.residual_vector, cb)
     ranges = np.linalg.norm(obs.point_lidar, axis=1)
     kept = []
     for key in np.unique(keys):
         members = np.flatnonzero(keys == key)
         ds_k = ds_0 + alpha * float(ranges[members].mean())
-        kept.extend(members[voxel_downsample(obs.point_lidar[members], ds_k)])
+        kept.extend(members[voxel_downsample_lexsort(obs.point_lidar[members], ds_k)])
     return np.sort(np.array(kept, dtype=np.int64))
 
 
@@ -228,6 +241,34 @@ class TestVoxelDownsample:
 
     def test_empty(self):
         assert len(voxel_downsample(np.empty((0, 3)), 0.5)) == 0
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
+           lattice=st.sampled_from([0.0625, 0.125, 0.25]),
+           edge=st.sampled_from([0.25, 0.3, 0.5, 1.0]),
+           duplicates=st.sampled_from([0.0, 0.3]), mirrors=st.sampled_from([0.0, 0.3]),
+           jitter=st.sampled_from([0.0, 0.5]))
+    def test_matches_lexsort_reference(self, seed, n, lattice, edge, duplicates, mirrors,
+                                       jitter):
+        # Lattice points around the origin (negative coordinates, points on
+        # voxel faces, equal distances to voxel centres), exact copies of
+        # other rows, and mirror images of rows through their voxel centre,
+        # which tie on distance and differ in coordinates; a share jittered
+        # off the lattice.
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-24, 24, (n, 3)) * lattice
+        rows = np.flatnonzero(rng.random(n) < mirrors)
+        centres = (np.floor(pts[rows] / edge) + 0.5) * edge
+        pts[rows] = 2.0 * centres - pts[rows]
+        rows = np.flatnonzero(rng.random(n) < duplicates)
+        pts[rows] = pts[rng.integers(0, n, len(rows))]
+        rows = np.flatnonzero(rng.random(n) < jitter)
+        pts[rows] += rng.uniform(-0.1, 0.1, (len(rows), 3))
+        np.testing.assert_array_equal(voxel_downsample(pts, edge),
+                                      voxel_downsample_lexsort(pts, edge))
+
+    def test_refuses_a_span_no_int64_key_holds(self):
+        with pytest.raises(ValueError, match="int64"):
+            voxel_downsample([[0.0, 0.0, 0.0], [1e12, 1e12, 0.0]], 1.0)
 
 
 def build_plane_map(height=1.0, normal="z", extent=3.0, step=0.2):
@@ -374,12 +415,19 @@ class TestRqResample:
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
            directions=st.integers(1, 5), lattice=st.sampled_from([0.0625, 0.125, 0.25]),
-           coincident=st.sampled_from([0.0, 0.3]),
+           coincident=st.sampled_from([0.0, 0.3]), mirrors=st.sampled_from([0.0, 0.3]),
            ds_0=st.sampled_from([0.05, 0.3, 0.5]), alpha=st.sampled_from([0.0, 0.01, 0.05]))
+    @example(seed=1, n=150, directions=2, lattice=0.125, coincident=0.3, mirrors=0.3,
+             ds_0=0.5, alpha=0.0)
+    @example(seed=2, n=150, directions=1, lattice=0.0625, coincident=0.0, mirrors=0.3,
+             ds_0=0.3, alpha=0.0)
     def test_matches_per_bucket_loop(self, seed, n, directions, lattice, coincident,
-                                     ds_0, alpha):
+                                     mirrors, ds_0, alpha):
         # Lattice points tie on their distance to voxel centres; copied rows
         # are coincident; few directions make buckets spanning many voxels.
+        # A mirrored row copies another row's residual, so it shares that
+        # row's bucket, and sits at its image through its ds_0 voxel centre:
+        # with alpha 0 the voxel is ds_0, so the two tie on distance.
         rng = np.random.default_rng(seed)
         cb = Codebook(l_n=3)
         dirs = rng.standard_normal((directions, 3))
@@ -388,6 +436,10 @@ class TestRqResample:
         pts = rng.integers(-24, 24, (n, 3)) * lattice
         copies = np.flatnonzero(rng.random(n) < coincident)
         pts[copies] = pts[rng.integers(0, n, len(copies))]
+        rows = np.flatnonzero(rng.random(n) < mirrors)
+        src = rng.integers(0, n, len(rows))
+        us[rows], zs[rows] = us[src], zs[src]
+        pts[rows] = 2.0 * (np.floor(pts[src] / ds_0) + 0.5) * ds_0 - pts[src]
         obs = make_obs(us, zs, pts, points_world=np.c_[np.arange(n), np.zeros((n, 2))])
 
         kept = rq_resample(obs, cb, ds_0, alpha)

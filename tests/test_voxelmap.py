@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quantlio.voxelmap import _INITIAL_ROWS, VoxelMap, _sq_dist, plane_fit_batch
+from quantlio import coprocessor, pipeline
+from quantlio.voxelmap import _INITIAL_ROWS, VoxelMap, _solve_gram, _sq_dist, plane_fit_batch
 
 
 def brute_knn(points, query, k, radius=5.0):
@@ -338,6 +339,63 @@ class TestKnnBatchProperties:
             VoxelMap().knn_batch(np.zeros((1, 3)), 0)
 
 
+def plane_fit_svd(stacks, max_residual=0.1, cond_limit=1e8):
+    """The SVD plane fit the closed form replaced, kept as its oracle."""
+    stacks = np.asarray(stacks, dtype=float)
+    m = stacks.shape[0]
+    u, s, vt = np.linalg.svd(stacks, full_matrices=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[:, 0] / s[:, -1]
+    ok = np.isfinite(cond) & (cond <= cond_limit)
+    inv_s = np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), 0.0)
+    rhs = -np.ones((m, 5))
+    n_raw = np.einsum("mij,mi->mj", vt, inv_s * np.einsum("mij,mi->mj", u, rhs))
+    norms = np.linalg.norm(n_raw, axis=1)
+    ok &= norms > 0.0
+    safe = np.where(norms > 0.0, norms, 1.0)
+    normals = n_raw / safe[:, None]
+    offsets = 1.0 / safe
+    dists = np.abs(np.einsum("mij,mj->mi", stacks, normals) + offsets[:, None])
+    residuals = dists.max(axis=1)
+    ok &= residuals <= max_residual
+    return normals, offsets, residuals, ok
+
+
+def random_rotation(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q
+
+
+def hard_sets(rng, kind, m):
+    """m 5-point sets (m, 5, 3) of one kind the plane fit must get right."""
+    out = np.empty((m, 5, 3))
+    for i in range(m):
+        if kind == "plane":  # noisy patches up to 1e3 m from the origin
+            rot = random_rotation(rng)
+            size, dist = 10.0 ** rng.uniform(-2, 1), 10.0 ** rng.uniform(-1, 3)
+            noise = rng.choice([0.0, 1e-3, 1e-2, 0.1])
+            out[i] = np.c_[rng.uniform(-size, size, (5, 2)),
+                           dist + noise * rng.standard_normal(5)] @ rot.T
+        elif kind == "collinear":  # a line, off it by at most eps
+            offset = rng.uniform(-1e3, 1e3, 3) * rng.choice([1e-3, 0.1, 1.0])
+            eps = rng.choice([0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3])
+            out[i] = (offset + np.outer(rng.uniform(-1, 1, 5), random_rotation(rng)[0])
+                      + eps * rng.standard_normal((5, 3)))
+        elif kind == "repeated":  # one to three distinct points
+            base = rng.uniform(-10, 10, (rng.integers(1, 4), 3))
+            out[i] = base[rng.integers(0, len(base), 5)]
+        elif kind == "origin":  # on or near a plane through the origin
+            noise = rng.choice([0.0, 1e-6, 1e-3])
+            out[i] = np.c_[rng.uniform(-3, 3, (5, 2)),
+                           noise * rng.standard_normal(5)] @ random_rotation(rng).T
+        else:  # "cond": singular values 1, t and 1/c with cond(A) = c in [1e5, 1e9]
+            u, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+            cond = 10.0 ** rng.uniform(5, 9)
+            sv = np.array([1.0, 10.0 ** rng.uniform(-np.log10(cond), 0), 1.0 / cond])
+            out[i] = (u * sv * 10.0 ** rng.uniform(-1, 3)) @ random_rotation(rng).T
+    return out
+
+
 def fit_one(points, **kwargs):
     """plane_fit_batch on a single 5-point set: (normal, offset, residual, ok)."""
     normals, offsets, residuals, ok = plane_fit_batch(np.asarray(points, float)[None], **kwargs)
@@ -394,3 +452,43 @@ class TestPlaneFit:
             a = fit_one(pts, max_residual=thr)[3]
             b = fit_one(pts * scale, max_residual=thr * scale)[3]
             assert a == b
+
+    @given(kinds=st.lists(st.sampled_from(["plane", "collinear", "repeated", "origin", "cond"]),
+                          min_size=1, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_svd_oracle(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        stacks = np.concatenate([hard_sets(rng, kind, 40) for kind in kinds])
+        stacks = stacks[rng.permutation(len(stacks))]
+        got = plane_fit_batch(stacks)
+        want = plane_fit_svd(stacks)
+        np.testing.assert_array_equal(got[3], want[3])
+        both = got[3]
+        np.testing.assert_allclose(got[0][both], want[0][both], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(got[1][both], want[1][both], rtol=1e-9, atol=1e-9)
+        # Both solves are accurate to a small multiple of cond(A) * eps; the
+        # second refinement step is what brings the closed form there.
+        sv = np.linalg.svd(stacks, compute_uv=False)
+        cond = sv[:, 0] / sv[:, -1]
+        assert np.all(np.abs(got[0] - want[0]).max(axis=1)[both] <= 1e-13 + 1e-14 * cond[both])
+        # Rows the Gram bound cannot certify take the SVD solve: same bits.
+        # Those it certifies have cond(A) <= 1e6 up to rounding.
+        certified = _solve_gram(stacks)[1]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g[~certified], w[~certified])
+        assert np.all(cond[certified] <= 1.01e6)
+
+    def test_real_map_sets_are_certified(self, monkeypatch):
+        # The 5-point sets of a short box-room run: at least 99% take the
+        # closed form, and every set fits as the SVD oracle fits it.
+        captured = []
+        fit = coprocessor.plane_fit_batch
+        monkeypatch.setattr(coprocessor, "plane_fit_batch",
+                            lambda stacks: captured.append(stacks) or fit(stacks))
+        pipeline.run(pipeline.RunConfig(scene="box-room", duration=2.0, seed=5))
+        stacks = np.concatenate(captured)
+        assert len(stacks) > 5000
+        assert np.count_nonzero(_solve_gram(stacks)[1]) >= 0.99 * len(stacks)
+        got, want = plane_fit_batch(stacks), plane_fit_svd(stacks)
+        np.testing.assert_array_equal(got[3], want[3])
+        np.testing.assert_allclose(got[0][got[3]], want[0][got[3]], rtol=0, atol=1e-9)
