@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .manifold import skew, so3_log
+from .manifold import rodrigues_terms, skew, so3_log
 from .quantizer import (
     Codebook, int8_minmax_quantize, int8_minmax_reconstruct, quantize_points,
     quantize_residual_vectors, quantize_zs,
@@ -65,17 +65,7 @@ def se3_exp(rho, theta):
     """Rigid transforms (R (..., 3, 3), t (..., 3)) from twists (..., 3):
     Rodrigues and the V matrix, truncated series below 1e-8 rad."""
     rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    angle = np.linalg.norm(theta, axis=-1)[..., None, None]
-    # Column j of the cross-product matrix is theta x e_j.
-    w = np.cross(theta[..., None, :], np.eye(3)).swapaxes(-1, -2)
-    ww = w @ w
-    small = angle < 1e-8
-    a = np.where(small, 1.0, angle)
-    # R = I + b1 W + b2 W^2 and V = I + b2 W + b3 W^2.
-    b1 = np.where(small, 1.0, np.sin(a) / a)
-    b2 = np.where(small, 0.5, (1.0 - np.cos(a)) / (a * a))
-    b3 = np.where(small, 1.0 / 6.0, (a - np.sin(a)) / (a * a * a))
+    w, ww, b1, b2, b3 = rodrigues_terms(theta)
     v = np.eye(3) + b2 * w + b3 * ww
     return np.eye(3) + b1 * w + b2 * ww, np.einsum("...ij,...j->...i", v, rho)
 

@@ -29,7 +29,7 @@ from scipy.special import log_ndtr
 
 from .manifold import (
     BG, ERROR_DIM, POS, THETA,
-    NavState, NoiseParams, boxplus, propagate, skew,
+    NavState, NoiseParams, boxplus, propagate, rot_to_quat,
 )
 from .quantizer import Codebook, dequantize_point, dequantize_residual_key
 from .wire import (
@@ -150,9 +150,10 @@ def qmap_update(state: NavState, cov: np.ndarray, groups, cb: Codebook,
     lo = cells * cb.z_step
     z_cell, r_cell, valid_cell = interval_surrogate(lo, lo + cb.z_step, sigma)
     keep = valid_cell[cell_of]
-    # One norm per key: a batched norm differs in the last bit for some keys.
-    units = np.array([c / np.linalg.norm(c) for c in dequantize_residual_key(keys, cb)])
-    us = units.reshape(-1, 3)[np.repeat(np.arange(len(keys)), counts)[keep]]
+    centers = dequantize_residual_key(keys, cb).reshape(-1, 3)
+    # Row-by-row dot products, the kernel a per-key np.linalg.norm runs.
+    units = centers / np.sqrt(centers[:, None, :] @ centers[:, :, None])[:, 0]
+    us = units[np.repeat(np.arange(len(keys)), counts)[keep]]
     z_eff, r_eff = z_cell[cell_of[keep]], r_cell[cell_of[keep]]
     vacuous = len(members) - len(z_eff)
 
@@ -288,7 +289,6 @@ class Host:
         self.awaiting_obs = False
 
     def _log_scan(self, prior_cov: np.ndarray) -> None:
-        from .manifold import rot_to_quat
         gap_eigs = np.linalg.eigvalsh(prior_cov - self.cov)
         post_eigs = np.linalg.eigvalsh(self.cov)
         self.logs.append(HostLog(

@@ -48,6 +48,41 @@ def so3_exp(omega) -> np.ndarray:
     return np.eye(3) + s * w + c * (w @ w)
 
 
+def _skews(v) -> np.ndarray:
+    """Cross-product matrices (..., 3, 3) of vectors (..., 3)."""
+    w = np.zeros(v.shape + (3,))
+    w[..., 0, 1], w[..., 0, 2], w[..., 1, 2] = -v[..., 2], v[..., 1], -v[..., 0]
+    w[..., 1, 0], w[..., 2, 0], w[..., 2, 1] = v[..., 2], -v[..., 1], v[..., 0]
+    return w
+
+
+def rodrigues_terms(theta, series_below: float = 1e-8):
+    """Batched Rodrigues terms of rotation vectors theta (..., 3).
+
+    Returns the cross-product matrices W (..., 3, 3), W @ W and the
+    coefficients of the angle a = |theta|, each shaped (..., 1, 1):
+    b1 = sin(a)/a, b2 = (1 - cos a)/a^2 and b3 = (a - sin a)/a^3, with
+    their series limits 1, 1/2 and 1/6 below series_below rad. They give
+
+        Exp(theta) = I + b1 W + b2 W^2
+        V(theta)   = I + b2 W + b3 W^2   (SE(3) translation Jacobian)
+        Jr(theta)  = I - b2 W + b3 W^2   (right Jacobian, V(-theta))
+
+    The closed form of b2 loses about 1e-16 / a^2 to cancellation, which
+    the first-order b2 W term of Jr and V carries; 1e-6 rad bounds that
+    error by 1e-10.
+    """
+    theta = np.asarray(theta, dtype=float)
+    angle = np.linalg.norm(theta, axis=-1)[..., None, None]
+    w = _skews(theta)
+    small = angle < series_below
+    a = np.where(small, 1.0, angle)
+    b1 = np.where(small, 1.0, np.sin(a) / a)
+    b2 = np.where(small, 0.5, (1.0 - np.cos(a)) / (a * a))
+    b3 = np.where(small, 1.0 / 6.0, (a - np.sin(a)) / (a * a * a))
+    return w, w @ w, b1, b2, b3
+
+
 def so3_log(rot) -> np.ndarray:
     """Principal-branch rotation vector of an orthonormal matrix.
 
@@ -79,19 +114,6 @@ def so3_log(rot) -> np.ndarray:
         return angle * axis
     scale = 0.5 * angle / np.sin(angle)
     return scale * np.array([rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]])
-
-
-def so3_right_jacobian(omega) -> np.ndarray:
-    """Right Jacobian of so3_exp: exp(w + dw) ~ exp(w) exp(Jr(w) dw)."""
-    omega = np.asarray(omega, dtype=float)
-    angle = float(np.linalg.norm(omega))
-    w = skew(omega)
-    if angle < 1e-6:
-        return np.eye(3) - 0.5 * w + (w @ w) / 6.0
-    a2 = angle * angle
-    c1 = (1.0 - np.cos(angle)) / a2
-    c2 = (angle - np.sin(angle)) / (a2 * angle)
-    return np.eye(3) - c1 * w + c2 * (w @ w)
 
 
 def rot_to_quat(rot) -> np.ndarray:
@@ -202,37 +224,56 @@ def boxminus(x1: NavState, x0: NavState) -> np.ndarray:
     return dx
 
 
-def _mean_step(state: NavState, gyro, accel, dt: float) -> NavState:
-    """One Euler step of the zero-noise kinematics with held inputs."""
-    omega = gyro - state.bias_gyro
-    acc = accel - state.bias_accel
+def imu_steps(state: NavState, gyro, accel, dt):
+    """Euler steps of the zero-noise kinematics with held inputs, batched.
+
+    gyro and accel (n, 3) are the readings held over each step and dt (n,)
+    the step lengths. Biases and gravity stay constant. Returns the end state
+    and the discrete Jacobians of every step, fx (n, 18, 18) wrt the error
+    state and fw (n, 18, 12) wrt the noise input, each evaluated at the
+    state that step starts from.
+    """
+    gyro = np.asarray(gyro, dtype=float)
+    acc = np.asarray(accel, dtype=float) - state.bias_accel
+    dt = np.asarray(dt, dtype=float)
+    n = len(dt)
+    dt3 = dt[:, None, None]
+    w, ww, b1, b2, b3 = rodrigues_terms((gyro - state.bias_gyro) * dt[:, None],
+                                        series_below=1e-6)
+    exp_w = np.eye(3) + b1 * w + b2 * ww
+    jr_dt = (np.eye(3) - b2 * w + b3 * ww) * dt3
+
+    # R_{k+1} = R_k Exp(w_k dt_k) is the only sequential product of the mean.
+    rots = [state.rotation]
+    for e in exp_w:
+        rots.append(rots[-1] @ e)
+    r = np.array(rots[:-1])
+    # cumsum adds the increments in step order, as a step loop would.
+    dv = ((r @ acc[:, :, None])[..., 0] + state.gravity) * dt[:, None]
+    vel = np.cumsum(np.vstack((state.velocity, dv)), axis=0)
+    pos = np.cumsum(np.vstack((state.position, vel[:-1] * dt[:, None])), axis=0)
+
+    eye_dt = np.eye(3) * dt3
+    r_dt = r * dt3
+    fx = np.zeros((n, ERROR_DIM, ERROR_DIM))
+    fx[:, np.arange(ERROR_DIM), np.arange(ERROR_DIM)] = 1.0
+    # Exp(-w) is the transpose of Exp(w).
+    fx[:, THETA, THETA] = exp_w.swapaxes(1, 2)
+    fx[:, THETA, BG] = -jr_dt
+    fx[:, POS, VEL] = eye_dt
+    fx[:, VEL, THETA] = -(r @ _skews(acc)) * dt3
+    fx[:, VEL, BA] = -r_dt
+    fx[:, VEL, GRAV] = eye_dt
+
+    fw = np.zeros((n, ERROR_DIM, 12))
+    fw[:, THETA, 0:3] = -jr_dt
+    fw[:, VEL, 3:6] = -r_dt
+    fw[:, BG, 6:9] = eye_dt
+    fw[:, BA, 9:12] = eye_dt
+
     out = state.copy()
-    out.rotation = state.rotation @ so3_exp(omega * dt)
-    out.position = state.position + state.velocity * dt
-    out.velocity = state.velocity + (state.rotation @ acc + state.gravity) * dt
-    return out
-
-
-def step_jacobians(state: NavState, gyro, accel, dt: float):
-    """Discrete Jacobians of the mean step wrt error state and noise input."""
-    omega = (gyro - state.bias_gyro) * dt
-    acc = accel - state.bias_accel
-    jr_dt = so3_right_jacobian(omega) * dt
-
-    fx = np.eye(ERROR_DIM)
-    fx[THETA, THETA] = so3_exp(-omega)
-    fx[THETA, BG] = -jr_dt
-    fx[POS, VEL] = np.eye(3) * dt
-    fx[VEL, THETA] = -(state.rotation @ skew(acc)) * dt
-    fx[VEL, BA] = -state.rotation * dt
-    fx[VEL, GRAV] = np.eye(3) * dt
-
-    fw = np.zeros((ERROR_DIM, 12))
-    fw[THETA, 0:3] = -jr_dt
-    fw[VEL, 3:6] = -state.rotation * dt
-    fw[BG, 6:9] = np.eye(3) * dt
-    fw[BA, 9:12] = np.eye(3) * dt
-    return fx, fw
+    out.rotation, out.position, out.velocity = rots[-1], pos[-1], vel[-1]
+    return out, fx, fw
 
 
 def propagate(state: NavState, cov: np.ndarray, samples, noise: NoiseParams,
@@ -243,6 +284,11 @@ def propagate(state: NavState, cov: np.ndarray, samples, noise: NoiseParams,
     t_start / t_end are given (seconds), integration is clipped to that
     window, holding the latest sample at or before each sub-interval.
     Per-step dt must stay at or below MAX_IMU_DT.
+
+    The window is one array pass: the step breaks, lengths and held samples
+    come from one searchsorted, imu_steps computes every mean step and
+    Jacobian at once, and only the covariance recursion
+    P <- fx P fx^T + fw diag(q / dt) fw^T runs step by step.
     """
     samples = list(samples)
     if not samples:
@@ -262,24 +308,23 @@ def propagate(state: NavState, cov: np.ndarray, samples, noise: NoiseParams,
     if times[-1] < t_end - MAX_IMU_DT - 1e-9:
         raise ValueError("IMU segment does not cover the requested end time")
 
+    p = np.array(cov, dtype=float, copy=True)
+    if t_end == t_start:
+        return state.copy(), p
     inner = times[(times > t_start) & (times < t_end)]
     breaks = np.concatenate(([t_start], inner, [t_end]))
+    dt = np.diff(breaks)
+    too_long = np.flatnonzero(dt > MAX_IMU_DT + 1e-9)
+    if len(too_long):
+        raise ValueError(f"IMU step {dt[too_long[0]]:.4f}s exceeds {MAX_IMU_DT}s")
 
-    q_diag = noise.diffusion()
-    x = state.copy()
-    p = np.array(cov, dtype=float, copy=True)
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        dt = b - a
-        if dt <= 0.0:
-            continue
-        if dt > MAX_IMU_DT + 1e-9:
-            raise ValueError(f"IMU step {dt:.4f}s exceeds {MAX_IMU_DT}s")
-        idx = int(np.searchsorted(times, a + 1e-12) - 1)
-        idx = max(idx, 0)
-        s = samples[idx]
-        fx, fw = step_jacobians(x, s.gyro, s.accel, dt)
-        x = _mean_step(x, s.gyro, s.accel, dt)
-        # Continuous densities scaled by 1/dt because fw already carries dt.
-        p = fx @ p @ fx.T + fw @ np.diag(q_diag / dt) @ fw.T
+    held = np.maximum(np.searchsorted(times, breaks[:-1] + 1e-12) - 1, 0).tolist()
+    gyro = np.array([samples[i].gyro for i in held], dtype=float)
+    accel = np.array([samples[i].accel for i in held], dtype=float)
+    x, fx, fw = imu_steps(state, gyro, accel, dt)
+    # Continuous densities scaled by 1/dt because fw already carries dt.
+    qd = (fw * (noise.diffusion() / dt[:, None])[:, None, :]) @ fw.swapaxes(1, 2)
+    for f, q in zip(fx, qd):
+        p = f @ p @ f.T + q
         p = 0.5 * (p + p.T)
     return x, p

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quantlio.manifold import (
-    BA, BG, ERROR_DIM, GRAV, POS, THETA, VEL,
+    BA, BG, ERROR_DIM, GRAV, MAX_IMU_DT, POS, THETA, VEL,
     ImuSample, NavState, NoiseParams,
-    boxminus, boxplus, propagate, quat_to_rot, rot_to_quat,
-    so3_exp, so3_log, step_jacobians,
+    boxminus, boxplus, imu_steps, propagate, quat_to_rot, rot_to_quat,
+    skew, so3_exp, so3_log,
 )
 
 
 def exp_series(omega, terms=20):
     """Truncated matrix-exponential series, the independent rotation oracle."""
-    from quantlio.manifold import skew
     w = skew(omega)
     out = np.eye(3)
     acc = np.eye(3)
@@ -129,6 +130,131 @@ def make_stream(duration, rate, gyro_fn, accel_fn):
             for i in range(n)]
 
 
+# The per-step loop that propagate batches, kept as the reference: one
+# scalar Euler step and one pair of Jacobians per interval between breaks.
+
+def so3_right_jacobian(omega):
+    """Right Jacobian of so3_exp: exp(w + dw) ~ exp(w) exp(Jr(w) dw)."""
+    omega = np.asarray(omega, dtype=float)
+    angle = float(np.linalg.norm(omega))
+    w = skew(omega)
+    if angle < 1e-6:
+        return np.eye(3) - 0.5 * w + (w @ w) / 6.0
+    a2 = angle * angle
+    c1 = (1.0 - np.cos(angle)) / a2
+    c2 = (angle - np.sin(angle)) / (a2 * angle)
+    return np.eye(3) - c1 * w + c2 * (w @ w)
+
+
+def mean_step(state, gyro, accel, dt):
+    """One Euler step of the zero-noise kinematics with held inputs."""
+    omega = gyro - state.bias_gyro
+    acc = accel - state.bias_accel
+    out = state.copy()
+    out.rotation = state.rotation @ so3_exp(omega * dt)
+    out.position = state.position + state.velocity * dt
+    out.velocity = state.velocity + (state.rotation @ acc + state.gravity) * dt
+    return out
+
+
+def step_jacobians(state, gyro, accel, dt):
+    """Discrete Jacobians of the mean step wrt error state and noise input."""
+    omega = (gyro - state.bias_gyro) * dt
+    acc = accel - state.bias_accel
+    jr_dt = so3_right_jacobian(omega) * dt
+
+    fx = np.eye(ERROR_DIM)
+    fx[THETA, THETA] = so3_exp(-omega)
+    fx[THETA, BG] = -jr_dt
+    fx[POS, VEL] = np.eye(3) * dt
+    fx[VEL, THETA] = -(state.rotation @ skew(acc)) * dt
+    fx[VEL, BA] = -state.rotation * dt
+    fx[VEL, GRAV] = np.eye(3) * dt
+
+    fw = np.zeros((ERROR_DIM, 12))
+    fw[THETA, 0:3] = -jr_dt
+    fw[VEL, 3:6] = -state.rotation * dt
+    fw[BG, 6:9] = np.eye(3) * dt
+    fw[BA, 9:12] = np.eye(3) * dt
+    return fx, fw
+
+
+def loop_propagate(state, cov, samples, noise, t_start=None, t_end=None):
+    """propagate, one step at a time."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("propagate needs at least one IMU sample")
+    times = np.array([s.t_us for s in samples], dtype=np.int64) * 1e-6
+    if np.any(np.diff(times) <= 0.0):
+        raise ValueError("IMU timestamps must strictly increase")
+
+    if t_start is None:
+        t_start = times[0]
+    if t_end is None:
+        t_end = times[-1]
+    if t_end < t_start:
+        raise ValueError("t_end must not precede t_start")
+    if times[0] > t_start + 1e-9:
+        raise ValueError("IMU segment does not cover the requested start time")
+    if times[-1] < t_end - MAX_IMU_DT - 1e-9:
+        raise ValueError("IMU segment does not cover the requested end time")
+
+    inner = times[(times > t_start) & (times < t_end)]
+    breaks = np.concatenate(([t_start], inner, [t_end]))
+
+    q_diag = noise.diffusion()
+    x = state.copy()
+    p = np.array(cov, dtype=float, copy=True)
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        dt = b - a
+        if dt <= 0.0:
+            continue
+        if dt > MAX_IMU_DT + 1e-9:
+            raise ValueError(f"IMU step {dt:.4f}s exceeds {MAX_IMU_DT}s")
+        idx = int(np.searchsorted(times, a + 1e-12) - 1)
+        idx = max(idx, 0)
+        s = samples[idx]
+        fx, fw = step_jacobians(x, s.gyro, s.accel, dt)
+        x = mean_step(x, s.gyro, s.accel, dt)
+        p = fx @ p @ fx.T + fw @ np.diag(q_diag / dt) @ fw.T
+        p = 0.5 * (p + p.T)
+    return x, p
+
+
+# Per-step rotation angles of a 5 ms step, on both sides of the series
+# thresholds: 1e-8 rad for Exp and 1e-6 rad for the loop's right Jacobian.
+STEP_ANGLES = (0.0, 4e-9, 3e-8, 5e-7, 3e-6, 1e-3, 0.3)
+
+
+def window_case(seed, gaps_us, angles, t_start=None, t_end=None):
+    """(state, covariance, samples) for samples gaps_us apart, each turning
+    by its entry of angles over 5 ms once the state's gyro bias is removed."""
+    rng = np.random.default_rng(seed)
+    x = random_state(rng)
+    a = rng.standard_normal((ERROR_DIM, ERROR_DIM))
+    cov = 1e-3 * a @ a.T + 1e-6 * np.eye(ERROR_DIM)
+    cov = 0.5 * (cov + cov.T)
+    t_us = 1_000_000 + np.concatenate(([0], np.cumsum(gaps_us, dtype=np.int64)))
+    samples = []
+    for t, angle in zip(t_us, angles):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        samples.append(ImuSample(int(t), x.bias_gyro + axis * angle / 0.005,
+                                 rng.uniform(-2.0, 2.0, 3) + [0.0, 0.0, 9.81]))
+    return x, cov, samples
+
+
+def assert_matches_loop(state, cov, samples, t_start=None, t_end=None):
+    noise = NoiseParams()
+    got, p_got = propagate(state, cov, samples, noise, t_start=t_start, t_end=t_end)
+    want, p_want = loop_propagate(state, cov, samples, noise, t_start=t_start, t_end=t_end)
+    for name in ("rotation", "position", "velocity", "bias_gyro", "bias_accel", "gravity"):
+        diff = np.abs(getattr(got, name) - getattr(want, name)).max()
+        assert diff <= 1e-12, (name, diff)
+    assert np.abs(p_got - p_want).max() <= 1e-12 * np.abs(p_want).max()
+    np.testing.assert_array_equal(p_got, p_got.T)
+
+
 class TestPropagate:
     def test_stationary_hover(self):
         x = NavState()
@@ -198,7 +324,7 @@ class TestPropagate:
             x = random_state(rng)
             gyro = rng.uniform(-0.5, 0.5, 3)
             accel = rng.uniform(-1, 1, 3)
-            fx, _ = step_jacobians(x, gyro, accel, dt)
+            fx = imu_steps(x, gyro[None], accel[None], np.array([dt]))[1][0]
 
             def mean_map(state):
                 samples = [ImuSample(0, gyro, accel), ImuSample(int(dt * 1e6), gyro, accel)]
@@ -219,13 +345,78 @@ class TestPropagate:
     def test_errors(self):
         x = NavState()
         p = np.eye(ERROR_DIM)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one IMU sample"):
             propagate(x, p, [], NoiseParams())
         bad = [ImuSample(0, np.zeros(3), np.zeros(3)),
                ImuSample(0, np.zeros(3), np.zeros(3))]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increase"):
             propagate(x, p, bad, NoiseParams())
         sparse = [ImuSample(0, np.zeros(3), np.zeros(3)),
                   ImuSample(200_000, np.zeros(3), np.zeros(3))]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"IMU step 0\.2000s exceeds 0\.05s"):
             propagate(x, p, sparse, NoiseParams())
+
+    def test_window_errors(self):
+        x = NavState()
+        p = np.eye(ERROR_DIM)
+        stream = make_stream(0.1, 200, lambda t: np.zeros(3), lambda t: np.zeros(3))
+        with pytest.raises(ValueError, match="must not precede"):
+            propagate(x, p, stream, NoiseParams(), t_start=0.05, t_end=0.04)
+        with pytest.raises(ValueError, match="cover the requested start"):
+            propagate(x, p, stream[2:], NoiseParams(), t_start=0.0, t_end=0.04)
+        with pytest.raises(ValueError, match="cover the requested end"):
+            propagate(x, p, stream, NoiseParams(), t_start=0.0, t_end=0.2)
+        # The first step past the bound is the one reported.
+        gappy = stream[:3] + [ImuSample(80_000, np.zeros(3), np.zeros(3)),
+                              ImuSample(200_000, np.zeros(3), np.zeros(3))]
+        with pytest.raises(ValueError, match=r"IMU step 0\.0700s exceeds"):
+            propagate(x, p, gappy, NoiseParams())
+
+    def test_imu_steps_match_loop_jacobians(self):
+        rng = np.random.default_rng(17)
+        x = random_state(rng)
+        n = 3 * len(STEP_ANGLES)
+        dt = rng.uniform(1e-4, MAX_IMU_DT, n)
+        axes = rng.standard_normal((n, 3))
+        angles = np.resize(STEP_ANGLES, n)
+        gyro = x.bias_gyro + axes / np.linalg.norm(axes, axis=1)[:, None] * (angles / dt)[:, None]
+        accel = rng.uniform(-2.0, 2.0, (n, 3))
+        end, fx, fw = imu_steps(x, gyro, accel, dt)
+        for k in range(n):
+            want_fx, want_fw = step_jacobians(x, gyro[k], accel[k], dt[k])
+            np.testing.assert_allclose(fx[k], want_fx, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(fw[k], want_fw, rtol=0.0, atol=1e-12)
+            x = mean_step(x, gyro[k], accel[k], dt[k])
+        np.testing.assert_allclose(end.rotation, x.rotation, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(end.position, x.position, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(end.velocity, x.velocity, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("gaps_us, angles, t_start, t_end", [
+        ([5000], [0.2, 0.2], None, None),                        # one step
+        ([5000] * 4, [1e-3] * 5, 1.0021, 1.0174),                # clipped between samples
+        ([5000] * 4, [1e-3] * 5, 1.0121, 1.0121),                # t_start == t_end
+        ([5000] * 3, [1e-3] * 4, 1.0, 1.04),                     # held past the last sample
+        ([5000] * 6, list(STEP_ANGLES), None, None),             # both series thresholds
+        ([1000, 50_000, 2500], [3e-6, 0.3, 4e-9, 5e-7], 1.0004, 1.0535),
+    ])
+    def test_matches_loop_on_named_windows(self, gaps_us, angles, t_start, t_end):
+        x, cov, samples = window_case(18, gaps_us, angles)
+        assert_matches_loop(x, cov, samples, t_start, t_end)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           steps=st.lists(st.tuples(st.sampled_from([1000, 2500, 5000, 20_000, 50_000]),
+                                    st.sampled_from(STEP_ANGLES)), min_size=0, max_size=6),
+           first_angle=st.sampled_from(STEP_ANGLES),
+           start=st.floats(0.0, 1.0), span=st.floats(0.0, 1.0),
+           past_end=st.sampled_from([0.0, 0.0, 0.003, 0.04]),
+           default_window=st.booleans())
+    def test_matches_loop(self, seed, steps, first_angle, start, span, past_end,
+                          default_window):
+        gaps = [g for g, _ in steps]
+        x, cov, samples = window_case(seed, gaps, [first_angle] + [a for _, a in steps])
+        if default_window:
+            assert_matches_loop(x, cov, samples)
+            return
+        t0, t1 = samples[0].t_us * 1e-6, samples[-1].t_us * 1e-6 + past_end
+        t_start = t0 + start * (t1 - t0)
+        assert_matches_loop(x, cov, samples, t_start, t_start + span * (t1 - t_start))

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from quantlio import pipeline
+from quantlio import estimator, pipeline
 from quantlio.manifold import rot_to_quat, so3_exp
 from quantlio.voxelmap import VoxelMap
 from quantlio.wire import HEADER, BadCrc, FrameType, TruncatedFrame
+from test_manifold import loop_propagate
 
 
 def short_run():
@@ -49,6 +50,20 @@ def test_run_is_deterministic_and_real_map_knn_is_exact(monkeypatch):
     assert again.deterministic_fields() == metrics.deterministic_fields()
     assert rows_again.tobytes() == rows.tobytes()
 
+
+def test_batched_propagation_tracks_the_step_loop_end_to_end(monkeypatch):
+    # room-qlio's scene, path and mode, 2 s in-process: the host's batched
+    # propagation against the per-step loop it replaced.
+    cfg = pipeline.RunConfig(scene="box-room", trajectory="figure-eight", duration=2.0,
+                             seed=9, mode="qlio", transport="inproc",
+                             trajectory_params={"cycles": 1})
+    metrics, rows = pipeline.run(cfg)
+    monkeypatch.setattr(estimator, "propagate", loop_propagate)
+    loop_metrics, loop_rows = pipeline.run(cfg)
+    assert metrics.scans == loop_metrics.scans == 20
+    assert rows.shape == loop_rows.shape
+    assert np.abs(rows - loop_rows).max() <= 1e-9
+    assert metrics.bits_total == loop_metrics.bits_total
 
 def test_socket_transport_matches_inproc():
     # Both channels hand back decoded reply frames; the session over a

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quantlio.quantizer import (
     Codebook, bits_per_measurement,
@@ -213,3 +216,13 @@ class TestInt8MinMax:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             int8_minmax_quantize(np.empty((0, 3)))
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 300), st.just(3)),
+                  elements=st.floats(-1e4, 1e4) | st.sampled_from([0.0, -0.0, 1.5, -1.5])))
+    def test_per_column_extremes_match_the_axis_0_reduction(self, pts):
+        levels, mins, maxs = int8_minmax_quantize(pts)
+        assert mins.tobytes() == pts.min(axis=0).tobytes()
+        assert maxs.tobytes() == pts.max(axis=0).tobytes()
+        span = pts.max(axis=0) - pts.min(axis=0)
+        want = np.floor((pts - pts.min(axis=0)) / np.where(span > 0.0, span, 1.0) * 256.0)
+        np.testing.assert_array_equal(levels, np.clip(want, 0, 255).astype(np.uint8))
