@@ -215,11 +215,11 @@ def associate(world_points, lidar_points, vmap: VoxelMap, cb: Codebook):
     if len(world_points) == 0:
         return PlaneObservations.empty(), 0
 
-    neighbors = vmap.knn_batch(world_points, 5)
-    rows = np.flatnonzero([len(nb) == 5 for nb in neighbors])
+    nb = vmap.knn_batch(world_points, 5)
+    rows = np.flatnonzero(nb.counts == 5)
     if len(rows) == 0:
         return PlaneObservations.empty(), len(world_points)
-    stacks = np.stack([neighbors[r] for r in rows])
+    stacks = nb.points[rows]
     normals, offsets, _, fit_ok = plane_fit_batch(stacks)
 
     signed = np.einsum("mj,mj->m", world_points[rows], normals) + offsets

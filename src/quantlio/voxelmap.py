@@ -27,11 +27,10 @@ loop count is the largest number of points any one cell receives.
 Search (knn_batch). Every query is answered by box passes. A pass ranks,
 for each pending query, the points of a box of cells around it: the box's
 occupied rows are gathered (so a wide box costs only its occupied cells), a
-partition finds each query's k-th smallest d^2, every candidate at or below
-it is kept (ties included), and one lexicographic sort on
-(query, d^2, x, y, z) orders the kept candidates. For a query at fractional
-position f inside its cell (per axis), the first box is the 2x2x2 octant
-toward the nearest cell corner. Every stored point outside it lies at least
+partition finds each query's k-th smallest d^2, and every candidate at or
+below it is kept (ties included). For a query at fractional position f
+inside its cell (per axis), the first box is the 2x2x2 octant toward the
+nearest cell corner. Every stored point outside it lies at least
 margin = edge * min over axes of max(f, 1 - f) >= edge / 2 away, so its k
 best are exact when the k-th d^2 is strictly below margin^2 (the margin
 shrunk by a tiny safety factor against rounding, and capped at the search
@@ -47,10 +46,32 @@ coordinates round onto the next cell's face. So the cover pass certifies
 every row it gets. It keeps the candidates up to
 min(k-th d^2, search_radius^2) and so returns fewer than k points where the
 radius cuts the search off.
+
+Chunks. A pass sorts its rows by the number of occupied cells in their box,
+most first (a stable sort, so equal rows keep query order), and ranks them
+in chunks. Each chunk gathers only as many cells per row as its widest row
+occupies, absent cells padded with the empty sentinel row, and holds as
+many rows as fit into _CHUNK_SLOTS candidate slots at that width; sparse
+boxes thus share chunks with sparse boxes and no chunk pays for the densest
+box of the pass.
+
+Ranking. The answer is ordered by (d^2, x, y, z). In the common case every
+certified row of a chunk keeps exactly k candidates, and a stable argsort
+of their (rows, k) distances orders them; that order is the exact answer
+whenever the sorted distances strictly increase in every row, since the
+coordinates then break no tie. Otherwise (a tie among the kept, a tie at
+the k-th distance that keeps more than k, or a radius cut that keeps fewer)
+the chunk takes the tie fallback: one lexicographic sort of all kept
+candidates on (row, d^2, x, y, z), cut to k per row. Both paths give the
+same bits; the fallback is the general rule and the argsort its shortcut.
+
+The answer (Neighbors) is one (n, k, 3) array, NaN past each row's count,
+with the count per row; indexing it gives the row's (count, 3) points.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,9 +79,9 @@ import numpy as np
 _AXIS_BITS = 21
 _AXIS_OFF = 1 << (_AXIS_BITS - 1)
 
-# Candidate slots gathered per chunk of queries: 64 octants of full 32-point
-# cells. Bounds the temporaries of a pass (and so peak memory) whatever the
-# box size.
+# Candidate slots gathered per chunk of queries: a chunk holds as many rows
+# as fit at the width of its widest row (occupied box cells times cell_cap).
+# Bounds the temporaries of a pass (and so peak memory) whatever the box size.
 _CHUNK_SLOTS = 64 * 8 * 32
 # Box cells looked up per group of queries; bounds the lookup's temporaries
 # when a wide box reaches many queries.
@@ -95,6 +116,25 @@ def _box(side: int) -> np.ndarray:
     deltas = (cells[:, 0] << (2 * _AXIS_BITS)) + (cells[:, 1] << _AXIS_BITS) + cells[:, 2]
     deltas.setflags(write=False)
     return deltas
+
+
+@dataclass(frozen=True)
+class Neighbors:
+    """Nearest neighbors of n queries: points (n, k, 3), NaN past each row's
+    count, and counts (n,) int64. Row i, by index or iteration, is
+    points[i, :counts[i]], so a row with no neighbor is (0, 3)."""
+
+    points: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, i) -> np.ndarray:
+        return self.points[i, :self.counts[i]]
+
+    def __iter__(self):
+        return (row[:c] for row, c in zip(self.points, self.counts.tolist()))
 
 
 def _sq_dist(dx, dy, dz) -> np.ndarray:
@@ -299,35 +339,37 @@ class VoxelMap:
         np.minimum(pos, len(known) - 1, out=pos)
         return np.where(known[pos] == keys, self._key_rows[pos], 0)
 
-    def knn_batch(self, queries, k: int) -> list[np.ndarray]:
+    def knn_batch(self, queries, k: int) -> Neighbors:
         """Up to k nearest stored points within the search radius, per query.
 
         Exact Euclidean nearest neighbors, ascending distance, ties broken
         by lexicographic coordinates; fewer than k points where the radius
         cuts the search off. Box passes of growing side answer the queries,
         the last one every query still open (see the module docstring).
+        Returns one Neighbors record for all queries, in query order.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        nb = Neighbors(np.full((len(queries), k, 3), np.nan),
+                       np.zeros(len(queries), dtype=np.int64))
         if len(self._keys) == 0:
-            return [np.empty((0, 3)) for _ in range(len(queries))]
-        results: list = [None] * len(queries)
+            return nb
         pending = np.arange(len(queries))
         cover = 2 * (int(self.search_radius / self.edge) + 1) + 1
         side = 2
         while side < cover:
-            pending = self._box_pass(queries, pending, k, results, side, cover=False)
+            pending = self._box_pass(queries, pending, k, nb, side, cover=False)
             side = 2 * side - 1
-        self._box_pass(queries, pending, k, results, cover, cover=True)
-        return results
+        self._box_pass(queries, pending, k, nb, cover, cover=True)
+        return nb
 
     def _box_pass(self, queries: np.ndarray, pending: np.ndarray, k: int,
-                  results: list, side: int, cover: bool) -> np.ndarray:
+                  nb: Neighbors, side: int, cover: bool) -> np.ndarray:
         """Rank each pending query's side**3 box of cells: the octant toward
         the nearest cell corner (side 2) or the box centred on its cell (odd
-        side). Fills results[r] for every row the box certifies, or for every
-        row in the cover pass, and returns the rows it could not."""
+        side). Fills nb's row for every query the box certifies, or for
+        every query in the cover pass, and returns the ones it could not."""
         if len(pending) == 0:
             return pending
         scaled = queries[pending] / self.edge
@@ -343,26 +385,36 @@ class VoxelMap:
         for g in range(0, len(pending), group):
             box_rows = self._lookup(corner_keys[g:g + group, None] + _box(side))
             # Occupied cells first (absent ones look up the sentinel row 0),
-            # trimmed to the box with the most of them.
+            # and rows with the most of them first.
             box_rows = np.sort(box_rows, axis=1)[:, ::-1]
-            box_rows = box_rows[:, :max(1, np.count_nonzero(box_rows, axis=1).max())]
-            chunk = max(1, _CHUNK_SLOTS // (box_rows.shape[1] * self.cell_cap))
-            for lo in range(g, g + len(box_rows), chunk):
-                hi = min(lo + chunk, g + len(box_rows))
-                certified[lo:hi] = self._rank(queries, pending[lo:hi], box_rows[lo - g:hi - g],
-                                              k, None if cover else certify_sq[lo:hi], results)
+            occupied = np.count_nonzero(box_rows, axis=1)
+            by_width = np.argsort(-occupied, kind="stable")
+            lo = 0
+            while lo < len(by_width):
+                width = max(1, int(occupied[by_width[lo]]))
+                hi = min(lo + max(1, _CHUNK_SLOTS // (width * self.cell_cap)), len(by_width))
+                rows = by_width[lo:hi]
+                at = g + rows
+                certified[at] = self._rank(queries, pending[at], box_rows[rows, :width], k,
+                                           None if cover else certify_sq[at], nb)
+                lo = hi
         return pending[~certified]
 
     def _rank(self, queries: np.ndarray, pending: np.ndarray, box_rows: np.ndarray, k: int,
-              certify_sq, results: list) -> np.ndarray:
+              certify_sq, nb: Neighbors) -> np.ndarray:
         """Rank the points of the cell rows box_rows[i] for the query
-        pending[i]. Fills results[r] with the up to k best points within the
+        pending[i]. Fills nb's row with the up to k best points within the
         search radius of every query it certifies (all when certify_sq is
         None) and returns which those are."""
         q = queries[pending]
         width = box_rows.shape[1] * self.cell_cap
-        cand = np.take(self._slots, box_rows, axis=1).reshape(3, len(q), width)
-        d2 = _sq_dist(*(cand - q.T[:, :, None]))
+        # The differences overwrite the gathered coordinates, so a chunk
+        # holds one (3, rows, width) array, freed before the partition; the
+        # few ranked points are gathered again from the store (_candidates).
+        diff = np.take(self._slots, box_rows, axis=1).reshape(3, len(q), width)
+        diff -= q.T[:, :, None]
+        d2 = _sq_dist(*diff)
+        del diff
         kth = (np.partition(d2, k - 1, axis=1)[:, k - 1] if k <= width
                else np.full(len(q), np.inf))
         ok = np.ones(len(q), dtype=bool) if certify_sq is None else kth < certify_sq
@@ -373,21 +425,43 @@ class VoxelMap:
         # keep none.
         limit = np.where(ok, np.minimum(kth, self.search_radius ** 2), -np.inf)
         kept = d2 <= limit[:, None]
+        counts = np.count_nonzero(kept, axis=1)
+        if np.all(counts[ok] == k):
+            answered = pending[ok]
+            # Row-major, so certified row i's k candidates fill row i.
+            flat = np.flatnonzero(kept).reshape(len(answered), k)
+            d2_kept = d2.take(flat)
+            order = np.argsort(d2_kept, axis=1, kind="stable")
+            order += np.arange(0, flat.size, k)[:, None]
+            d2_kept = d2_kept.take(order)
+            if np.all(d2_kept[:, 1:] > d2_kept[:, :-1]):
+                top = flat.take(order)
+                nb.points[answered] = self._candidates(box_rows, top).transpose(1, 2, 0)
+                nb.counts[answered] = k
+                return ok
+        self._rank_ties(box_rows, d2, kept, counts, pending, k, nb)
+        return ok
+
+    def _rank_ties(self, box_rows: np.ndarray, d2: np.ndarray, kept: np.ndarray,
+                   counts: np.ndarray, pending: np.ndarray, k: int, nb: Neighbors) -> None:
+        """The general ranking of _rank: order each row's kept candidates by
+        (d^2, x, y, z) and write its first min(count, k) points and their
+        number into nb (uncertified rows keep none and stay empty)."""
         flat = np.flatnonzero(kept)
-        pts = cand.reshape(3, -1).take(flat, axis=1)
+        pts = self._candidates(box_rows, flat)
         # The row is the primary key, so row i's candidates fill
         # order[starts[i]:starts[i] + counts[i]], best first.
-        order = np.lexsort((pts[2], pts[1], pts[0], d2.take(flat), flat // width))
-        counts = kept.sum(axis=1)
+        order = np.lexsort((pts[2], pts[1], pts[0], d2.take(flat), flat // d2.shape[1]))
         starts = np.cumsum(counts) - counts
         take = np.minimum(counts, k)
         ends = np.cumsum(take)
-        top = order[np.arange(ends[-1]) + np.repeat(starts - ends + take, take)]
-        best = np.ascontiguousarray(pts.take(top, axis=1).T)
-        # Every certified row holds k points unless the search radius cut
-        # it short, which only the cover pass certifies.
-        per_row = (best.reshape(-1, k, 3) if len(best) == k * np.count_nonzero(ok)
-                   else np.split(best, ends[ok][:-1]))
-        for r, b in zip(pending[ok].tolist(), per_row):
-            results[r] = b
-        return ok
+        slot = np.arange(ends[-1]) - np.repeat(ends - take, take)
+        top = order[slot + np.repeat(starts, take)]
+        nb.points[np.repeat(pending, take), slot] = pts.take(top, axis=1).T
+        nb.counts[pending] = take
+
+    def _candidates(self, box_rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
+        """Coordinates (3, *flat.shape) of the candidates at flat indices into
+        the (rows, box cells * cell_cap) candidate grid of box_rows."""
+        cell, slot = np.divmod(flat, self.cell_cap)
+        return self._slots[:, box_rows.ravel()[cell], slot]

@@ -16,8 +16,9 @@ def short_run():
                                            transport="inproc", seed=3))
 
 
-def test_run_is_deterministic_and_real_map_knn_is_exact(monkeypatch):
-    # Record the map and the queries of every kNN pass of a short run.
+def record_knn_calls(monkeypatch):
+    """Wrap VoxelMap.knn_batch; the returned list collects (map, queries)
+    per call."""
     calls = []
     batch = VoxelMap.knn_batch
 
@@ -26,6 +27,12 @@ def test_run_is_deterministic_and_real_map_knn_is_exact(monkeypatch):
         return batch(vmap, queries, k)
 
     monkeypatch.setattr(VoxelMap, "knn_batch", recording)
+    return calls
+
+
+def test_run_is_deterministic_and_real_map_knn_is_exact(monkeypatch):
+    # Record the map and the queries of every kNN pass of a short run.
+    calls = record_knn_calls(monkeypatch)
     metrics, rows = short_run()
     monkeypatch.undo()
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quantlio import coprocessor, pipeline
-from quantlio.voxelmap import _INITIAL_ROWS, VoxelMap, _solve_gram, _sq_dist, plane_fit_batch
+from quantlio import coprocessor, pipeline, voxelmap
+from quantlio.voxelmap import (_INITIAL_ROWS, Neighbors, VoxelMap, _solve_gram, _sq_dist,
+                               plane_fit_batch)
+from test_pipeline import record_knn_calls, short_run
 
 
 def brute_knn(points, query, k, radius=5.0):
@@ -52,14 +54,42 @@ def record_passes(monkeypatch):
     answered = []
     box_pass = VoxelMap._box_pass
 
-    def recording(vm, queries, pending, k, results, side, cover):
-        rest = box_pass(vm, queries, pending, k, results, side, cover)
+    def recording(vm, queries, pending, k, nb, side, cover):
+        rest = box_pass(vm, queries, pending, k, nb, side, cover)
         if len(pending):
             answered.append((side, len(pending) - len(rest)))
         return rest
 
     monkeypatch.setattr(VoxelMap, "_box_pass", recording)
     return answered
+
+
+def record_chunks(monkeypatch):
+    """Wrap VoxelMap._box_pass, _rank and _rank_ties; the returned list
+    collects, per chunk, (box side of its pass, box cells gathered per row,
+    rows certified, whether the tie fallback ranked it)."""
+    chunks = []
+    side, fell_back = [], []
+    box_pass, rank, rank_ties = VoxelMap._box_pass, VoxelMap._rank, VoxelMap._rank_ties
+
+    def recording_pass(vm, queries, pending, k, nb, side_, cover):
+        side[:] = [side_]
+        return box_pass(vm, queries, pending, k, nb, side_, cover)
+
+    def recording_ties(vm, *args):
+        fell_back.append(True)
+        return rank_ties(vm, *args)
+
+    def recording(vm, queries, pending, box_rows, k, certify_sq, nb):
+        fell_back.clear()
+        ok = rank(vm, queries, pending, box_rows, k, certify_sq, nb)
+        chunks.append((side[0], box_rows.shape[1], int(np.count_nonzero(ok)), bool(fell_back)))
+        return ok
+
+    monkeypatch.setattr(VoxelMap, "_box_pass", recording_pass)
+    monkeypatch.setattr(VoxelMap, "_rank", recording)
+    monkeypatch.setattr(VoxelMap, "_rank_ties", recording_ties)
+    return chunks
 
 
 class TestInsert:
@@ -337,6 +367,122 @@ class TestKnnBatchProperties:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             VoxelMap().knn_batch(np.zeros((1, 3)), 0)
+
+
+class TestRankingPaths:
+    """The tie-free argsort path and the lexsort tie fallback of _rank, in
+    chunks small enough that one call splits into chunks of several widths."""
+
+    def test_mixed_tie_free_and_tied_rows(self, monkeypatch):
+        # The lattice of test_ties_at_the_partition_boundary, queried at its
+        # central lattice points (the k-th distance falls inside a tie) and
+        # at jittered points (no ties), interleaved in one batch.
+        monkeypatch.setattr(voxelmap, "_CHUNK_SLOTS", 2 * 8 * 32)
+        axis = np.arange(-2, 3)
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3) * 0.25
+        rng = np.random.default_rng(21)
+        tied = grid[np.abs(grid).max(axis=1) <= 0.25]
+        free = rng.uniform(-0.6, 0.6, (len(tied), 3))
+        queries = np.stack([tied, free], axis=1).reshape(-1, 3)
+        vm = VoxelMap(edge=0.5)
+        vm.insert(rng.permutation(grid))
+        stored = vm.points
+        chunks = record_chunks(monkeypatch)
+        for k in (6, 9, 13, 19):
+            for q, got in zip(queries, vm.knn_batch(queries, k)):
+                np.testing.assert_array_equal(got, brute_knn(stored, q, k))
+        # The octant pass alone splits into chunks of several widths, and
+        # both ranking paths certify rows.
+        assert len({width for side, width, _, _ in chunks if side == 2}) > 1
+        assert {fell_back for _, _, n, fell_back in chunks if n} == {False, True}
+
+    def test_radius_cut_does_not_compensate_a_tie(self, monkeypatch):
+        # One cover-pass chunk of two rows, k = 3. The centre row keeps 4
+        # points: two inside the radius and two tied exactly at it, the
+        # k-th distance. The far row keeps 2, cut short by the radius. The
+        # rows keep 2k points between them, and cut into rows of 3 in
+        # candidate order, each would read strictly increasing; the fast
+        # path still must not take them, since neither row keeps exactly k.
+        k, centre = 3, np.full(3, 0.25)
+        far = centre + [10.0, 0.0, 0.0]
+        # Insertion order sets the cell rows, and so the candidate order:
+        # the tied points come first and last in the centre row's box.
+        tie_low, near, mid, tie_high = centre + np.array(
+            [[0, 0, -1], [0.3, 0, 0], [0, 0.6, 0], [1, 0, 0]])
+        far_pts = far + np.array([[0.0, 0.2, 0.0], [0.5, 0.0, 0.0]])
+        vm = VoxelMap(edge=0.5, search_radius=1.0)
+        vm.insert(np.concatenate([[tie_low, near, mid, tie_high], far_pts]))
+        passes = record_passes(monkeypatch)
+        chunks = record_chunks(monkeypatch)
+        nb = vm.knn_batch([far, centre], k)
+        assert passes == [(2, 0), (3, 0), (5, 0), (7, 2)]
+        assert chunks[-1] == (7, 4, 2, True)
+        np.testing.assert_array_equal(nb[0], far_pts)
+        np.testing.assert_array_equal(nb[1], [near, mid, tie_low])
+        stored = vm.points
+        for q, got in zip([far, centre], nb):
+            np.testing.assert_array_equal(got, brute_knn(stored, q, k, 1.0))
+
+    def test_real_map_rows_take_the_fast_path(self, monkeypatch):
+        # The map and the last three scans' queries of a short run: at least
+        # 95% of the rows are ranked by the argsort, and all exactly.
+        calls = record_knn_calls(monkeypatch)
+        short_run()
+        monkeypatch.undo()
+        vm = calls[-1][0]
+        queries = np.concatenate([q for _, q in calls[-3:]])
+        chunks = record_chunks(monkeypatch)
+        nb = vm.knn_batch(queries, 5)
+        fast = sum(n for _, _, n, fell_back in chunks if not fell_back)
+        assert sum(n for _, _, n, _ in chunks) == len(queries)
+        assert fast >= 0.95 * len(queries)
+        stored = vm.points
+        for q, got in zip(queries, nb):
+            np.testing.assert_array_equal(got, brute_knn(stored, q, 5, vm.search_radius))
+
+
+class TestNeighbors:
+    """The Neighbors record knn_batch returns: (n, k, 3) points, NaN past
+    each row's int64 count, and per-row views through len, index and
+    iteration."""
+
+    @staticmethod
+    def assert_contract(nb, n, k):
+        assert isinstance(nb, Neighbors) and len(nb) == n
+        assert nb.points.shape == (n, k, 3)
+        assert nb.counts.shape == (n,) and nb.counts.dtype == np.int64
+        for i in range(n):
+            c = nb.counts[i]
+            assert nb[i].shape == (c, 3)
+            assert np.isfinite(nb.points[i, :c]).all() and np.isnan(nb.points[i, c:]).all()
+        rows = list(nb)
+        assert len(rows) == n
+        for a, b in zip(rows, [nb[i] for i in range(len(nb))]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_empty_map(self):
+        nb = VoxelMap().knn_batch(np.zeros((4, 3)), 3)
+        self.assert_contract(nb, 4, 3)
+        assert [g.shape for g in nb] == [(0, 3)] * 4
+
+    def test_full_cut_and_empty_rows(self):
+        rng = np.random.default_rng(8)
+        vm = VoxelMap(edge=0.5, search_radius=1.0)
+        vm.insert(rng.uniform(-1, 1, (300, 3)))
+        vm.insert([5.0, 0.0, 0.0])
+        queries = np.array([[0.0, 0.0, 0.0], [5.5, 0.0, 0.0], [20.0, 0.0, 0.0]])
+        nb = vm.knn_batch(queries, 4)
+        self.assert_contract(nb, 3, 4)
+        assert nb.counts.tolist() == [4, 1, 0]
+        assert nb[2].shape == (0, 3) and nb[-1].shape == (0, 3)
+        np.testing.assert_array_equal(nb[1], [[5.0, 0.0, 0.0]])
+
+    def test_single_query(self):
+        vm = VoxelMap()
+        vm.insert([[1.0, 2.0, 3.0], [1.0, 2.0, 3.5]])
+        nb = vm.knn_batch([1.0, 2.0, 3.1], 2)
+        self.assert_contract(nb, 1, 2)
+        np.testing.assert_array_equal(nb[0], [[1.0, 2.0, 3.0], [1.0, 2.0, 3.5]])
 
 
 def plane_fit_svd(stacks, max_residual=0.1, cond_limit=1e8):
