@@ -7,10 +7,11 @@ taking scan-start IMU coordinates into the scan-end IMU frame, so applying
 the interpolated fraction of its twist to a point captured mid-scan moves it
 into the end-of-scan frame.
 
-A scan stays in arrays up to group building: one batched pose per column
+A scan stays in arrays from start to end: one batched pose per column
 timestamp, gathered per point (within 1e-12 m of a per-column loop, not bit
 for bit), then one PlaneObservations record that resampling and grouping
-filter and quantize whole, selecting exactly what per-row loops would.
+filter and quantize whole, selecting exactly what per-row loops would, and
+last one wire.ObservationGroups record, which pack_groups encodes.
 
 Voxel selection, in voxel_downsample and per rq bucket in rq_resample,
 keeps the member nearest each voxel's center, ties broken by coordinates and
@@ -42,7 +43,8 @@ from .quantizer import (
     quantize_residual_vectors, quantize_zs,
 )
 from .voxelmap import VoxelMap, plane_fit_batch
-from .wire import ObservationGroup, unflatten_groups
+# ObservationGroup is unused here; bench/tests/test_bench.py imports it from this module.
+from .wire import ObservationGroup, ObservationGroups  # noqa: F401
 
 MODES = ("qlio", "baseline-float", "baseline-int8", "qlio-no-rqrs")
 
@@ -265,7 +267,7 @@ def rq_resample(observations: PlaneObservations, cb: Codebook, ds_0: float,
     return observations[_voxel_representatives(pts, edges, bucket)]
 
 
-def build_groups(observations: PlaneObservations, cb: Codebook) -> list[ObservationGroup]:
+def build_groups(observations: PlaneObservations, cb: Codebook) -> ObservationGroups:
     """Quantize observations and group them under shared rq keys.
 
     Groups are ordered by ascending key; members within a group by ascending
@@ -277,7 +279,7 @@ def build_groups(observations: PlaneObservations, cb: Codebook) -> list[Observat
 
     order = np.lexsort((z_idx, p_idx[:, 2], p_idx[:, 1], p_idx[:, 0], keys))
     uniq, counts = np.unique(keys[order], return_counts=True)
-    return unflatten_groups(uniq, counts, np.column_stack([z_idx, p_idx])[order])
+    return ObservationGroups(uniq, counts, np.column_stack([z_idx, p_idx])[order])
 
 
 class Coprocessor:

@@ -33,9 +33,9 @@ from .manifold import (
 )
 from .quantizer import Codebook, dequantize_point, dequantize_residual_key
 from .wire import (
-    FrameType, ProtocolOrderError, SessionConfig, WireFrame,
+    FrameType, ObservationGroups, ProtocolOrderError, SessionConfig, WireFrame,
     decode_pose_req, encode_config, encode_frame, encode_pose_resp,
-    encode_state_update, flatten_groups, unpack_groups,
+    encode_state_update, unpack_groups,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -132,9 +132,9 @@ def _information_update(state: NavState, cov: np.ndarray, rows: np.ndarray,
     return boxplus(state, delta), post_cov
 
 
-def qmap_update(state: NavState, cov: np.ndarray, groups, cb: Codebook,
-                sigma: float, extrinsic):
-    """Single-pass quantized-MAP update from decoded observation groups.
+def qmap_update(state: NavState, cov: np.ndarray, groups: ObservationGroups,
+                cb: Codebook, sigma: float, extrinsic):
+    """Single-pass quantized-MAP update from a decoded observation group set.
 
     Per member the z interval comes from its z index, the direction from the
     group's dequantized residual-vector center (normalized), and the point
@@ -144,7 +144,7 @@ def qmap_update(state: NavState, cov: np.ndarray, groups, cb: Codebook,
     if eig_min < -1e-9:
         raise ValueError(f"prior covariance is not PSD (min eigenvalue {eig_min:.2e})")
 
-    keys, counts, members = flatten_groups(groups)
+    keys, counts, members = groups.keys, groups.counts, groups.members
     # One surrogate per z index present (l_z may be 16).
     cells, cell_of = np.unique(members[:, 0], return_inverse=True)
     lo = cells * cb.z_step

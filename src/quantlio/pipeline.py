@@ -43,6 +43,9 @@ POINT_OBS_BITS = 96   # bare float32 point triple
 DIVERGENCE_TRACE = 1e6
 DIVERGENCE_POSITION = 1e4
 SWEEP_DIVERGENCE_FACTOR = 10.0
+# LiDAR-to-IMU extrinsic (rotation, translation) of every run; the CONFIG
+# frame carries it to the coprocessor.
+EXTRINSIC = (np.eye(3), np.array([0.05, 0.0, 0.08]))
 
 
 @dataclass
@@ -64,9 +67,6 @@ class RunConfig:
     imu_rate: float = 200.0
     noise: NoiseParams = field(default_factory=NoiseParams)
     lidar: LidarModel = field(default_factory=LidarModel)
-    extrinsic_rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    extrinsic_translation: np.ndarray = field(
-        default_factory=lambda: np.array([0.05, 0.0, 0.08]))
     trajectory_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -78,6 +78,12 @@ class RunConfig:
             raise ValueError("duration must be in (0, 300] s")
         if self.out_dir == "":
             raise ValueError("out_dir must not be empty")
+        if not self.ds_0 > 0.0:
+            raise ValueError("ds_0 must be positive")
+        if not self.sigma > 0.0:
+            raise ValueError("sigma must be positive")
+        if not self.alpha >= 0.0:
+            raise ValueError("alpha must be nonnegative")
 
 
 @dataclass
@@ -208,8 +214,7 @@ def _make_host(cfg: RunConfig, gt) -> Host:
     state.gravity = GRAVITY_W.copy()
     session = SessionConfig(
         codebook=cfg.codebook, ds_0=cfg.ds_0, alpha=cfg.alpha, sigma=cfg.sigma,
-        extrinsic_rotation=cfg.extrinsic_rotation,
-        extrinsic_translation=cfg.extrinsic_translation)
+        extrinsic_rotation=EXTRINSIC[0], extrinsic_translation=EXTRINSIC[1])
     imu_seed = int(np.random.SeedSequence(cfg.seed).generate_state(1)[0])
     stream = synth_imu(gt, cfg.noise, rate_hz=cfg.imu_rate, seed=imu_seed)
     return Host(state=state, cov=default_init_cov(), config=session,
@@ -248,10 +253,9 @@ def run(cfg: RunConfig):
             f"the {cfg.trajectory} trajectory comes {clearance:.2f} m from the {cfg.scene} "
             f"walls (negative: outside), under the LiDAR minimum range {cfg.lidar.min_range} m")
     host = _make_host(cfg, gt)
-    extrinsic = (cfg.extrinsic_rotation, cfg.extrinsic_translation)
     sim_time = _time.perf_counter() - t0
 
-    stats = _run_scans(cfg, scene, gt, host, extrinsic, scan_seed)
+    stats = _run_scans(cfg, scene, gt, host, scan_seed)
     rows = _trajectory_rows(host)
     metrics = _finalize(gt, host, rows, stats, sim_time, t0)
     if cfg.out_dir is not None:
@@ -259,7 +263,7 @@ def run(cfg: RunConfig):
     return metrics, rows
 
 
-def _run_scans(cfg: RunConfig, scene, gt, host: Host, extrinsic, scan_seed):
+def _run_scans(cfg: RunConfig, scene, gt, host: Host, scan_seed):
     """The scan loop of every mode.
 
     Per scan the coprocessor requests the prior pose, turns the scan into
@@ -280,7 +284,7 @@ def _run_scans(cfg: RunConfig, scene, gt, host: Host, extrinsic, scan_seed):
         for t_k in _scan_schedule(cfg):
             pts, times = synth_scan(scene, gt, cfg.lidar, t_k,
                                     seed=scan_seed ^ int(t_k * 1e6),
-                                    extrinsic=extrinsic)
+                                    extrinsic=EXTRINSIC)
             tw = _time.perf_counter()
             req = encode_frame(FrameType.POSE_REQ, int(t_k * 1e6),
                                encode_pose_req(int(t_prev * 1e6), int(t_k * 1e6)))

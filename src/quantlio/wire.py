@@ -31,6 +31,13 @@ Payloads:
                   or a nonzero padding bit raises WireError.
     STATE_UPDATE  posterior pose, quaternion + translation as above.
 
+A group set is one ObservationGroups record of int64 arrays from
+coprocessor.build_groups through pack_groups, unpack_groups and
+estimator.qmap_update, so neither processor builds a list of groups.
+Iterating a record yields its per-group view, one ObservationGroup (key,
+list of (z, (px, py, pz)) tuples) per group, for comparing group sets;
+pack_groups also accepts a list of them.
+
 The session runs one CONFIG (host to coprocessor) then, per scan,
 POSE_REQ -> POSE_RESP -> OBS_GROUPS -> STATE_UPDATE. The host
 (estimator.Host) enforces the order: a POSE_REQ window must start at the
@@ -155,22 +162,40 @@ class ObservationGroup:
     members: list
 
 
-def flatten_groups(groups):
-    """Keys (g,), member counts (g,) and members (n, 4) as rows of
-    (z, px, py, pz), all int64, in group then member order."""
-    keys = np.array([g.rq_key for g in groups], dtype=np.int64)
-    counts = np.array([len(g.members) for g in groups], dtype=np.int64)
-    members = np.array([(z, *p) for g in groups for z, p in g.members],
-                       dtype=np.int64).reshape(-1, 4)
-    return keys, counts, members
+@dataclass(frozen=True)
+class ObservationGroups:
+    """An observation group set: keys (g,), member counts (g,) and members
+    (n, 4) as rows of (z, px, py, pz), all int64, in group then member order.
+    len() is the group count; iteration yields one ObservationGroup per
+    group, with plain ints."""
 
+    keys: np.ndarray
+    counts: np.ndarray
+    members: np.ndarray
 
-def unflatten_groups(keys, counts, members) -> list[ObservationGroup]:
-    """Inverse of flatten_groups; keys and indices come back as plain ints."""
-    flat = [(z, (px, py, pz)) for z, px, py, pz in members.tolist()]
-    ends = np.cumsum(counts).tolist()
-    return [ObservationGroup(rq_key=key, members=flat[end - n:end])
-            for key, n, end in zip(keys.tolist(), counts.tolist(), ends)]
+    @classmethod
+    def of(cls, groups) -> "ObservationGroups":
+        """groups itself if it is a record, else a list of ObservationGroup
+        flattened; a value beyond 64 bits raises WireError."""
+        if isinstance(groups, cls):
+            return groups
+        try:
+            keys = np.array([g.rq_key for g in groups], dtype=np.int64)
+            counts = np.array([len(g.members) for g in groups], dtype=np.int64)
+            members = np.array([(z, *p) for g in groups for z, p in g.members],
+                               dtype=np.int64).reshape(-1, 4)
+        except OverflowError as exc:
+            raise WireError(f"field value does not fit in 64 bits: {exc}") from None
+        return cls(keys, counts, members)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        flat = [(z, (px, py, pz)) for z, px, py, pz in self.members.tolist()]
+        ends = np.cumsum(self.counts).tolist()
+        return (ObservationGroup(rq_key=key, members=flat[end - n:end])
+                for key, n, end in zip(self.keys.tolist(), self.counts.tolist(), ends))
 
 
 def _field_widths(cb: Codebook):
@@ -204,13 +229,12 @@ def _record_offsets(counts, head_bits: int, member_bits: int):
 
 
 def pack_groups(groups, cb: Codebook) -> bytes:
-    """Encode an observation group set into the OBS_GROUPS payload."""
+    """Encode an observation group set, an ObservationGroups record or a
+    list of ObservationGroup, into the OBS_GROUPS payload."""
     if len(groups) > 0xFFFF:
         raise WireError("too many groups for a 16-bit count")
-    try:
-        keys, counts, members = flatten_groups(groups)
-    except OverflowError as exc:
-        raise WireError(f"field value does not fit in 64 bits: {exc}") from None
+    groups = ObservationGroups.of(groups)
+    keys, counts, members = groups.keys, groups.counts, groups.members
     head_w, member_w = _field_widths(cb)
     records = (np.column_stack([keys, counts]), head_w), (members, member_w)
     for values, widths in records:
@@ -225,8 +249,8 @@ def pack_groups(groups, cb: Codebook) -> bytes:
     return struct.pack("<H", len(keys)) + np.packbits(bits).tobytes()
 
 
-def unpack_groups(payload: bytes, cb: Codebook):
-    """Decode an OBS_GROUPS payload back into observation groups.
+def unpack_groups(payload: bytes, cb: Codebook) -> ObservationGroups:
+    """Decode an OBS_GROUPS payload into an ObservationGroups record.
 
     Only the group headers are read one by one, since each member count
     places the next header; all members are then gathered at once.
@@ -257,12 +281,12 @@ def unpack_groups(payload: bytes, cb: Codebook):
     _, at = _record_offsets(counts, head_bits, member_bits)
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, offset=2))
     members = bits[at[:, None] + np.arange(member_bits)] @ _field_weights(member_w)
-    return unflatten_groups(np.array(keys, dtype=np.int64), counts, members)
+    return ObservationGroups(np.array(keys, dtype=np.int64), counts, members)
 
 
-def payload_bits(groups, cb: Codebook) -> int:
+def payload_bits(groups: ObservationGroups, cb: Codebook) -> int:
     """Exact bitstream length before padding (count field excluded)."""
-    return sum(3 * cb.l_n + 16 + len(g.members) * (cb.l_z + 3 * cb.l_p) for g in groups)
+    return len(groups.keys) * (3 * cb.l_n + 16) + len(groups.members) * (cb.l_z + 3 * cb.l_p)
 
 
 @dataclass
@@ -386,12 +410,6 @@ class StreamTransport:
         except OSError:
             pass
         self._sock.close()
-
-
-def inproc_pair() -> tuple[StreamTransport, StreamTransport]:
-    """Duplex in-process transport pair backed by a socketpair."""
-    a, b = socket.socketpair()
-    return StreamTransport(a), StreamTransport(b)
 
 
 def tcp_listen(port: int) -> socket.socket:

@@ -60,6 +60,12 @@ def test_bad_duration_or_out_dir_exits_2(tmp_path, capsys, monkeypatch):
     for duration in ("0", "-1"):
         assert cli.main(["--duration", duration]) == 2
         assert "duration must be in (0, 300] s" in capsys.readouterr().err
+    for flag, value, message in (("--ds0", "0", "ds_0 must be positive"),
+                                 ("--ds0", "-0.5", "ds_0 must be positive"),
+                                 ("--sigma", "0", "sigma must be positive"),
+                                 ("--alpha", "-0.01", "alpha must be nonnegative")):
+        assert cli.main([flag, value]) == 2
+        assert message in capsys.readouterr().err
     path = tmp_path / "run.cfg"
     path.write_text("duration = 1\nout_dir =\n")
     assert cli.main(["--config", str(path)]) == 2

@@ -455,14 +455,15 @@ class TestBuildGroups:
         obs = make_obs([0, 0, 1], 0.011, [(1.0 + i, 0.0, 0.0) for i in range(3)])
         groups = build_groups(obs, cb)
         assert len(groups) == 1
-        assert len(groups[0].members) == 3
+        assert groups.counts.tolist() == [3]
+        assert groups.members.shape == (3, 4)
 
     def test_two_keys_ascending(self):
         cb = Codebook()
         obs = make_obs([[0, 0, 1], [0, 0, -1]], 0.011, (1.0, 0.0, 0.0))
         groups = build_groups(obs, cb)
         assert len(groups) == 2
-        assert groups[0].rq_key < groups[1].rq_key
+        assert groups.keys[0] < groups.keys[1]
 
     def test_flatten_is_permutation_of_quantized_inputs(self):
         rng = np.random.default_rng(5)
@@ -486,8 +487,8 @@ class TestBuildGroups:
         cb = Codebook()
         obs = make_obs([0, 0, 1], 0.011, [(3.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)])
         groups = build_groups(obs, cb)
-        members = groups[0].members
-        assert members == sorted(members, key=lambda m: (m[1], m[0]))
+        rows = groups.members.tolist()  # (z, px, py, pz)
+        assert rows == sorted(rows, key=lambda m: (m[1:], m[0]))
 
 
 class TestCoprocessor:

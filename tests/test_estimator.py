@@ -19,7 +19,7 @@ from quantlio.quantizer import (
 from quantlio.simworld import LidarModel, build_scene, synth_scan, synth_trajectory
 from quantlio.voxelmap import VoxelMap
 from quantlio.wire import (
-    FrameType, ProtocolOrderError, SessionConfig, WireFrame,
+    FrameType, ObservationGroups, ProtocolOrderError, SessionConfig, WireFrame,
     decode_frame, decode_pose_resp, encode_frame, encode_pose_req,
     pack_groups,
 )
@@ -230,7 +230,7 @@ def reference_qmap_update(state, cov, groups, cb, sigma, extrinsic):
 
 
 def assert_same_update(state, cov, groups, cb, sigma, extrinsic):
-    got = qmap_update(state, cov, groups, cb, sigma, extrinsic)
+    got = qmap_update(state, cov, ObservationGroups.of(groups), cb, sigma, extrinsic)
     want = reference_qmap_update(state, cov, groups, cb, sigma, extrinsic)
     for name in ("rotation", "position", "velocity", "bias_gyro", "bias_accel"):
         np.testing.assert_array_equal(getattr(got[0], name), getattr(want[0], name))
@@ -304,7 +304,8 @@ class TestQmapUpdate:
     def test_empty_groups_no_change(self):
         state = NavState()
         cov = np.eye(ERROR_DIM) * 0.01
-        out, pout, info = qmap_update(state, cov, [], Codebook(), 0.02, IDENTITY)
+        out, pout, info = qmap_update(state, cov, ObservationGroups.of([]), Codebook(), 0.02,
+                                      IDENTITY)
         assert not info["updated"]
         np.testing.assert_array_equal(pout, cov)
         np.testing.assert_array_equal(out.position, state.position)
@@ -387,7 +388,7 @@ class TestQmapUpdate:
         cov = np.eye(ERROR_DIM)
         cov[0, 0] = -1.0
         with pytest.raises(ValueError):
-            qmap_update(NavState(), cov, [], Codebook(), 0.02, IDENTITY)
+            qmap_update(NavState(), cov, ObservationGroups.of([]), Codebook(), 0.02, IDENTITY)
 
 
 def make_host(sigma=0.02, imu=None):

@@ -7,7 +7,7 @@ import pytest
 from quantlio import estimator, pipeline
 from quantlio.manifold import rot_to_quat, so3_exp
 from quantlio.voxelmap import VoxelMap
-from quantlio.wire import HEADER, BadCrc, FrameType, TruncatedFrame
+from quantlio.wire import HEADER, BadCrc, FrameType, ObservationGroups, TruncatedFrame
 from test_manifold import loop_propagate
 
 
@@ -151,6 +151,22 @@ def test_every_mode_is_deterministic_and_counts_its_bits(monkeypatch, mode):
         assert metrics.measurements_total < metrics.measurements_assoc_total
     else:  # every associated observation is sent
         assert metrics.measurements_total == metrics.measurements_assoc_total
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket:0"])
+def test_scan_path_builds_no_group_list(monkeypatch, transport):
+    # Iterating a group set is the only way to a list of its groups; neither
+    # processor takes it, so a run that refuses it ends the same.
+    cfg = pipeline.RunConfig(duration=1.0, mode="qlio", transport=transport, seed=5)
+    want, rows_want = pipeline.run(cfg)
+
+    def no_list(groups):
+        raise AssertionError("a list of groups was built")
+
+    monkeypatch.setattr(ObservationGroups, "__iter__", no_list)
+    got, rows = pipeline.run(cfg)
+    assert got.deterministic_fields() == want.deterministic_fields()
+    assert rows.tobytes() == rows_want.tobytes()
 
 
 @pytest.mark.parametrize("transport", ["inproc", "socket:0"])

@@ -1,3 +1,4 @@
+import socket
 import struct
 import threading
 import time
@@ -10,14 +11,20 @@ from quantlio.coprocessor import ObservationGroup
 from quantlio.manifold import so3_exp
 from quantlio.quantizer import Codebook
 from quantlio.wire import (
-    HEADER, MAGIC, MAX_PAYLOAD, VERSION, BadCrc, BadMagic, BadVersion, FrameType, PeerClosed,
-    SessionConfig, TruncatedFrame,
+    HEADER, MAGIC, MAX_PAYLOAD, VERSION, BadCrc, BadMagic, BadVersion, FrameType,
+    ObservationGroups, PeerClosed, SessionConfig, StreamTransport, TruncatedFrame,
     UnknownFrameType, WireError, WireFrame,
     decode_config, decode_frame, decode_pose_req, decode_pose_resp,
     decode_state_update, encode_config, encode_frame, encode_pose_req,
-    encode_pose_resp, encode_state_update, inproc_pair, pack_groups,
+    encode_pose_resp, encode_state_update, pack_groups,
     payload_bits, tcp_connect, tcp_listen, unpack_groups,
 )
+
+
+def socket_pair() -> tuple[StreamTransport, StreamTransport]:
+    """Duplex in-process transport pair backed by a socketpair."""
+    a, b = socket.socketpair()
+    return StreamTransport(a), StreamTransport(b)
 
 
 def random_groups(rng, cb, max_groups=6, max_members=8):
@@ -209,12 +216,19 @@ class TestBitPacking:
         one = [ObservationGroup(rq_key=5, members=[(1, (2, 3, 4))])]
         packed = pack_groups(one, cb)
         # 9 + 16 + 11 = 36 bits -> 5 bitstream bytes, plus the 2-byte count.
-        assert payload_bits(one, cb) == 36
+        assert payload_bits(ObservationGroups.of(one), cb) == 36
         assert len(packed) == 7
         assert packed == bytes.fromhex("0100028000a9c0")
 
     def test_empty_set_two_bytes(self):
-        assert pack_groups([], Codebook()) == b"\x00\x00"
+        cb = Codebook()
+        empty = ObservationGroups.of([])
+        assert pack_groups([], cb) == pack_groups(empty, cb) == b"\x00\x00"
+        decoded = unpack_groups(b"\x00\x00", cb)
+        for record in (empty, decoded):
+            assert len(record) == 0 and list(record) == []
+            assert record.members.shape == (0, 4)
+            assert record.keys.dtype == record.counts.dtype == record.members.dtype == np.int64
 
     def test_random_round_trips_bit_exact(self):
         rng = np.random.default_rng(2)
@@ -237,6 +251,16 @@ class TestBitPacking:
         assert [(g.rq_key, g.members) for g in decoded] == \
                [(g.rq_key, g.members) for g in groups] == reference_unpack(packed, cb)
         assert all(type(v) is int for g in decoded for z, p in g.members for v in (z, *p))
+        # The decoded record holds the arrays the input flattens to.
+        record = ObservationGroups.of(groups)
+        for name in ("keys", "counts", "members"):
+            got, want = getattr(decoded, name), getattr(record, name)
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        assert decoded.members.shape == (sum(len(g.members) for g in groups), 4)
+        assert len(decoded) == len(record) == len(groups)
+        assert list(decoded) == list(record) == groups
+        assert pack_groups(record, cb) == packed
 
     @given(codebook_groups(max_groups=3, max_members=3), st.data())
     def test_out_of_range_fields_rejected(self, case, data):
@@ -284,7 +308,7 @@ class TestBitPacking:
         cb, groups = case
         packed = pack_groups(groups, cb)
         bad = [packed + extra]
-        pad = 8 * (len(packed) - 2) - payload_bits(groups, cb)
+        pad = 8 * (len(packed) - 2) - payload_bits(ObservationGroups.of(groups), cb)
         if pad:
             bit = data.draw(st.integers(0, pad - 1))
             bad.append(packed[:-1] + bytes([packed[-1] | 1 << bit]))
@@ -308,7 +332,7 @@ class TestBitPacking:
         cb = Codebook(l_p=5, l_n=2, l_z=3)
         groups = random_groups(rng, cb)
         packed = pack_groups(groups, cb)
-        bits = payload_bits(groups, cb)
+        bits = payload_bits(ObservationGroups.of(groups), cb)
         assert 0 <= 8 * (len(packed) - 2) - bits < 8
 
 
@@ -355,7 +379,7 @@ class TestPayloadCodecs:
 
 class TestTransports:
     def test_inproc_round_trip(self):
-        a, b = inproc_pair()
+        a, b = socket_pair()
         try:
             frame = encode_frame(FrameType.POSE_REQ, 42, encode_pose_req(0, 42))
             a.send_frame(frame)
@@ -370,7 +394,7 @@ class TestTransports:
         frame = encode_frame(FrameType.POSE_REQ, 42, encode_pose_req(0, 42))
         for tail, error in ((b"", PeerClosed), (frame[:HEADER.size - 3], TruncatedFrame),
                             (frame[:-1], TruncatedFrame)):
-            a, b = inproc_pair()
+            a, b = socket_pair()
             try:
                 a.send_frame(frame + tail)
                 a.close()
@@ -385,7 +409,7 @@ class TestTransports:
         # Refused once the 16 header bytes are in, not after the frame
         # deadline spent waiting for a payload that cannot be accepted.
         head = HEADER.pack(MAGIC, VERSION, FrameType.OBS_GROUPS, 0, length)
-        a, b = inproc_pair()
+        a, b = socket_pair()
         try:
             a.send_frame(head)
             start = time.perf_counter()
@@ -410,7 +434,6 @@ class TestTransports:
 
         def serve():
             conn, _ = server.accept()
-            from quantlio.wire import StreamTransport
             t = StreamTransport(conn)
             result["frame"] = t.recv_frame()
             t.send_frame(encode_frame(FrameType.STATE_UPDATE, 9,
