@@ -7,13 +7,13 @@ through a CRC-protected binary wire protocol, and a synthetic world supplies
 ground truth for every claim that can be checked.
 """
 
-from .manifold import NavState, ImuSample, NoiseParams, boxplus, boxminus, propagate
+from .manifold import NavState, ImuStream, NoiseParams, boxplus, boxminus, propagate
 from .quantizer import Codebook, bits_per_measurement
 from .voxelmap import VoxelMap
 from .pipeline import RunConfig, RunMetrics, ate, run, sweep
 
 __all__ = [
-    "NavState", "ImuSample", "NoiseParams", "boxplus", "boxminus", "propagate",
+    "NavState", "ImuStream", "NoiseParams", "boxplus", "boxminus", "propagate",
     "Codebook", "bits_per_measurement", "VoxelMap",
     "RunConfig", "RunMetrics", "ate", "run", "sweep",
 ]

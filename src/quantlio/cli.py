@@ -15,8 +15,7 @@ from .simworld import load_descriptor
 # flags set the same keys (argparse dest) and override the file.
 CONFIG_KEYS = {
     "scene": str, "trajectory": str, "mode": str, "transport": str, "out_dir": str,
-    "duration": float, "ds_0": float, "alpha": float, "sigma": float,
-    "imu_rate": float, "seed": int,
+    "duration": float, "ds_0": float, "alpha": float, "sigma": float, "seed": int,
     "scene_size": lambda text: tuple(float(v) for v in text.split()),
     "l_p": int, "l_n": int, "l_z": int, "r_max": float, "r_thr": float,
 }

@@ -29,7 +29,7 @@ from scipy.special import log_ndtr
 
 from .manifold import (
     BG, ERROR_DIM, POS, THETA,
-    NavState, NoiseParams, boxplus, propagate, rot_to_quat,
+    ImuStream, NavState, NoiseParams, boxplus, propagate, rot_to_quat,
 )
 from .quantizer import Codebook, dequantize_point, dequantize_residual_key
 from .wire import (
@@ -196,32 +196,19 @@ class HostLog:
 
 @dataclass
 class Host:
-    """Owns the filter state and answers coprocessor frames in order."""
+    """Owns the filter state and answers coprocessor frames in order; each
+    pose request propagates over its window of the run's IMU stream."""
 
     state: NavState
     cov: np.ndarray
     config: SessionConfig
     noise: NoiseParams
-    imu: list
+    imu: ImuStream
     time: float = 0.0
     logs: list = field(default_factory=list)
     awaiting_obs: bool = False
     pending_t: float = 0.0
     skipped_scans: int = 0
-    _imu_t: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # Sample times, built once: each scan hands propagate only its window.
-        self._imu_t = np.array([s.t_us for s in self.imu], dtype=np.int64) * 1e-6
-        if np.any(np.diff(self._imu_t) <= 0.0):
-            raise ValueError("IMU timestamps must strictly increase")
-
-    def _imu_window(self, t_start: float, t_end: float) -> list:
-        """Samples from the last at or before t_start through the first at
-        or after t_end: all that propagate reads for that window."""
-        lo = max(int(np.searchsorted(self._imu_t, t_start, side="right")) - 1, 0)
-        hi = int(np.searchsorted(self._imu_t, t_end, side="left")) + 1
-        return self.imu[lo:hi]
 
     def config_frame(self) -> bytes:
         return encode_frame(FrameType.CONFIG, int(self.time * 1e6),
@@ -251,7 +238,7 @@ class Host:
 
         pose_prev = (self.state.rotation.copy(), self.state.position.copy())
         self.state, self.cov = propagate(self.state, self.cov,
-                                         self._imu_window(self.time, t_k), self.noise,
+                                         self.imu.window(self.time, t_k), self.noise,
                                          t_start=self.time, t_end=t_k)
         pose_k = (self.state.rotation, self.state.position)
         # Transform taking scan-start IMU coordinates into the end frame.

@@ -164,13 +164,38 @@ class NavState:
                         self.bias_gyro.copy(), self.bias_accel.copy(), self.gravity.copy())
 
 
-@dataclass
-class ImuSample:
-    """One IMU reading: gyro in rad/s, accel (specific force) in m/s^2."""
+@dataclass(frozen=True, eq=False)
+class ImuStream:
+    """IMU readings as rows: stamps t_us (n,) int64 and t (n,) in seconds,
+    gyro (n, 3) in rad/s, accel (n, 3) specific force in m/s^2. The stamps
+    are checked once, here; a window is a slice of the checked arrays."""
 
-    t_us: int
+    t_us: np.ndarray
     gyro: np.ndarray
     accel: np.ndarray
+    t: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        t_us = np.asarray(self.t_us, dtype=np.int64)
+        gyro, accel = np.asarray(self.gyro, dtype=float), np.asarray(self.accel, dtype=float)
+        if t_us.ndim != 1 or gyro.shape != (len(t_us), 3) or accel.shape != gyro.shape:
+            raise ValueError("IMU stream needs t_us (n,), gyro (n, 3) and accel (n, 3)")
+        if np.any(np.diff(t_us) <= 0):
+            raise ValueError("IMU timestamps must strictly increase")
+        vars(self).update(t_us=t_us, gyro=gyro, accel=accel, t=t_us * 1e-6)
+
+    def __len__(self) -> int:
+        return len(self.t_us)
+
+    def window(self, t_start: float, t_end: float) -> "ImuStream":
+        """Samples from the last at or before t_start through the first at
+        or after t_end (as far as the stream reaches): all that propagate
+        reads for that window."""
+        lo = max(int(np.searchsorted(self.t, t_start, side="right")) - 1, 0)
+        hi = int(np.searchsorted(self.t, t_end, side="left")) + 1
+        rows = object.__new__(ImuStream)
+        vars(rows).update((name, value[lo:hi]) for name, value in vars(self).items())
+        return rows
 
 
 @dataclass
@@ -276,27 +301,23 @@ def imu_steps(state: NavState, gyro, accel, dt):
     return out, fx, fw
 
 
-def propagate(state: NavState, cov: np.ndarray, samples, noise: NoiseParams,
+def propagate(state: NavState, cov: np.ndarray, imu: ImuStream, noise: NoiseParams,
               t_start: float | None = None, t_end: float | None = None):
-    """Advance mean and covariance through an IMU segment.
+    """Advance mean and covariance through an IMU stream.
 
     Inputs are zero-order held: sample i applies over [t_i, t_{i+1}). When
     t_start / t_end are given (seconds), integration is clipped to that
     window, holding the latest sample at or before each sub-interval.
     Per-step dt must stay at or below MAX_IMU_DT.
 
-    The window is one array pass: the step breaks, lengths and held samples
-    come from one searchsorted, imu_steps computes every mean step and
-    Jacobian at once, and only the covariance recursion
+    The window is one array pass: the step breaks, lengths and held rows
+    come from one searchsorted over imu.t, imu_steps computes every mean
+    step and Jacobian at once, and only the covariance recursion
     P <- fx P fx^T + fw diag(q / dt) fw^T runs step by step.
     """
-    samples = list(samples)
-    if not samples:
+    if not len(imu):
         raise ValueError("propagate needs at least one IMU sample")
-    times = np.array([s.t_us for s in samples], dtype=np.int64) * 1e-6
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("IMU timestamps must strictly increase")
-
+    times = imu.t
     if t_start is None:
         t_start = times[0]
     if t_end is None:
@@ -318,10 +339,8 @@ def propagate(state: NavState, cov: np.ndarray, samples, noise: NoiseParams,
     if len(too_long):
         raise ValueError(f"IMU step {dt[too_long[0]]:.4f}s exceeds {MAX_IMU_DT}s")
 
-    held = np.maximum(np.searchsorted(times, breaks[:-1] + 1e-12) - 1, 0).tolist()
-    gyro = np.array([samples[i].gyro for i in held], dtype=float)
-    accel = np.array([samples[i].accel for i in held], dtype=float)
-    x, fx, fw = imu_steps(state, gyro, accel, dt)
+    held = np.maximum(np.searchsorted(times, breaks[:-1] + 1e-12) - 1, 0)
+    x, fx, fw = imu_steps(state, imu.gyro[held], imu.accel[held], dt)
     # Continuous densities scaled by 1/dt because fw already carries dt.
     qd = (fw * (noise.diffusion() / dt[:, None])[:, None, :]) @ fw.swapaxes(1, 2)
     for f, q in zip(fx, qd):

@@ -64,7 +64,6 @@ class RunConfig:
     mode: str = "qlio"
     transport: str = "inproc"
     out_dir: str | None = None
-    imu_rate: float = 200.0
     noise: NoiseParams = field(default_factory=NoiseParams)
     lidar: LidarModel = field(default_factory=LidarModel)
     trajectory_params: dict = field(default_factory=dict)
@@ -216,9 +215,8 @@ def _make_host(cfg: RunConfig, gt) -> Host:
         codebook=cfg.codebook, ds_0=cfg.ds_0, alpha=cfg.alpha, sigma=cfg.sigma,
         extrinsic_rotation=EXTRINSIC[0], extrinsic_translation=EXTRINSIC[1])
     imu_seed = int(np.random.SeedSequence(cfg.seed).generate_state(1)[0])
-    stream = synth_imu(gt, cfg.noise, rate_hz=cfg.imu_rate, seed=imu_seed)
     return Host(state=state, cov=default_init_cov(), config=session,
-                noise=cfg.noise, imu=stream)
+                noise=cfg.noise, imu=synth_imu(gt, cfg.noise, seed=imu_seed))
 
 
 def _scan_schedule(cfg: RunConfig):

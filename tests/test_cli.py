@@ -90,6 +90,8 @@ def test_config_file_scene_size(tmp_path):
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    path.write_text("duration = 1\nwheel_base = 2\n")
-    assert cli.main(["--config", str(path)]) == 2
-    assert "unknown config key 'wheel_base'" in capsys.readouterr().err
+    # The IMU samples on the ground truth's grid; there is no rate to set.
+    for key, value in (("wheel_base", "2"), ("imu_rate", "0")):
+        path.write_text(f"duration = 1\n{key} = {value}\n")
+        assert cli.main(["--config", str(path)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err

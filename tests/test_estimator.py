@@ -11,7 +11,7 @@ from quantlio.estimator import (
     point_plane_rows, qmap_update, standard_update,
 )
 from quantlio.manifold import (
-    ERROR_DIM, ImuSample, NavState, NoiseParams, boxplus, propagate, so3_exp,
+    ERROR_DIM, ImuStream, NavState, NoiseParams, boxplus, propagate, so3_exp,
 )
 from quantlio.quantizer import (
     Codebook, dequantize_point, dequantize_residual_key,
@@ -393,8 +393,9 @@ class TestQmapUpdate:
 
 def make_host(sigma=0.02, imu=None):
     if imu is None:
-        imu = [ImuSample(t_us=i * 5000, gyro=np.zeros(3), accel=np.array([0, 0, 9.81]))
-               for i in range(401)]
+        # 2 s of level hover at 200 Hz.
+        imu = ImuStream(t_us=np.arange(401) * 5000, gyro=np.zeros((401, 3)),
+                        accel=np.tile([0.0, 0.0, 9.81], (401, 1)))
     cfg = SessionConfig(codebook=Codebook(), ds_0=0.5, alpha=0.01, sigma=sigma,
                         extrinsic_rotation=np.eye(3), extrinsic_translation=np.zeros(3))
     return Host(state=NavState(), cov=np.eye(ERROR_DIM) * 1e-4,
@@ -471,9 +472,9 @@ class TestHost:
         # bit for bit where propagating over the whole stream ends.
         rng = np.random.default_rng(9)
         t_us = np.concatenate(([0], np.cumsum(rng.integers(3000, 7000, 399))))
-        imu = [ImuSample(t_us=int(t), gyro=rng.normal(0, 0.3, 3),
-                         accel=np.array([0, 0, 9.81]) + rng.normal(0, 0.5, 3))
-               for t in t_us]
+        draws = [(rng.normal(0, 0.3, 3), np.array([0, 0, 9.81]) + rng.normal(0, 0.5, 3))
+                 for _ in t_us]
+        imu = ImuStream(t_us, [g for g, _ in draws], [a for _, a in draws])
         host = make_host(imu=imu)
         handed = []
         monkeypatch.setattr("quantlio.estimator.propagate",
@@ -489,8 +490,8 @@ class TestHost:
             t_k = k * 100_000 * 1e-6  # as the host decodes it
             state, cov = propagate(state, cov, imu, host.noise, t_start=t_prev, t_end=t_k)
             window = handed[-1]
-            assert window[0].t_us * 1e-6 <= t_prev < window[1].t_us * 1e-6
-            assert window[-2].t_us * 1e-6 < t_k <= window[-1].t_us * 1e-6
+            assert window.t_us[0] * 1e-6 <= t_prev < window.t_us[1] * 1e-6
+            assert window.t_us[-2] * 1e-6 < t_k <= window.t_us[-1] * 1e-6
             assert len(window) == np.count_nonzero((times > t_prev) & (times < t_k)) + 2
             t_prev = t_k
         for name in ("rotation", "position", "velocity", "bias_gyro", "bias_accel"):

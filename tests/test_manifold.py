@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from quantlio.manifold import (
     BA, BG, ERROR_DIM, GRAV, MAX_IMU_DT, POS, THETA, VEL,
-    ImuSample, NavState, NoiseParams,
+    ImuStream, NavState, NoiseParams,
     boxminus, boxplus, imu_steps, propagate, quat_to_rot, rot_to_quat,
     skew, so3_exp, so3_log,
 )
@@ -124,10 +124,14 @@ class TestRetraction:
 def make_stream(duration, rate, gyro_fn, accel_fn):
     dt = 1.0 / rate
     n = int(round(duration * rate)) + 1
-    return [ImuSample(t_us=int(round(i * dt * 1e6)),
-                      gyro=np.asarray(gyro_fn(i * dt), dtype=float),
-                      accel=np.asarray(accel_fn(i * dt), dtype=float))
-            for i in range(n)]
+    return ImuStream(t_us=[int(round(i * dt * 1e6)) for i in range(n)],
+                     gyro=[gyro_fn(i * dt) for i in range(n)],
+                     accel=[accel_fn(i * dt) for i in range(n)])
+
+
+def still(*t_us):
+    """Zero readings at the stamps t_us."""
+    return ImuStream(t_us, np.zeros((len(t_us), 3)), np.zeros((len(t_us), 3)))
 
 
 # The per-step loop that propagate batches, kept as the reference: one
@@ -179,14 +183,11 @@ def step_jacobians(state, gyro, accel, dt):
     return fx, fw
 
 
-def loop_propagate(state, cov, samples, noise, t_start=None, t_end=None):
-    """propagate, one step at a time."""
-    samples = list(samples)
-    if not samples:
+def loop_propagate(state, cov, imu, noise, t_start=None, t_end=None):
+    """propagate, one step at a time over the rows of the stream imu."""
+    if not len(imu):
         raise ValueError("propagate needs at least one IMU sample")
-    times = np.array([s.t_us for s in samples], dtype=np.int64) * 1e-6
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("IMU timestamps must strictly increase")
+    times = imu.t_us * 1e-6
 
     if t_start is None:
         t_start = times[0]
@@ -213,9 +214,9 @@ def loop_propagate(state, cov, samples, noise, t_start=None, t_end=None):
             raise ValueError(f"IMU step {dt:.4f}s exceeds {MAX_IMU_DT}s")
         idx = int(np.searchsorted(times, a + 1e-12) - 1)
         idx = max(idx, 0)
-        s = samples[idx]
-        fx, fw = step_jacobians(x, s.gyro, s.accel, dt)
-        x = mean_step(x, s.gyro, s.accel, dt)
+        gyro, accel = imu.gyro[idx], imu.accel[idx]
+        fx, fw = step_jacobians(x, gyro, accel, dt)
+        x = mean_step(x, gyro, accel, dt)
         p = fx @ p @ fx.T + fw @ np.diag(q_diag / dt) @ fw.T
         p = 0.5 * (p + p.T)
     return x, p
@@ -227,7 +228,7 @@ STEP_ANGLES = (0.0, 4e-9, 3e-8, 5e-7, 3e-6, 1e-3, 0.3)
 
 
 def window_case(seed, gaps_us, angles, t_start=None, t_end=None):
-    """(state, covariance, samples) for samples gaps_us apart, each turning
+    """(state, covariance, stream) for samples gaps_us apart, each turning
     by its entry of angles over 5 ms once the state's gyro bias is removed."""
     rng = np.random.default_rng(seed)
     x = random_state(rng)
@@ -235,13 +236,13 @@ def window_case(seed, gaps_us, angles, t_start=None, t_end=None):
     cov = 1e-3 * a @ a.T + 1e-6 * np.eye(ERROR_DIM)
     cov = 0.5 * (cov + cov.T)
     t_us = 1_000_000 + np.concatenate(([0], np.cumsum(gaps_us, dtype=np.int64)))
-    samples = []
-    for t, angle in zip(t_us, angles):
+    gyro, accel = [], []
+    for angle in angles:
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
-        samples.append(ImuSample(int(t), x.bias_gyro + axis * angle / 0.005,
-                                 rng.uniform(-2.0, 2.0, 3) + [0.0, 0.0, 9.81]))
-    return x, cov, samples
+        gyro.append(x.bias_gyro + axis * angle / 0.005)
+        accel.append(rng.uniform(-2.0, 2.0, 3) + [0.0, 0.0, 9.81])
+    return x, cov, ImuStream(t_us, gyro, accel)
 
 
 def assert_matches_loop(state, cov, samples, t_start=None, t_end=None):
@@ -293,8 +294,7 @@ class TestPropagate:
         pos = x0.position.copy()
         vel = x0.velocity.copy()
         h = 1.0 / rate / sub
-        for i in range(len(stream) - 1):
-            gyro, accel = stream[i].gyro, stream[i].accel
+        for gyro, accel in zip(stream.gyro[:-1], stream.accel[:-1]):
             for _ in range(sub):
                 pos = pos + vel * h
                 vel = vel + (rot @ accel + x0.gravity) * h
@@ -310,7 +310,7 @@ class TestPropagate:
         for _ in range(1000):
             gyro = rng.uniform(-0.5, 0.5, 3)
             accel = rng.uniform(-1, 1, 3) + np.array([0, 0, 9.81])
-            samples = [ImuSample(t, gyro, accel), ImuSample(t + 5000, gyro, accel)]
+            samples = ImuStream([t, t + 5000], [gyro, gyro], [accel, accel])
             x, p = propagate(x, p, samples, noise)
             t += 5000
         np.testing.assert_allclose(p, p.T, atol=1e-9)
@@ -327,7 +327,7 @@ class TestPropagate:
             fx = imu_steps(x, gyro[None], accel[None], np.array([dt]))[1][0]
 
             def mean_map(state):
-                samples = [ImuSample(0, gyro, accel), ImuSample(int(dt * 1e6), gyro, accel)]
+                samples = ImuStream([0, int(dt * 1e6)], [gyro, gyro], [accel, accel])
                 out, _ = propagate(state, np.eye(ERROR_DIM), samples, noise)
                 return out
 
@@ -346,15 +346,9 @@ class TestPropagate:
         x = NavState()
         p = np.eye(ERROR_DIM)
         with pytest.raises(ValueError, match="at least one IMU sample"):
-            propagate(x, p, [], NoiseParams())
-        bad = [ImuSample(0, np.zeros(3), np.zeros(3)),
-               ImuSample(0, np.zeros(3), np.zeros(3))]
-        with pytest.raises(ValueError, match="strictly increase"):
-            propagate(x, p, bad, NoiseParams())
-        sparse = [ImuSample(0, np.zeros(3), np.zeros(3)),
-                  ImuSample(200_000, np.zeros(3), np.zeros(3))]
+            propagate(x, p, still(), NoiseParams())
         with pytest.raises(ValueError, match=r"IMU step 0\.2000s exceeds 0\.05s"):
-            propagate(x, p, sparse, NoiseParams())
+            propagate(x, p, still(0, 200_000), NoiseParams())
 
     def test_window_errors(self):
         x = NavState()
@@ -363,12 +357,11 @@ class TestPropagate:
         with pytest.raises(ValueError, match="must not precede"):
             propagate(x, p, stream, NoiseParams(), t_start=0.05, t_end=0.04)
         with pytest.raises(ValueError, match="cover the requested start"):
-            propagate(x, p, stream[2:], NoiseParams(), t_start=0.0, t_end=0.04)
+            propagate(x, p, stream.window(0.01, 0.1), NoiseParams(), t_start=0.0, t_end=0.04)
         with pytest.raises(ValueError, match="cover the requested end"):
             propagate(x, p, stream, NoiseParams(), t_start=0.0, t_end=0.2)
         # The first step past the bound is the one reported.
-        gappy = stream[:3] + [ImuSample(80_000, np.zeros(3), np.zeros(3)),
-                              ImuSample(200_000, np.zeros(3), np.zeros(3))]
+        gappy = still(*stream.t_us[:3], 80_000, 200_000)
         with pytest.raises(ValueError, match=r"IMU step 0\.0700s exceeds"):
             propagate(x, p, gappy, NoiseParams())
 
@@ -417,6 +410,55 @@ class TestPropagate:
         if default_window:
             assert_matches_loop(x, cov, samples)
             return
-        t0, t1 = samples[0].t_us * 1e-6, samples[-1].t_us * 1e-6 + past_end
+        t0, t1 = samples.t_us[0] * 1e-6, samples.t_us[-1] * 1e-6 + past_end
         t_start = t0 + start * (t1 - t0)
         assert_matches_loop(x, cov, samples, t_start, t_start + span * (t1 - t_start))
+
+
+class TestImuStream:
+    def test_constructor_checks_stamps_and_shapes(self):
+        for t_us in ([0, 0], [5000, 0], [0, 5000, 5000], [0, 10_000, 5000]):
+            with pytest.raises(ValueError, match="strictly increase"):
+                still(*t_us)
+        zeros = np.zeros((2, 3))
+        for t_us, gyro, accel in (([0, 5000, 10_000], zeros, zeros),
+                                  ([0, 5000], zeros, np.zeros((3, 3))),
+                                  ([0, 5000], np.zeros((2, 2)), zeros),
+                                  ([[0, 5000]], zeros, zeros)):
+            with pytest.raises(ValueError, match="IMU stream needs"):
+                ImuStream(t_us, gyro, accel)
+        stream = still(0, 5000, 10_000)
+        assert len(stream) == 3 and stream.t_us.dtype == np.int64
+        np.testing.assert_array_equal(stream.t, [0.0, 0.005, 0.01])
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           gaps=st.lists(st.integers(1, 50_000), min_size=0, max_size=30),
+           start=st.one_of(st.floats(0.0, 1.0), st.integers(0, 30)),
+           span=st.one_of(st.floats(0.0, 1.0), st.integers(0, 30)))
+    def test_window_holds_what_propagate_reads(self, seed, gaps, start, span):
+        x, cov, stream = window_case(seed, gaps, np.resize(STEP_ANGLES, len(gaps) + 1))
+        stamps = stream.t_us.tolist()
+
+        def pick(u, lo):
+            """A time in [lo, last stamp]: a float u that share of the way, an
+            integer u stamp u, where searchsorted's sides matter."""
+            hi = stamps[-1] * 1e-6
+            t = stamps[min(u, len(stamps) - 1)] * 1e-6 if isinstance(u, int) \
+                else lo + u * (hi - lo)
+            return min(max(t, lo), hi)
+
+        t0 = pick(start, stamps[0] * 1e-6)
+        t1 = pick(span, t0)
+        got = stream.window(t0, t1)
+        first = max(i for i, t in enumerate(stamps) if t * 1e-6 <= t0)
+        last = min(i for i, t in enumerate(stamps) if t * 1e-6 >= t1)
+        assert len(got) == last - first + 1
+        for name in ("t_us", "gyro", "accel", "t"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(stream, name)[first:last + 1])
+        noise = NoiseParams()
+        x_win, p_win = propagate(x, cov, got, noise, t_start=t0, t_end=t1)
+        x_all, p_all = propagate(x, cov, stream, noise, t_start=t0, t_end=t1)
+        for name in ("rotation", "position", "velocity"):
+            np.testing.assert_array_equal(getattr(x_win, name), getattr(x_all, name))
+        np.testing.assert_array_equal(p_win, p_all)

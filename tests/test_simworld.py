@@ -116,13 +116,43 @@ class TestTrajectories:
             synth_trajectory("wiggle", 10.0)
 
 
+def loop_synth_imu(gt, noise, seed, rate_hz=200.0):
+    """synth_imu, one sample at a time: the per-sample reference."""
+    rng = np.random.default_rng(seed)
+    dt = 1.0 / rate_hz
+    n = int(round(gt.duration * rate_hz)) + 1
+    sigma_g = noise.gyro_density * np.sqrt(rate_hz)
+    sigma_a = noise.accel_density * np.sqrt(rate_hz)
+    t_us, gyro, accel = [], [], []
+    for i in range(n):
+        t = i * dt
+        rot = gt.profile.rotation(t)
+        spec_force = rot.T @ (gt.profile.accel(t) - GRAVITY_W)
+        gyro.append(gt.profile.omega_body(t) + sigma_g * rng.standard_normal(3))
+        accel.append(spec_force + sigma_a * rng.standard_normal(3))
+        t_us.append(int(round(t * 1e6)))
+    return np.array(t_us), np.array(gyro), np.array(accel)
+
+
 class TestImu:
+    @pytest.mark.parametrize("preset", ["static", "line", "circle", "figure-eight"])
+    @pytest.mark.parametrize("duration", [10.0, 7.3])
+    def test_matches_per_sample_reference(self, preset, duration):
+        gt = synth_trajectory(preset, duration)
+        stream = synth_imu(gt, NoiseParams(), seed=5)
+        t_us, gyro, accel = loop_synth_imu(gt, NoiseParams(), seed=5)
+        assert stream.t_us.dtype == np.int64 and len(stream) == len(t_us)
+        np.testing.assert_array_equal(stream.t_us, t_us)
+        np.testing.assert_array_equal(stream.gyro, gyro)
+        np.testing.assert_array_equal(stream.accel, accel)
+
     def test_static_clean_stream(self):
         gt = synth_trajectory("static", 2.0)
         stream = synth_imu(gt, NoiseParams(0, 0, 0, 0), seed=1)
-        for s in stream:
-            np.testing.assert_allclose(s.gyro, 0.0, atol=1e-15)
-            np.testing.assert_allclose(s.accel, [0.0, 0.0, 9.81], atol=1e-12)
+        assert len(stream) == 401
+        np.testing.assert_allclose(stream.gyro, 0.0, atol=1e-15)
+        np.testing.assert_allclose(stream.accel, np.tile([0.0, 0.0, 9.81], (401, 1)),
+                                   atol=1e-12)
 
     def test_circle_centripetal(self):
         radius, laps, duration = 5.0, 2, 40.0
@@ -131,17 +161,17 @@ class TestImu:
         rate = 2 * np.pi * laps / duration
         speed = radius * rate
         expected = speed ** 2 / radius
-        mid = stream[len(stream) // 2]
-        horizontal = np.linalg.norm((mid.accel - [0, 0, 9.81])[:2])
+        mid = stream.accel[len(stream) // 2]
+        horizontal = np.linalg.norm((mid - [0, 0, 9.81])[:2])
         assert horizontal == pytest.approx(expected, abs=1e-3)
 
     def test_determinism(self):
         gt = synth_trajectory("figure-eight", 5.0)
         a = synth_imu(gt, NoiseParams(), seed=3)
         b = synth_imu(gt, NoiseParams(), seed=3)
-        for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.gyro, sb.gyro)
-            np.testing.assert_array_equal(sa.accel, sb.accel)
+        np.testing.assert_array_equal(a.t_us, b.t_us)
+        np.testing.assert_array_equal(a.gyro, b.gyro)
+        np.testing.assert_array_equal(a.accel, b.accel)
 
     def test_reintegration_recovers_ground_truth(self):
         # Gentle rotating profile: the per-sample Euler truncation budget
