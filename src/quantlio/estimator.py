@@ -207,7 +207,6 @@ class Host:
     time: float = 0.0
     logs: list = field(default_factory=list)
     awaiting_obs: bool = False
-    pending_t: float = 0.0
     skipped_scans: int = 0
 
     def config_frame(self) -> bytes:
@@ -225,7 +224,7 @@ class Host:
         t_prev_us, t_k_us = decode_pose_req(frame.payload)
         t_prev, t_k = t_prev_us * 1e-6, t_k_us * 1e-6
         if self.awaiting_obs:
-            if t_k <= self.pending_t:
+            if t_k <= self.time:
                 raise ProtocolOrderError("pose request repeats or precedes the pending scan")
             # The coprocessor dropped the scan; continue dead reckoning.
             self.skipped_scans += 1
@@ -246,7 +245,6 @@ class Host:
         delta_trans = pose_k[0].T @ (pose_prev[1] - pose_k[1])
         self.time = t_k
         self.awaiting_obs = True
-        self.pending_t = t_k
         return encode_frame(FrameType.POSE_RESP, t_k_us,
                             encode_pose_resp((delta_rot, delta_trans), pose_prev))
 

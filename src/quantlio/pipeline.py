@@ -209,7 +209,7 @@ def _open_channel(cfg: RunConfig, host: Host):
 def _make_host(cfg: RunConfig, gt) -> Host:
     state = NavState()
     state.rotation, state.position = gt.pose_at(0.0)
-    state.velocity = gt.profile.velocity(0.0)
+    state.velocity = gt.velocities[0].copy()
     state.gravity = GRAVITY_W.copy()
     session = SessionConfig(
         codebook=cfg.codebook, ds_0=cfg.ds_0, alpha=cfg.alpha, sigma=cfg.sigma,

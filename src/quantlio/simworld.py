@@ -1,23 +1,27 @@
 """Synthetic ground truth: planar scenes, smooth trajectories, IMU streams
 and per-point-timestamped LiDAR scans.
 
-Scenes are finite rectangular patches. Trajectories are closed-form analytic
-profiles (at least C2 in time), so pose, velocity, acceleration and body
-rate are exact at any query time; that keeps scan simulation and IMU
-synthesis free of interpolation error. Everything is deterministic given
-(descriptor, seed).
+Scenes are finite rectangular patches. Each trajectory preset is one
+closed-form motion function (at least C2 in time) giving exact position,
+velocity, acceleration, yaw and yaw rate at any time from scalar math. The
+ground truth samples it once on a 200 Hz grid, which the IMU reads, and scan
+rays query it off the grid, so neither interpolates. Everything is
+deterministic given (descriptor, seed).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifold import ImuStream, NoiseParams
+from .manifold import ImuStream, NoiseParams, rot_to_quat
 
 GRAVITY_W = np.array([0.0, 0.0, -9.81])
+
+GT_RATE_HZ = 200.0  # ground-truth grid and IMU sample rate
 
 # Vertical offset of the world origin above preset floors. Keeping plane
 # offsets away from zero matters: the q.n = -1 fit convention degrades for
@@ -131,44 +135,46 @@ def build_scene(preset: str, size=None, seed: int = 0) -> Scene:
     raise ValueError(f"unknown scene preset: {preset!r}")
 
 
-class TrajectoryProfile:
-    """Closed-form pose/derivative callbacks for one motion preset."""
+# A trajectory's exact state at one time: world-frame (x, y, z) tuples, yaw, yaw rate.
+Motion = namedtuple("Motion", "position velocity acceleration yaw yaw_rate")
 
-    def __init__(self, position, velocity, accel, yaw, yaw_rate):
-        self.position = position
-        self.velocity = velocity
-        self.accel = accel
-        self.yaw = yaw
-        self.yaw_rate = yaw_rate
 
-    def rotation(self, t: float) -> np.ndarray:
-        c, s = math.cos(self.yaw(t)), math.sin(self.yaw(t))
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-    def omega_body(self, t: float) -> np.ndarray:
-        return np.array([0.0, 0.0, self.yaw_rate(t)])
+def _yaw_rotations(yaws) -> np.ndarray:
+    """(n, 3, 3) rotations about z, from scalar math.cos/math.sin."""
+    cos = [math.cos(yaw) for yaw in yaws]
+    sin = [math.sin(yaw) for yaw in yaws]
+    rots = np.zeros((len(cos), 3, 3))
+    rots[:, 0, 0] = rots[:, 1, 1] = cos
+    rots[:, 0, 1] = np.negative(sin)
+    rots[:, 1, 0] = sin
+    rots[:, 2, 2] = 1.0
+    return rots
 
 
 class GroundTruth:
-    """Time-indexed true poses plus exact continuous-time queries."""
+    """A trajectory's motion function, sampled once per `times` (GT_RATE_HZ)
+    a row at a time into one grid, whose column views are positions,
+    velocities, accelerations (n, 3), yaws and yaw_rates (n,). Off-grid
+    times (scan rays) call the function itself."""
 
-    def __init__(self, profile: TrajectoryProfile, duration: float, rate_hz: float):
-        self.profile = profile
+    def __init__(self, motion, duration: float):
+        self.motion = motion
         self.duration = float(duration)
-        self.rate_hz = float(rate_hz)
-        self.times = np.arange(0.0, self.duration + 0.5 / rate_hz, 1.0 / rate_hz)
-        self.positions = np.array([profile.position(t) for t in self.times])
+        self.times = np.arange(0.0, self.duration + 0.5 / GT_RATE_HZ, 1.0 / GT_RATE_HZ)
+        grid = np.fromiter((m.position + m.velocity + m.acceleration + (m.yaw, m.yaw_rate)
+                            for m in map(motion, self.times.tolist())),
+                           dtype=(float, 11), count=len(self.times))
+        self.positions, self.velocities = grid[:, 0:3], grid[:, 3:6]
+        self.accelerations, self.yaws, self.yaw_rates = grid[:, 6:9], grid[:, 9], grid[:, 10]
 
     def pose_at(self, t: float):
-        return self.profile.rotation(t), self.profile.position(t)
+        motion = self.motion(t)
+        return _yaw_rotations([motion.yaw])[0], np.array(motion.position)
 
     def to_csv(self, path) -> None:
-        from .manifold import rot_to_quat
-        rows = []
-        for t, pos in zip(self.times, self.positions):
-            rows.append((t, *pos, *rot_to_quat(self.profile.rotation(t))))
-        header = "t,px,py,pz,qw,qx,qy,qz"
-        np.savetxt(path, np.array(rows), delimiter=",", header=header, comments="")
+        quats = [rot_to_quat(rot) for rot in _yaw_rotations(self.yaws.tolist())]
+        np.savetxt(path, np.column_stack([self.times, self.positions, quats]), delimiter=",",
+                   header="t,px,py,pz,qw,qx,qy,qz", comments="")
 
 
 def _smoothstep(u: float) -> tuple[float, float, float]:
@@ -181,121 +187,87 @@ def _smoothstep(u: float) -> tuple[float, float, float]:
     return val, d1, d2
 
 
-def synth_trajectory(preset: str, duration_s: float, rate_hz: float = 200.0,
-                     **params) -> GroundTruth:
-    """Build a smooth trajectory preset sampled at rate_hz.
+def synth_trajectory(preset: str, duration_s: float, **params) -> GroundTruth:
+    """Build a smooth trajectory preset sampled at GT_RATE_HZ.
 
-    Presets: "static", "line" (length), "circle" (radius, laps),
-    "figure-eight" (span, cycles). Speeds stay within 3 m/s and 1.5 rad/s
-    for the default parameters.
+    Presets and their parameters (any other key raises ValueError): "static"
+    (position, yaw), "line" (length, direction, position), "circle" (radius,
+    laps, height), "figure-eight" (span, cycles, z_amplitude); one lap or
+    cycle per 30 s by default. Peaks grow linearly with the pace w = 2 pi
+    laps (or cycles) / duration: the circle runs at radius * w m/s and
+    w rad/s, the figure-eight peaks at w sqrt(2 span^2 + z_amplitude^2) m/s
+    and 3.17 w rad/s (0.89 m/s, 0.66 rad/s at the default 3 m span and 30 s
+    per cycle; 2.67 m/s, 1.99 rad/s at 10 s; 13.3 m/s, 9.96 rad/s at 2 s),
+    the line at 1.875 length / duration m/s.
     """
     if duration_s > 300.0:
         raise ValueError("duration must not exceed 300 s")
-    if rate_hz < 100.0:
-        raise ValueError("ground-truth rate below 100 Hz is too coarse for IMU synthesis")
     T = float(duration_s)
 
     if preset == "static":
-        p0 = np.asarray(params.get("position", (0.0, 0.0, 0.0)), dtype=float)
-        yaw0 = float(params.get("yaw", 0.0))
-        profile = TrajectoryProfile(
-            position=lambda t: p0.copy(),
-            velocity=lambda t: np.zeros(3),
-            accel=lambda t: np.zeros(3),
-            yaw=lambda t: yaw0,
-            yaw_rate=lambda t: 0.0,
-        )
+        p0 = tuple(float(v) for v in params.pop("position", (0.0, 0.0, 0.0)))
+        yaw0 = float(params.pop("yaw", 0.0))
+        motion = lambda t: Motion(p0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), yaw0, 0.0)
     elif preset == "line":
-        length = float(params.get("length", 8.0))
-        direction = np.asarray(params.get("direction", (1.0, 0.0, 0.0)), dtype=float)
-        direction = direction / np.linalg.norm(direction)
-        p0 = np.asarray(params.get("position", (0.0, 0.0, 0.0)), dtype=float)
+        length = float(params.pop("length", 8.0))
+        direction = np.asarray(params.pop("direction", (1.0, 0.0, 0.0)), dtype=float)
+        dx, dy, dz = (direction / np.linalg.norm(direction)).tolist()
+        px, py, pz = (float(v) for v in params.pop("position", (0.0, 0.0, 0.0)))
 
-        def position(t, p0=p0, d=direction):
-            s, _, _ = _smoothstep(t / T)
-            return p0 + length * s * d
-
-        def velocity(t, d=direction):
-            _, d1, _ = _smoothstep(t / T)
-            return length * d1 / T * d
-
-        def accel(t, d=direction):
-            _, _, d2 = _smoothstep(t / T)
-            return length * d2 / (T * T) * d
-
-        profile = TrajectoryProfile(position, velocity, accel,
-                                    yaw=lambda t: 0.0, yaw_rate=lambda t: 0.0)
+        def motion(t):
+            s, d1, d2 = _smoothstep(t / T)
+            ls, lv, la = length * s, length * d1 / T, length * d2 / (T * T)
+            return Motion((px + ls * dx, py + ls * dy, pz + ls * dz),
+                          (lv * dx, lv * dy, lv * dz), (la * dx, la * dy, la * dz),
+                          0.0, 0.0)
     elif preset == "circle":
-        radius = float(params.get("radius", 3.0))
-        laps = int(params.get("laps", max(1, round(duration_s / 30.0))))
+        r = float(params.pop("radius", 3.0))
+        laps = int(params.pop("laps", max(1, round(duration_s / 30.0))))
         rate = 2.0 * math.pi * laps / T
-        z0 = float(params.get("height", 0.0))
+        z0 = float(params.pop("height", 0.0))
 
-        def position(t, r=radius):
+        def motion(t):
             a = rate * t
-            return np.array([r * math.cos(a), r * math.sin(a), z0])
-
-        def velocity(t, r=radius):
-            a = rate * t
-            return np.array([-r * rate * math.sin(a), r * rate * math.cos(a), 0.0])
-
-        def accel(t, r=radius):
-            a = rate * t
-            return np.array([-r * rate * rate * math.cos(a), -r * rate * rate * math.sin(a), 0.0])
-
-        profile = TrajectoryProfile(position, velocity, accel,
-                                    yaw=lambda t: rate * t + math.pi / 2.0,
-                                    yaw_rate=lambda t: rate)
+            cos, sin = math.cos(a), math.sin(a)
+            return Motion((r * cos, r * sin, z0),
+                          (-r * rate * sin, r * rate * cos, 0.0),
+                          (-r * rate * rate * cos, -r * rate * rate * sin, 0.0),
+                          a + math.pi / 2.0, rate)
     elif preset == "figure-eight":
-        span = float(params.get("span", 3.0))
-        cycles = int(params.get("cycles", max(1, round(duration_s / 30.0))))
+        span = float(params.pop("span", 3.0))
+        cycles = int(params.pop("cycles", max(1, round(duration_s / 30.0))))
         w = 2.0 * math.pi * cycles / T
-        z_amp = float(params.get("z_amplitude", 0.1))
+        z_amp = float(params.pop("z_amplitude", 0.1))
 
-        def position(t):
-            return np.array([span * math.sin(w * t),
-                             0.5 * span * math.sin(2.0 * w * t),
-                             z_amp * math.sin(w * t)])
-
-        def velocity(t):
-            return np.array([span * w * math.cos(w * t),
-                             span * w * math.cos(2.0 * w * t),
-                             z_amp * w * math.cos(w * t)])
-
-        def accel(t):
-            return np.array([-span * w * w * math.sin(w * t),
-                             -2.0 * span * w * w * math.sin(2.0 * w * t),
-                             -z_amp * w * w * math.sin(w * t)])
-
-        def yaw(t):
-            return math.atan2(span * w * math.cos(2.0 * w * t),
-                              span * w * math.cos(w * t))
-
-        def yaw_rate(t):
-            vx = span * w * math.cos(w * t)
-            vy = span * w * math.cos(2.0 * w * t)
-            ax = -span * w * w * math.sin(w * t)
-            ay = -2.0 * span * w * w * math.sin(2.0 * w * t)
-            return (vx * ay - vy * ax) / (vx * vx + vy * vy)
-
-        profile = TrajectoryProfile(position, velocity, accel, yaw, yaw_rate)
+        def motion(t):
+            sin1, cos1 = math.sin(w * t), math.cos(w * t)
+            sin2, cos2 = math.sin(2.0 * w * t), math.cos(2.0 * w * t)
+            vx, vy = span * w * cos1, span * w * cos2
+            ax, ay = -span * w * w * sin1, -2.0 * span * w * w * sin2
+            return Motion((span * sin1, 0.5 * span * sin2, z_amp * sin1),
+                          (vx, vy, z_amp * w * cos1),
+                          (ax, ay, -z_amp * w * w * sin1),
+                          math.atan2(vy, vx), (vx * ay - vy * ax) / (vx * vx + vy * vy))
     else:
         raise ValueError(f"unknown trajectory preset: {preset!r}")
-    return GroundTruth(profile, duration_s, rate_hz)
+    if params:
+        raise ValueError(f"unknown {preset} trajectory parameter(s): "
+                         f"{', '.join(map(repr, sorted(params)))}")
+    return GroundTruth(motion, duration_s)
 
 
 def synth_imu(gt: GroundTruth, noise: NoiseParams, seed: int = 0) -> ImuStream:
-    """Bias-free IMU stream on the ground truth's time grid: body rate and
-    specific force plus white noise, whose spectral densities are scaled by
-    sqrt(rate). The profiles are scalar, evaluated once per sample."""
-    times = gt.times.tolist()
-    rots = np.array([gt.profile.rotation(t) for t in times])
-    omega = np.array([gt.profile.omega_body(t) for t in times])
-    lin_accel = np.array([gt.profile.accel(t) for t in times]) - GRAVITY_W
-    spec_force = (rots.transpose(0, 2, 1) @ lin_accel[:, :, None])[..., 0]
-    draws = np.random.default_rng(seed).standard_normal((len(times), 2, 3))
-    sigma_g = noise.gyro_density * math.sqrt(gt.rate_hz)
-    sigma_a = noise.accel_density * math.sqrt(gt.rate_hz)
+    """Bias-free IMU stream on the ground truth's time grid, read from its
+    sampled arrays: body rate and specific force plus white noise, whose
+    spectral densities are scaled by sqrt(GT_RATE_HZ)."""
+    n = len(gt.times)
+    omega = np.zeros((n, 3))
+    omega[:, 2] = gt.yaw_rates
+    rots = _yaw_rotations(gt.yaws.tolist())
+    spec_force = (rots.transpose(0, 2, 1) @ (gt.accelerations - GRAVITY_W)[:, :, None])[..., 0]
+    draws = np.random.default_rng(seed).standard_normal((n, 2, 3))
+    sigma_g = noise.gyro_density * math.sqrt(GT_RATE_HZ)
+    sigma_a = noise.accel_density * math.sqrt(GT_RATE_HZ)
     return ImuStream(t_us=np.round(gt.times * 1e6).astype(np.int64),
                      gyro=omega + sigma_g * draws[:, 0],
                      accel=spec_force + sigma_a * draws[:, 1])

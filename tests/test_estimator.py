@@ -428,7 +428,7 @@ class TestHost:
     def test_duplicate_pose_req_rejected(self):
         host = make_host()
         host.handle_frame(self.pose_req(0.0, 0.1))
-        with pytest.raises(ProtocolOrderError):
+        with pytest.raises(ProtocolOrderError, match="repeats or precedes"):
             host.handle_frame(self.pose_req(0.0, 0.1))
 
     def test_window_mismatch_rejected(self):

@@ -1,11 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from quantlio.manifold import ERROR_DIM, NavState, NoiseParams, propagate
+from quantlio.manifold import ERROR_DIM, NavState, NoiseParams, propagate, rot_to_quat
 from quantlio.simworld import (
     GRAVITY_W, LidarModel, build_scene, load_descriptor, synth_imu,
     synth_scan, synth_trajectory,
 )
+
+PRESETS = ["static", "line", "circle", "figure-eight"]
+
+
+def yaw_rotation(yaw):
+    c, s = math.cos(yaw), math.sin(yaw)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 class TestScenes:
@@ -77,7 +86,7 @@ class TestTrajectories:
     def test_static(self):
         gt = synth_trajectory("static", 10.0)
         assert np.abs(gt.positions - gt.positions[0]).max() == 0.0
-        np.testing.assert_allclose([gt.profile.velocity(t) for t in gt.times], 0.0)
+        np.testing.assert_allclose([gt.motion(t).velocity for t in gt.times], 0.0)
 
     def test_circle_closure(self):
         gt = synth_trajectory("circle", 60.0, radius=5.0, laps=2)
@@ -89,10 +98,10 @@ class TestTrajectories:
     def test_figure_eight_speed_bounds_by_finite_differences(self):
         gt = synth_trajectory("figure-eight", 60.0)
         t = np.linspace(0.0, 60.0, 60_001)
-        pos = np.array([gt.profile.position(tt) for tt in t])
+        pos = np.array([gt.motion(tt).position for tt in t])
         speeds = np.linalg.norm(np.diff(pos, axis=0), axis=1) / np.diff(t)[0]
         assert speeds.max() <= 3.0
-        yaw = np.unwrap([gt.profile.yaw(tt) for tt in t])
+        yaw = np.unwrap([gt.motion(tt).yaw for tt in t])
         yaw_rates = np.abs(np.diff(yaw)) / np.diff(t)[0]
         assert yaw_rates.max() <= 1.5
 
@@ -100,24 +109,63 @@ class TestTrajectories:
         gt = synth_trajectory("figure-eight", 30.0)
         eps = 1e-6
         for t in (1.0, 7.3, 15.9, 28.2):
-            fd_v = (gt.profile.position(t + eps) - gt.profile.position(t - eps)) / (2 * eps)
-            np.testing.assert_allclose(gt.profile.velocity(t), fd_v, atol=1e-6)
-            fd_a = (gt.profile.velocity(t + eps) - gt.profile.velocity(t - eps)) / (2 * eps)
-            np.testing.assert_allclose(gt.profile.accel(t), fd_a, atol=1e-5)
-            fd_w = (gt.profile.yaw(t + eps) - gt.profile.yaw(t - eps)) / (2 * eps)
-            assert gt.profile.yaw_rate(t) == pytest.approx(fd_w, abs=1e-5)
+            at, ahead, behind = gt.motion(t), gt.motion(t + eps), gt.motion(t - eps)
+            fd_v = np.subtract(ahead.position, behind.position) / (2 * eps)
+            np.testing.assert_allclose(at.velocity, fd_v, atol=1e-6)
+            fd_a = np.subtract(ahead.velocity, behind.velocity) / (2 * eps)
+            np.testing.assert_allclose(at.acceleration, fd_a, atol=1e-5)
+            fd_w = (ahead.yaw - behind.yaw) / (2 * eps)
+            assert at.yaw_rate == pytest.approx(fd_w, abs=1e-5)
+
+    @pytest.mark.parametrize("preset, duration, params, speed, yaw_rate", [
+        ("figure-eight", 10.0, {"cycles": 1}, 2.67, 1.99),  # the benchmark's pace
+        ("figure-eight", 2.0, {}, 13.3, 9.96),
+        ("figure-eight", 30.0, {}, 0.889, 0.664),
+        ("circle", 10.0, {}, 1.89, 0.628),
+        ("line", 10.0, {}, 1.5, 0.0),
+    ])
+    def test_peak_speed_and_yaw_rate(self, preset, duration, params, speed, yaw_rate):
+        # The peaks the synth_trajectory docstring states, read from the grid.
+        gt = synth_trajectory(preset, duration, **params)
+        assert np.linalg.norm(gt.velocities, axis=1).max() == pytest.approx(speed, rel=3e-3)
+        assert np.abs(gt.yaw_rates).max() == pytest.approx(yaw_rate, rel=3e-3)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_grid_arrays_are_motion_samples(self, preset):
+        gt = synth_trajectory(preset, 7.3)
+        samples = [gt.motion(t) for t in gt.times]
+        assert len(gt.times) == 1461 and gt.times[-1] == pytest.approx(7.3)
+        for name, column in [("position", gt.positions), ("velocity", gt.velocities),
+                             ("acceleration", gt.accelerations), ("yaw", gt.yaws),
+                             ("yaw_rate", gt.yaw_rates)]:
+            expected = np.array([getattr(m, name) for m in samples], dtype=float)
+            assert column.shape == expected.shape and column.dtype == np.float64
+            assert column.tobytes() == expected.tobytes(), name
 
     def test_validation(self):
         with pytest.raises(ValueError):
             synth_trajectory("circle", 400.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'rate_hz'"):
             synth_trajectory("circle", 10.0, rate_hz=50.0)
+        with pytest.raises(ValueError, match="'cycles'"):
+            synth_trajectory("circle", 10.0, cycles=2)
+        with pytest.raises(ValueError, match="'laps'"):
+            synth_trajectory("figure-eight", 10.0, laps=1)
         with pytest.raises(ValueError):
             synth_trajectory("wiggle", 10.0)
 
+    @pytest.mark.parametrize("preset, params", [
+        ("static", {"position": (1, 2, 0), "yaw": 0.5}),
+        ("line", {"length": 4.0, "direction": (0, 1, 0), "position": (1.0, 0.0, 0.0)}),
+        ("circle", {"radius": 2.0, "laps": 2, "height": 0.3}),
+        ("figure-eight", {"span": 2.0, "cycles": 2, "z_amplitude": 0.2}),
+    ])
+    def test_every_named_parameter_accepted(self, preset, params):
+        synth_trajectory(preset, 10.0, **params)
+
 
 def loop_synth_imu(gt, noise, seed, rate_hz=200.0):
-    """synth_imu, one sample at a time: the per-sample reference."""
+    """synth_imu, one motion(t) call per sample: the per-sample reference."""
     rng = np.random.default_rng(seed)
     dt = 1.0 / rate_hz
     n = int(round(gt.duration * rate_hz)) + 1
@@ -126,16 +174,16 @@ def loop_synth_imu(gt, noise, seed, rate_hz=200.0):
     t_us, gyro, accel = [], [], []
     for i in range(n):
         t = i * dt
-        rot = gt.profile.rotation(t)
-        spec_force = rot.T @ (gt.profile.accel(t) - GRAVITY_W)
-        gyro.append(gt.profile.omega_body(t) + sigma_g * rng.standard_normal(3))
+        motion = gt.motion(t)
+        spec_force = yaw_rotation(motion.yaw).T @ (motion.acceleration - GRAVITY_W)
+        gyro.append(np.array([0.0, 0.0, motion.yaw_rate]) + sigma_g * rng.standard_normal(3))
         accel.append(spec_force + sigma_a * rng.standard_normal(3))
         t_us.append(int(round(t * 1e6)))
     return np.array(t_us), np.array(gyro), np.array(accel)
 
 
 class TestImu:
-    @pytest.mark.parametrize("preset", ["static", "line", "circle", "figure-eight"])
+    @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("duration", [10.0, 7.3])
     def test_matches_per_sample_reference(self, preset, duration):
         gt = synth_trajectory(preset, duration)
@@ -182,11 +230,11 @@ class TestImu:
         stream = synth_imu(gt, NoiseParams(0, 0, 0, 0), seed=4)
         x = NavState()
         x.rotation, x.position = gt.pose_at(0.0)
-        x.velocity = gt.profile.velocity(0.0)
+        x.velocity = gt.velocities[0].copy()
         x.gravity = GRAVITY_W.copy()
         out, _ = propagate(x, np.eye(ERROR_DIM) * 1e-6, stream, NoiseParams(0, 0, 0, 0),
                            t_start=0.0, t_end=10.0)
-        assert np.linalg.norm(out.position - gt.profile.position(10.0)) < 1e-3
+        assert np.linalg.norm(out.position - gt.motion(10.0).position) < 1e-3
 
 
 class TestScans:
@@ -269,3 +317,16 @@ class TestDescriptor:
         assert header == "t,px,py,pz,qw,qx,qy,qz"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape[1] == 8
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_ground_truth_csv_matches_per_sample_rows(self, tmp_path, preset):
+        # The oracle writes one row per grid time from its own motion(t) call.
+        gt = synth_trajectory(preset, 3.7)
+        rows = []
+        for t in gt.times:
+            motion = gt.motion(t)
+            rows.append((t, *motion.position, *rot_to_quat(yaw_rotation(motion.yaw))))
+        np.savetxt(tmp_path / "oracle.csv", np.array(rows), delimiter=",",
+                   header="t,px,py,pz,qw,qx,qy,qz", comments="")
+        gt.to_csv(tmp_path / "gt.csv")
+        assert (tmp_path / "gt.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
