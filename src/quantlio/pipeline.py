@@ -116,12 +116,17 @@ class RunMetrics:
     timings: dict = field(default_factory=dict)
 
     def deterministic_fields(self) -> tuple:
-        """Everything except wall-clock timings, for reproducibility checks."""
-        return (self.ate_trans, self.ate_rot, self.scans, self.measurements_total,
-                self.measurements_assoc_total, self.meas_per_scan,
-                self.assoc_success_rate, self.bits_total, self.bits_per_meas_sent,
-                self.bits_per_meas_assoc, self.diverged, self.cov_psd_ok,
-                self.cov_contraction_ok, self.skipped_scans)
+        """Everything except wall-clock timings, for reproducibility checks,
+        in the order DETERMINISTIC_FIELDS names them."""
+        return tuple(getattr(self, name) for name in DETERMINISTIC_FIELDS)
+
+
+DETERMINISTIC_FIELDS = (
+    "ate_trans", "ate_rot", "scans", "measurements_total",
+    "measurements_assoc_total", "meas_per_scan", "assoc_success_rate",
+    "bits_total", "bits_per_meas_sent", "bits_per_meas_assoc", "diverged",
+    "cov_psd_ok", "cov_contraction_ok", "skipped_scans",
+)
 
 
 def default_init_cov() -> np.ndarray:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 
 from quantlio.coprocessor import ObservationGroup, associate, build_groups
 from quantlio.estimator import (
     Host, _information_update, interval_moments, interval_surrogate,
-    point_plane_rows, qmap_update, standard_update,
+    log_ndtr_pair, point_plane_rows, qmap_update, standard_update,
 )
 from quantlio.manifold import (
     ERROR_DIM, ImuStream, NavState, NoiseParams, boxplus, propagate, so3_exp,
@@ -124,6 +125,40 @@ class TestEffectiveMeasurement:
             _, omega_up, _ = interval_moments(a, np.inf)
             _, omega_dn, _ = interval_moments(-np.inf, a)
             assert omega_up > 0.0 and omega_dn > 0.0
+
+
+def assert_log_ndtr_pair_matches_scipy(x):
+    """Both halves against scipy's log_ndtr: |diff| <= 1e-13 |ref| + 1e-300,
+    and NaN and infinities exactly where scipy has them."""
+    x = np.asarray(x, dtype=float)
+    for got, ref in zip(log_ndtr_pair(x), (log_ndtr(x), log_ndtr(-x))):
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+        finite = np.isfinite(ref)
+        np.testing.assert_array_equal(got[~finite], ref[~finite])
+        assert np.all(np.abs(got[finite] - ref[finite])
+                      <= 1e-13 * np.abs(ref[finite]) + 1e-300)
+
+
+class TestLogNdtrPair:
+    @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=64))
+    def test_matches_scipy(self, xs):
+        assert_log_ndtr_pair_matches_scipy(xs)
+
+    def test_special_points(self):
+        tail = 37.0
+        switch = [np.nextafter(tail, 0.0), tail, np.nextafter(tail, np.inf)]
+        x = np.array([*switch, *np.negative(switch), 0.0, -0.0, np.inf, -np.inf, np.nan])
+        assert_log_ndtr_pair_matches_scipy(x)
+        lo, hi = log_ndtr_pair([0.0, -0.0, np.inf, -np.inf])
+        np.testing.assert_array_equal(lo, [np.log(0.5), np.log(0.5), 0.0, -np.inf])
+        np.testing.assert_array_equal(hi, [np.log(0.5), np.log(0.5), -np.inf, 0.0])
+
+    def test_shapes_kept(self):
+        rng = np.random.default_rng(4)
+        for x in (np.float64(-40.0), 2.5, np.zeros(0), np.zeros((3, 0)),
+                  rng.uniform(-60.0, 60.0, (4, 5))):
+            assert_log_ndtr_pair_matches_scipy(x)
 
 
 def residual_value(state: NavState, p_lidar, u, d: float, extrinsic) -> float:

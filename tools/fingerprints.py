@@ -3,6 +3,7 @@
 Usage, from the repository root:
 
     python3 tools/fingerprints.py > fingerprints.txt
+    python3 tools/fingerprints.py --compare OLD NEW
 
 For each workload in bench/workloads.py and seeds 0-3, the configuration
 make_config(name, round_seed(seed, 0)) runs in-process in every mode, and in
@@ -11,12 +12,20 @@ repr(RunMetrics.deterministic_fields()), the SHA-256 of the trajectory rows
 and the SHA-256 of every OBS_GROUPS payload in order (the float baselines
 send none). A refactor that must leave the outputs unchanged is checked by
 running this script on both commits and comparing the files with diff.
+
+--compare OLD NEW reads two such files and reports, for each line that
+differs, which of fields, trajectory and payloads differ and, per differing
+deterministic field, its name (pipeline.DETERMINISTIC_FIELDS) and relative
+change; it ends with the count of identical lines and exits 1 if any line
+differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +38,8 @@ from quantlio.coprocessor import MODES  # noqa: E402
 from workloads import WORKLOADS, make_config, round_seed  # noqa: E402
 
 SEEDS = range(4)
+LINE = re.compile(r"(?P<run>.+?) fields=\((?P<fields>.*)\) "
+                  r"trajectory=(?P<trajectory>\w+) payloads=(?P<payloads>\w+)")
 
 
 def variants(cfg):
@@ -58,7 +69,60 @@ def fingerprint(cfg) -> tuple[str, str, str]:
     return repr(metrics.deterministic_fields()), trajectory, payloads.hexdigest()
 
 
-def main() -> int:
+def parse(path) -> dict:
+    """{run label: (field strings, trajectory, payloads)} of one output file."""
+    runs = {}
+    for line in Path(path).read_text().splitlines():
+        m = LINE.fullmatch(line)
+        if m is None:
+            raise ValueError(f"{path}: not a fingerprint line: {line!r}")
+        runs[m["run"]] = (m["fields"].split(", "), m["trajectory"], m["payloads"])
+    return runs
+
+
+def field_change(old: str, new: str) -> str:
+    """'old -> new', with the relative change when both are numbers."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return f"{old} -> {new}"
+    rel = f"{(b - a) / abs(a):+.3g}" if a != 0.0 else "n/a"
+    return f"{old} -> {new} (rel {rel})"
+
+
+def compare(old_path, new_path) -> int:
+    """Print the differences between two fingerprint files; 1 if any."""
+    old, new = parse(old_path), parse(new_path)
+    identical = 0
+    for run in [*old, *(r for r in new if r not in old)]:
+        if run not in new or run not in old:
+            print(f"{run}: only in {'OLD' if run in old else 'NEW'}")
+            continue
+        if old[run] == new[run]:
+            identical += 1
+            continue
+        parts = [part for part, a, b in zip(("fields", "trajectory", "payloads"),
+                                            old[run], new[run]) if a != b]
+        print(f"{run}: {' '.join(parts)} differ")
+        a, b = old[run][0], new[run][0]
+        if len(a) != len(b):
+            print(f"  field count {len(a)} -> {len(b)}")
+            continue
+        for name, x, y in zip(pipeline.DETERMINISTIC_FIELDS, a, b):
+            if x != y:
+                print(f"  {name}: {field_change(x, y)}")
+    total = len(old.keys() | new.keys())
+    print(f"identical: {identical} of {total} lines")
+    return int(identical != total)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="report how two fingerprint files differ")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     for name in WORKLOADS:
         for seed in SEEDS:
             base = make_config(name, round_seed(seed, 0))
