@@ -65,7 +65,7 @@ def se3_log(rot, trans):
 
 def se3_exp(rho, theta):
     """Rigid transforms (R (..., 3, 3), t (..., 3)) from twists (..., 3):
-    Rodrigues and the V matrix, truncated series below 1e-8 rad."""
+    Rodrigues and the V matrix, truncated series below 1e-6 rad."""
     rho = np.asarray(rho, dtype=float)
     w, ww, b1, b2, b3 = rodrigues_terms(theta)
     v = np.eye(3) + b2 * w + b3 * ww

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,6 +149,18 @@ def interval_surrogate(lo, hi, sigma: float):
         return -sigma * lam / omega, sigma ** 2 / omega, valid
 
 
+@lru_cache(maxsize=8)
+def _surrogate_table(l_z: int, z_step: float, sigma: float):
+    """interval_surrogate of every z cell [i z_step, (i + 1) z_step), i < 2^l_z,
+    as read-only arrays indexed by the z index. A session's codebook and
+    sigma are fixed, so qmap_update builds them once per session."""
+    lo = np.arange(2 ** l_z) * z_step
+    table = interval_surrogate(lo, lo + z_step, sigma)
+    for column in table:
+        column.setflags(write=False)
+    return table
+
+
 def point_plane_rows(state: NavState, lidar_points, normals, extrinsic) -> np.ndarray:
     """Measurement Jacobian rows over the error state, one per observation.
 
@@ -193,16 +206,14 @@ def qmap_update(state: NavState, cov: np.ndarray, groups: ObservationGroups,
         raise ValueError(f"prior covariance is not PSD (min eigenvalue {eig_min:.2e})")
 
     keys, counts, members = groups.keys, groups.counts, groups.members
-    # One surrogate per z index present (l_z may be 16).
-    cells, cell_of = np.unique(members[:, 0], return_inverse=True)
-    lo = cells * cb.z_step
-    z_cell, r_cell, valid_cell = interval_surrogate(lo, lo + cb.z_step, sigma)
-    keep = valid_cell[cell_of]
+    z_cell, r_cell, valid_cell = _surrogate_table(cb.l_z, cb.z_step, sigma)
+    z_idx = members[:, 0]
+    keep = valid_cell[z_idx]
     centers = dequantize_residual_key(keys, cb).reshape(-1, 3)
     # Row-by-row dot products, the kernel a per-key np.linalg.norm runs.
     units = centers / np.sqrt(centers[:, None, :] @ centers[:, :, None])[:, 0]
     us = units[np.repeat(np.arange(len(keys)), counts)[keep]]
-    z_eff, r_eff = z_cell[cell_of[keep]], r_cell[cell_of[keep]]
+    z_eff, r_eff = z_cell[z_idx[keep]], r_cell[z_idx[keep]]
     vacuous = len(members) - len(z_eff)
 
     info = {"measurements": len(z_eff), "vacuous": vacuous, "updated": len(z_eff) > 0}

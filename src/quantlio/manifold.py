@@ -56,13 +56,13 @@ def _skews(v) -> np.ndarray:
     return w
 
 
-def rodrigues_terms(theta, series_below: float = 1e-8):
+def rodrigues_terms(theta):
     """Batched Rodrigues terms of rotation vectors theta (..., 3).
 
     Returns the cross-product matrices W (..., 3, 3), W @ W and the
     coefficients of the angle a = |theta|, each shaped (..., 1, 1):
     b1 = sin(a)/a, b2 = (1 - cos a)/a^2 and b3 = (a - sin a)/a^3, with
-    their series limits 1, 1/2 and 1/6 below series_below rad. They give
+    their series limits 1, 1/2 and 1/6 below 1e-6 rad. They give
 
         Exp(theta) = I + b1 W + b2 W^2
         V(theta)   = I + b2 W + b3 W^2   (SE(3) translation Jacobian)
@@ -75,7 +75,7 @@ def rodrigues_terms(theta, series_below: float = 1e-8):
     theta = np.asarray(theta, dtype=float)
     angle = np.linalg.norm(theta, axis=-1)[..., None, None]
     w = _skews(theta)
-    small = angle < series_below
+    small = angle < 1e-6
     a = np.where(small, 1.0, angle)
     b1 = np.where(small, 1.0, np.sin(a) / a)
     b2 = np.where(small, 0.5, (1.0 - np.cos(a)) / (a * a))
@@ -263,8 +263,7 @@ def imu_steps(state: NavState, gyro, accel, dt):
     dt = np.asarray(dt, dtype=float)
     n = len(dt)
     dt3 = dt[:, None, None]
-    w, ww, b1, b2, b3 = rodrigues_terms((gyro - state.bias_gyro) * dt[:, None],
-                                        series_below=1e-6)
+    w, ww, b1, b2, b3 = rodrigues_terms((gyro - state.bias_gyro) * dt[:, None])
     exp_w = np.eye(3) + b1 * w + b2 * ww
     jr_dt = (np.eye(3) - b2 * w + b3 * ww) * dt3
 

@@ -168,8 +168,15 @@ class GroundTruth:
         self.accelerations, self.yaws, self.yaw_rates = grid[:, 6:9], grid[:, 9], grid[:, 10]
 
     def pose_at(self, t: float):
-        motion = self.motion(t)
-        return _yaw_rotations([motion.yaw])[0], np.array(motion.position)
+        rots, positions = self.poses_at([t])
+        return rots[0], positions[0]
+
+    def poses_at(self, times):
+        """World-from-body rotations (n, 3, 3) and positions (n, 3) at
+        off-grid times, one motion-function call per time."""
+        motions = [self.motion(t) for t in np.asarray(times, dtype=float).tolist()]
+        return (_yaw_rotations([m.yaw for m in motions]),
+                np.array([m.position for m in motions]).reshape(-1, 3))
 
     def to_csv(self, path) -> None:
         quats = [rot_to_quat(rot) for rot in _yaw_rotations(self.yaws.tolist())]
@@ -327,14 +334,9 @@ def synth_scan(scene: Scene, gt: GroundTruth, lidar: LidarModel, t_k: float,
 
     # One sensor pose per distinct firing time (columns share a timestamp).
     uniq, inverse = np.unique(times, return_inverse=True)
-    origins_u = np.empty((len(uniq), 3))
-    rots_u = np.empty((len(uniq), 3, 3))
-    for i, t in enumerate(uniq):
-        rot_wi, pos_wi = gt.pose_at(t)
-        rots_u[i] = rot_wi @ r_il
-        origins_u[i] = rot_wi @ t_il + pos_wi
-    origins = origins_u[inverse]
-    dirs_w = np.einsum("nij,nj->ni", rots_u[inverse], dirs)
+    rots_wi, pos_wi = gt.poses_at(uniq)
+    origins = (rots_wi @ t_il + pos_wi)[inverse]
+    dirs_w = np.einsum("nij,nj->ni", (rots_wi @ r_il)[inverse], dirs)
 
     best_t = np.full(len(dirs), np.inf)
     for patch in scene.patches:

@@ -2,27 +2,30 @@
 
 Storage. Cells are keyed by their integer coordinates packed into one int64
 (21 bits per axis, so coordinates must stay within about a million cells of
-the origin). Every occupied cell owns one row of a single padded
-(3, rows, cell_cap) float array, stored axis-major: per axis, the row holds
-that coordinate of the cell's points in insertion order, and empty slots
-hold +inf, which is infinitely far from every query. A fill count per row
-and the occupied cell keys in ascending order, with the row of each,
-complete the store. Row 0 is a sentinel that stays empty; lookups of absent
-cells gather it. Rows are handed out in order of first insertion, and the
-array doubles when it runs out of rows, so a cell costs cell_cap * 24 bytes
-whatever its fill.
+the origin). A cell keeps at most one point per sub-voxel, one of its 2x2x2
+cubes of side edge / 2, so it has _CELL_CAP = 8 slots. Every occupied cell
+owns one row of a single padded (3, rows, _CELL_CAP) float array, stored
+axis-major: per axis, the row holds that coordinate of the cell's points in
+insertion order, and empty slots hold +inf, which is infinitely far from
+every query. A fill count and a sub-voxel occupancy mask per row and the
+occupied cell keys in ascending order, with the row of each, complete the
+store. Row 0 is a sentinel that stays empty; lookups of absent cells gather
+it. Rows are handed out in order of first insertion, and the arrays double
+when they run out of rows, so a cell costs _CELL_CAP * 24 bytes whatever
+its fill.
 
 Distances. Every squared distance comes from _sq_dist, which adds the
 per-axis squares in the order np.einsum("ij,ij->i") adds the three columns
 of (n, 3) rows, (dx^2 + dz^2) + dy^2. The map therefore ranks by the same
 bits as an einsum brute force (the test suite checks the order).
 
-Insertion (insert) runs in rounds: round r places the r-th point, in batch
-order, of every cell the batch touches, so the rows of one round are
-distinct and a round is a few array operations. A cell below its cap
-appends; a full cell lets a newcomer replace its nearest resident when the
-newcomer sits farther than the min-separation from every resident. The
-loop count is the largest number of points any one cell receives.
+Insertion (insert) keeps the first point to reach each sub-voxel and drops
+every later one; nothing is replaced. A point's sub-voxel is its half of the
+cell per axis, floor(2 p / edge) - 2 floor(p / edge), from the quotient that
+gives its cell. Insertion runs in rounds: round r places the r-th point, in
+batch order, of every cell the batch touches, so the rows of one round are
+distinct and a round is a few array operations. The loop count is the
+largest number of points any one cell receives.
 
 Search (knn_batch). Every query is answered by box passes. A pass ranks,
 for each pending query, the points of a box of cells around it: the box's
@@ -79,10 +82,12 @@ import numpy as np
 _AXIS_BITS = 21
 _AXIS_OFF = 1 << (_AXIS_BITS - 1)
 
+# Slots per cell: one per sub-voxel of side edge / 2.
+_CELL_CAP = 2 ** 3
 # Candidate slots gathered per chunk of queries: a chunk holds as many rows
-# as fit at the width of its widest row (occupied box cells times cell_cap).
+# as fit at the width of its widest row (occupied box cells times _CELL_CAP).
 # Bounds the temporaries of a pass (and so peak memory) whatever the box size.
-_CHUNK_SLOTS = 64 * 8 * 32
+_CHUNK_SLOTS = 256 * 8 * _CELL_CAP
 # Box cells looked up per group of queries; bounds the lookup's temporaries
 # when a wide box reaches many queries.
 _GROUP_CELLS = 1 << 16
@@ -234,18 +239,18 @@ def _solve_svd(stacks: np.ndarray):
 class VoxelMap:
     """Single-writer voxel-hash map (insert and query never interleave)."""
 
-    def __init__(self, edge: float = 0.5, cell_cap: int = 32, search_radius: float = 5.0):
-        if edge <= 0.0 or cell_cap < 1 or search_radius <= 0.0:
-            raise ValueError("edge, cell_cap and search_radius must be positive")
+    def __init__(self, edge: float = 0.5, search_radius: float = 5.0):
+        if edge <= 0.0 or search_radius <= 0.0:
+            raise ValueError("edge and search_radius must be positive")
         self.edge = edge
-        self.cell_cap = cell_cap
         self.search_radius = search_radius
-        self.min_separation = edge / 4.0
         # Rows past the last occupied cell are never read; np.empty leaves
         # their pages untouched until a cell claims them.
-        self._slots = np.empty((3, _INITIAL_ROWS, cell_cap))
+        self._slots = np.empty((3, _INITIAL_ROWS, _CELL_CAP))
         self._slots[:, 0] = np.inf
         self._fill = np.zeros(_INITIAL_ROWS, dtype=np.int64)
+        # Bit 4 x + 2 y + z: the sub-voxel with halves (x, y, z) holds a point.
+        self._occupied = np.zeros(_INITIAL_ROWS, dtype=np.uint8)
         # Occupied cell keys in ascending order, and the row of each.
         self._keys = np.empty(0, dtype=np.int64)
         self._key_rows = np.empty(0, dtype=np.int64)
@@ -258,7 +263,7 @@ class VoxelMap:
     def points(self) -> np.ndarray:
         """Stored points, cell by cell in order of first insertion."""
         used = slice(1, len(self._keys) + 1)
-        filled = np.arange(self.cell_cap) < self._fill[used, None]
+        filled = np.arange(_CELL_CAP) < self._fill[used, None]
         return np.ascontiguousarray(self._slots[:, used][:, filled].T)
 
     def _reserve(self, needed: int) -> None:
@@ -268,26 +273,25 @@ class VoxelMap:
             return
         while size < needed:
             size *= 2
-        slots = np.empty((3, size, self.cell_cap))
+        slots = np.empty((3, size, _CELL_CAP))
         slots[:, :len(self._fill)] = self._slots
-        fill = np.zeros(size, dtype=np.int64)
-        fill[:len(self._fill)] = self._fill
-        self._slots, self._fill = slots, fill
+        grow = (0, size - len(self._fill))
+        self._slots, self._fill, self._occupied = (
+            slots, np.pad(self._fill, grow), np.pad(self._occupied, grow))
 
     def insert(self, points) -> None:
-        """Add world-frame points, honoring the per-cell cap.
-
-        A full cell admits a newcomer only when it sits farther than the
-        min-separation from every resident, in which case it replaces its
-        nearest resident (occupancy never exceeds the cap). Points are
-        applied in batch order within each cell.
-        """
+        """Add world-frame points, dropping each whose sub-voxel already holds
+        one, stored or earlier in the batch."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if not np.all(np.isfinite(points)):
             raise ValueError("insert expects finite points")
         if len(points) == 0:
             return
-        keys = pack_cells(np.floor(points / self.edge).astype(np.int64))
+        scaled = points / self.edge
+        cells = np.floor(scaled)
+        halves = (np.floor(2.0 * scaled) - 2.0 * cells).astype(np.int64)
+        bits = (1 << (halves @ (4, 2, 1))).astype(np.uint8)
+        keys = pack_cells(cells.astype(np.int64))
         # Group the points by cell, batch order kept within each cell.
         perm = np.argsort(keys, kind="stable")
         sorted_keys = keys[perm]
@@ -296,7 +300,8 @@ class VoxelMap:
         rows = self._claim_rows(sorted_keys[starts], perm[starts])
         for r in range(int(counts.max())):
             has = counts > r
-            self._place(points[perm[starts[has] + r]], rows[has])
+            at = perm[starts[has] + r]
+            self._place(points[at], rows[has], bits[at])
 
     def _claim_rows(self, cell_keys: np.ndarray, first: np.ndarray) -> np.ndarray:
         """Row of each of the ascending, distinct cell_keys; absent cells
@@ -314,21 +319,16 @@ class VoxelMap:
         self._key_rows = np.insert(self._key_rows, at, rows[new])
         return rows
 
-    def _place(self, points: np.ndarray, rows: np.ndarray) -> None:
-        """Apply the insertion rule to one point in each of distinct rows."""
+    def _place(self, points: np.ndarray, rows: np.ndarray, bits: np.ndarray) -> None:
+        """Apply the insertion rule to one point in each of distinct rows:
+        a point whose sub-voxel bit is set is dropped, the others append."""
+        free = (self._occupied[rows] & bits) == 0
+        rows, points, bits = rows[free], points[free], bits[free]
         fill = self._fill[rows]
-        room = fill < self.cell_cap
-        open_rows, open_fill = rows[room], fill[room]
-        self._slots[:, open_rows, open_fill] = points[room].T
-        self._fill[open_rows] = open_fill + 1
-        self._count += len(open_rows)
-        if len(open_rows) == len(rows):
-            return
-        rows, points = rows[~room], points[~room]
-        d2 = _sq_dist(*(np.take(self._slots, rows, axis=1) - points.T[:, :, None]))
-        nearest = np.argmin(d2, axis=1)
-        far = d2[np.arange(len(rows)), nearest] > self.min_separation ** 2
-        self._slots[:, rows[far], nearest[far]] = points[far].T
+        self._slots[:, rows, fill] = points.T
+        self._fill[rows] = fill + 1
+        self._occupied[rows] |= bits
+        self._count += len(rows)
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         """Row of each cell key; the empty sentinel row 0 for absent cells."""
@@ -392,7 +392,7 @@ class VoxelMap:
             lo = 0
             while lo < len(by_width):
                 width = max(1, int(occupied[by_width[lo]]))
-                hi = min(lo + max(1, _CHUNK_SLOTS // (width * self.cell_cap)), len(by_width))
+                hi = min(lo + max(1, _CHUNK_SLOTS // (width * _CELL_CAP)), len(by_width))
                 rows = by_width[lo:hi]
                 at = g + rows
                 certified[at] = self._rank(queries, pending[at], box_rows[rows, :width], k,
@@ -407,7 +407,7 @@ class VoxelMap:
         search radius of every query it certifies (all when certify_sq is
         None) and returns which those are."""
         q = queries[pending]
-        width = box_rows.shape[1] * self.cell_cap
+        width = box_rows.shape[1] * _CELL_CAP
         # The differences overwrite the gathered coordinates, so a chunk
         # holds one (3, rows, width) array, freed before the partition; the
         # few ranked points are gathered again from the store (_candidates).
@@ -462,6 +462,6 @@ class VoxelMap:
 
     def _candidates(self, box_rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
         """Coordinates (3, *flat.shape) of the candidates at flat indices into
-        the (rows, box cells * cell_cap) candidate grid of box_rows."""
-        cell, slot = np.divmod(flat, self.cell_cap)
+        the (rows, box cells * _CELL_CAP) candidate grid of box_rows."""
+        cell, slot = np.divmod(flat, _CELL_CAP)
         return self._slots[:, box_rows.ravel()[cell], slot]

@@ -40,7 +40,7 @@ def se3_exp_single(rho, theta):
     theta = np.asarray(theta, dtype=float)
     angle = np.linalg.norm(theta)
     w = skew(theta)
-    if angle < 1e-8:
+    if angle < 1e-6:
         v = np.eye(3) + 0.5 * w + (w @ w) / 6.0
     else:
         a2 = angle * angle
@@ -142,6 +142,24 @@ class TestSe3:
         np.testing.assert_array_equal(rot1, rot2[0])
         np.testing.assert_array_equal(trans1, trans2[0])
 
+    def test_small_angles_against_the_well_conditioned_b2(self):
+        # From 3e-8 to 1e-5 rad, the V matrix's b2 W term against
+        # b2 = 2 sin^2(a/2) / a^2, which has no cancellation: the closed form
+        # of b2 errs by about 1e-16 / a^2 and the series threshold of 1e-6
+        # rad bounds the error of b2 W by 1e-10 (about 1e-9 at 3e-8 rad with
+        # a 1e-8 threshold).
+        rng = np.random.default_rng(7)
+        for a in np.geomspace(3e-8, 1e-5, 200):
+            axis, rho = rng.standard_normal((2, 3))
+            theta, rho = a * axis / np.linalg.norm(axis), rho / np.linalg.norm(rho)
+            w = skew(theta)
+            b2 = 2.0 * np.sin(a / 2.0) ** 2 / a ** 2
+            want_rot = np.eye(3) + np.sin(a) / a * w + b2 * (w @ w)
+            want_trans = (np.eye(3) + b2 * w + (1.0 / 6.0 - a * a / 120.0) * (w @ w)) @ rho
+            rot, trans = se3_exp(rho, theta)
+            np.testing.assert_allclose(rot, want_rot, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(trans, want_trans, rtol=0, atol=1e-10)
+
     def test_compose_invert(self):
         rng = np.random.default_rng(1)
         t = (so3_exp(rng.uniform(-1, 1, 3)), rng.uniform(-2, 2, 3))
@@ -179,13 +197,13 @@ class TestUndistort:
             undistort(pts, times + 0.05, 0.0, 0.1, delta, IDENTITY)
 
     @given(seed=st.integers(0, 2**32 - 1),
-           angle=st.sampled_from([0.0, 1e-12, 1e-9, 5e-8, 1e-3, 0.05, 0.7, 2.5]),
+           angle=st.sampled_from([0.0, 1e-12, 1e-9, 5e-8, 2e-6, 1e-3, 0.05, 0.7, 2.5]),
            translation=st.sampled_from([0.0, 1e-6, 0.3, 2.0]),
            columns=st.integers(1, 48), rows=st.integers(1, 6),
            tilted_extrinsic=st.booleans())
     def test_matches_per_column_loop(self, seed, angle, translation, columns, rows,
                                      tilted_extrinsic):
-        # Angles below 1e-8 rad per column take the series branch; 5e-8
+        # Angles below 1e-6 rad per column take the series branch; 2e-6
         # splits one scan between both branches; angle 0 is pure translation.
         rng = np.random.default_rng(seed)
         axis = rng.standard_normal(3)
@@ -272,7 +290,7 @@ class TestVoxelDownsample:
 
 
 def build_plane_map(height=1.0, normal="z", extent=3.0, step=0.2):
-    vmap = VoxelMap(edge=0.5, cell_cap=64)
+    vmap = VoxelMap(edge=0.5)
     g = np.arange(-extent, extent + 1e-9, step)
     xx, yy = np.meshgrid(g, g)
     if normal == "z":
@@ -336,7 +354,7 @@ class TestAssociate:
         # Three noisy walls, queries off them on both sides (the fold), some
         # beyond r_thr and some far outside the map (no 5 neighbours).
         rng = np.random.default_rng(seed)
-        vmap = VoxelMap(edge=0.5, cell_cap=16)
+        vmap = VoxelMap(edge=0.5)
         uv = rng.uniform(-2.0, 2.0, (300, 2))
         walls = [np.c_[uv[:100], np.full(100, -1.3)],
                  np.c_[np.full(100, 2.5), uv[100:200]],

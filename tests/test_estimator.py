@@ -7,8 +7,9 @@ from scipy.integrate import quad
 from scipy.special import log_ndtr
 
 from quantlio.coprocessor import ObservationGroup, associate, build_groups
+from quantlio import estimator, pipeline
 from quantlio.estimator import (
-    Host, _information_update, interval_moments, interval_surrogate,
+    Host, _information_update, _surrogate_table, interval_moments, interval_surrogate,
     log_ndtr_pair, point_plane_rows, qmap_update, standard_update,
 )
 from quantlio.manifold import (
@@ -211,7 +212,7 @@ def static_observations(sigma_r=0.0, seed=0):
     scene = build_scene("box-room")
     gt = synth_trajectory("static", 2.0)
     lidar = LidarModel(range_noise=sigma_r, n_azimuth=32, n_elevation=10)
-    vmap = VoxelMap(edge=0.5, cell_cap=64)
+    vmap = VoxelMap(edge=0.5)
     map_pts, _ = synth_scan(scene, gt, lidar, t_k=0.5, seed=seed + 100)
     vmap.insert(map_pts)  # static at the origin: sensor frame == world frame
     pts, _ = synth_scan(scene, gt, lidar, t_k=1.0, seed=seed)
@@ -309,6 +310,29 @@ class TestQmapUpdate:
     @given(qmap_cases())
     def test_matches_member_loop_bitwise(self, case):
         assert_same_update(*case)
+
+    def test_surrogate_table_matches_direct_calls(self, monkeypatch):
+        # The per-session table, indexed by z index, equals interval_surrogate
+        # on the z cells of every group set a short qlio run sends (l_z = 2),
+        # and on random cells at l_z = 4 and 16 with vacuous ones among them,
+        # bit for bit.
+        captured = []
+        update = estimator.qmap_update
+        monkeypatch.setattr(estimator, "qmap_update", lambda state, cov, groups, cb, sigma, ext:
+                            captured.append((groups.members[:, 0], cb, sigma))
+                            or update(state, cov, groups, cb, sigma, ext))
+        pipeline.run(pipeline.RunConfig(duration=1.0, mode="qlio", transport="inproc", seed=4))
+        assert len(captured) >= 9 and sum(len(z) for z, _, _ in captured) > 1000
+        rng = np.random.default_rng(5)
+        for l_z in (4, 16):
+            captured.append((rng.integers(0, 2 ** l_z, 2000), Codebook(l_z=l_z, r_thr=1.0), 0.01))
+        for z_idx, cb, sigma in captured:
+            lo = z_idx * cb.z_step
+            want = interval_surrogate(lo, lo + cb.z_step, sigma)
+            table = _surrogate_table(cb.l_z, cb.z_step, sigma)
+            for got, expected in zip(table, want):
+                assert got[z_idx].tobytes() == expected.tobytes()
+        assert not want[2].all()
 
     def test_vacuous_and_empty_scans_match_member_loop(self):
         state, cov = NavState(), np.eye(ERROR_DIM) * 1e-3

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quantlio.manifold import ERROR_DIM, NavState, NoiseParams, propagate, rot_to_quat
+from quantlio.manifold import ERROR_DIM, NavState, NoiseParams, propagate, rot_to_quat, so3_exp
 from quantlio.simworld import (
     GRAVITY_W, LidarModel, build_scene, load_descriptor, synth_imu,
     synth_scan, synth_trajectory,
@@ -237,7 +237,57 @@ class TestImu:
         assert np.linalg.norm(out.position - gt.motion(10.0).position) < 1e-3
 
 
+def loop_synth_scan(scene, gt, lidar, t_k, seed, extrinsic):
+    """synth_scan with the per-time pose loop it batched: one motion call,
+    one rotation and one pair of extrinsic products per firing time."""
+    rng = np.random.default_rng(seed)
+    dirs, offsets = lidar.ray_table()
+    times = t_k - lidar.period + offsets
+    r_il, t_il = extrinsic
+    uniq, inverse = np.unique(times, return_inverse=True)
+    origins_u = np.empty((len(uniq), 3))
+    rots_u = np.empty((len(uniq), 3, 3))
+    for i, t in enumerate(uniq):
+        motion = gt.motion(t)
+        rot_wi = yaw_rotation(motion.yaw)
+        rots_u[i] = rot_wi @ r_il
+        origins_u[i] = rot_wi @ t_il + np.array(motion.position)
+    origins = origins_u[inverse]
+    dirs_w = np.einsum("nij,nj->ni", rots_u[inverse], dirs)
+    best_t = np.full(len(dirs), np.inf)
+    for patch in scene.patches:
+        denom = dirs_w @ patch.normal
+        safe = np.where(np.abs(denom) > 1e-12, denom, 1.0)
+        t_hit = ((patch.center - origins) @ patch.normal) / safe
+        rel = origins + t_hit[:, None] * dirs_w - patch.center
+        valid = (np.abs(denom) > 1e-12) & (t_hit > lidar.min_range) & (t_hit <= lidar.max_range)
+        valid &= np.abs(rel @ patch.axis_u) <= patch.half_u
+        valid &= np.abs(rel @ patch.axis_v) <= patch.half_v
+        best_t = np.where(valid & (t_hit < best_t), t_hit, best_t)
+    mask = np.isfinite(best_t)
+    ranges = best_t[mask] + lidar.range_noise * rng.standard_normal(np.count_nonzero(mask))
+    return dirs[mask] * ranges[:, None], times[mask]
+
+
 class TestScans:
+    @pytest.mark.parametrize("scene,preset", [("box-room", "figure-eight"),
+                                              ("box-room", "static"),
+                                              ("open-yard", "circle"), ("corridor", "line")])
+    def test_matches_per_time_reference(self, scene, preset):
+        # Bit for bit, with and without a tilted extrinsic, at the default
+        # and the dense LiDAR of the benchmark.
+        scene = build_scene(scene)
+        gt = synth_trajectory(preset, 10.0)
+        tilted = (so3_exp([0.1, -0.2, 0.3]), np.array([0.05, -0.02, 0.08]))
+        for lidar in (LidarModel(), LidarModel(n_azimuth=256, n_elevation=32)):
+            for extrinsic in ((np.eye(3), np.zeros(3)), tilted):
+                for t_k in (0.1, 3.7, 10.0):
+                    got = synth_scan(scene, gt, lidar, t_k, seed=3, extrinsic=extrinsic)
+                    want = loop_synth_scan(scene, gt, lidar, t_k, 3, extrinsic)
+                    assert len(got[0]) > 0
+                    np.testing.assert_array_equal(got[0], want[0])
+                    np.testing.assert_array_equal(got[1], want[1])
+
     def test_wall_range_exact(self):
         scene = build_scene("box-room", (10.0, 10.0, 3.0))
         gt = synth_trajectory("static", 1.0, position=(4.0, 0.0, 0.0))
