@@ -14,11 +14,10 @@ filter and quantize whole, selecting exactly what per-row loops would, and
 last one wire.ObservationGroups record, which pack_groups encodes.
 
 Voxel selection, in voxel_downsample and per rq bucket in rq_resample,
-keeps the member nearest each voxel's center, ties broken by coordinates and
-then by input order. One stable integer sort on a folded (group, voxel) key
-gathers each voxel's members, and only rows tied at a voxel's nearest
-distance are sorted by coordinates; the result is the same indices as one
-float lexsort over every point.
+keeps each voxel's first member in input order, the rule VoxelMap.insert
+applies to its sub-voxels: no distance, no tie-break. Each (group, voxel)
+pair is folded into one int64 key, and np.unique's first index per key is
+the selection.
 
 Association fits its planes with voxelmap.plane_fit_batch, in closed form:
 the 3x3 normal equations of each 5-point set, solved by adjugate and
@@ -122,28 +121,19 @@ def undistort(points, times, t_prev: float, t_k: float, scan_delta, extrinsic):
 
 
 def voxel_downsample(points, edge: float) -> np.ndarray:
-    """Indices of one representative per occupied voxel: the member nearest
-    the voxel center, ties broken by lexicographic coordinates, then by
-    input order."""
+    """Ascending indices of each occupied voxel's first point in input
+    order."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
         return np.empty(0, dtype=np.int64)
-    return _voxel_representatives(points, edge, np.zeros(len(points), dtype=np.int64))
+    return _first_per_voxel(points, edge, np.zeros(len(points), dtype=np.int64))
 
 
-def _voxel_representatives(points: np.ndarray, edges, groups: np.ndarray) -> np.ndarray:
-    """Ascending indices of one point per (group, voxel) pair, voxels of side
-    edges (a scalar or one per point): the member nearest the voxel center,
-    ties broken by lexicographic coordinates, then by input order.
-
-    The pair is folded into one int64 key over the occupied span of cells,
-    so one stable integer sort groups the members of each voxel in input
-    order; each voxel's nearest distance is a segment minimum, and only the
-    rows tied at it are sorted by coordinates.
-    """
+def _first_per_voxel(points: np.ndarray, edges, groups: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first point in input order of each (group,
+    voxel) pair, voxels of side edges (a scalar or one per point). The pair
+    is folded into one int64 key over the occupied span of cells."""
     cells = np.floor(points / edges).astype(np.int64)
-    diff = points - (cells + 0.5) * edges
-    dist = np.einsum("ij,ij->i", diff, diff)
     # Column by column: an axis-0 reduction over (n, 3) rows is many times
     # slower.
     key, size = groups, int(groups.max()) + 1
@@ -153,22 +143,7 @@ def _voxel_representatives(points: np.ndarray, edges, groups: np.ndarray) -> np.
         key, size = key * span + (col - low), size * span
     if size > 1 << 63:
         raise ValueError("points span too many voxels for an int64 key")
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    boundary = np.diff(sorted_key, prepend=sorted_key[0] - 1) != 0
-    voxel = np.cumsum(boundary) - 1
-    dist = dist[order]
-    tied = dist == np.minimum.reduceat(dist, np.flatnonzero(boundary))[voxel]
-    rows, voxel = order[tied], voxel[tied]
-    # A voxel with one row at its minimum distance keeps it; the rows of the
-    # others are ranked by coordinates, and lexsort is stable, so rows tied
-    # on every key stay in input order.
-    shared = np.bincount(voxel)[voxel] > 1
-    rows_shared, voxel = rows[shared], voxel[shared]
-    pts = points[rows_shared]
-    ranked = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0], voxel))
-    first = ranked[np.flatnonzero(np.diff(voxel[ranked], prepend=-1))]
-    return np.sort(np.concatenate([rows[~shared], rows_shared[first]]))
+    return np.sort(np.unique(key, return_index=True)[1])
 
 
 @dataclass(frozen=True)
@@ -244,27 +219,20 @@ def rq_resample(observations: PlaneObservations, cb: Codebook, ds_0: float,
     """Adaptive per-bucket downsampling keyed by quantized residual vectors.
 
     Observations are partitioned by rq key; each bucket gets a voxel size
-    ds_0 + alpha * mean sensor range of its members and keeps one member per
-    voxel: the one nearest the voxel center, ties broken by lexicographic
-    coordinates, then by input order. Bucket counts never grow and a
-    nonempty bucket keeps at least one member. Kept rows stay in input
-    order.
+    ds_0 + alpha * mean sensor range of its members and keeps each voxel's
+    first member in input order. Bucket counts never grow and a nonempty
+    bucket keeps at least one member. Kept rows stay in input order.
     """
     if len(observations) == 0:
         return observations
-    keys, _ = quantize_residual_vectors(observations.residual_vector, cb)
+    keys = quantize_residual_vectors(observations.residual_vector, cb)
     pts = observations.point_lidar
     ranges = np.linalg.norm(pts, axis=1)
 
-    # Each bucket's mean range sums its members in input order with the
-    # reduction np.mean uses, so it equals ranges[keys == key].mean().
     _, bucket = np.unique(keys, return_inverse=True)
-    sizes = np.bincount(bucket)
-    segments = np.split(ranges[np.argsort(bucket, kind="stable")], np.cumsum(sizes)[:-1])
-    means = np.array([np.add.reduce(seg) for seg in segments]) / sizes
+    means = np.bincount(bucket, ranges) / np.bincount(bucket)
     edges = (ds_0 + alpha * means)[bucket][:, None]
-
-    return observations[_voxel_representatives(pts, edges, bucket)]
+    return observations[_first_per_voxel(pts, edges, bucket)]
 
 
 def build_groups(observations: PlaneObservations, cb: Codebook) -> ObservationGroups:
@@ -273,9 +241,9 @@ def build_groups(observations: PlaneObservations, cb: Codebook) -> ObservationGr
     Groups are ordered by ascending key; members within a group by ascending
     point indices (then z index), so the encoding is deterministic.
     """
-    keys, _ = quantize_residual_vectors(observations.residual_vector, cb)
-    p_idx, _ = quantize_points(observations.point_lidar, cb)
-    z_idx, _, _, _ = quantize_zs(observations.residual, cb)
+    keys = quantize_residual_vectors(observations.residual_vector, cb)
+    p_idx = quantize_points(observations.point_lidar, cb)
+    z_idx = quantize_zs(observations.residual, cb)
 
     order = np.lexsort((z_idx, p_idx[:, 2], p_idx[:, 1], p_idx[:, 0], keys))
     uniq, counts = np.unique(keys[order], return_counts=True)

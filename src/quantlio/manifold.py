@@ -33,19 +33,10 @@ def skew(v) -> np.ndarray:
 
 
 def so3_exp(omega) -> np.ndarray:
-    """Rodrigues rotation from a rotation vector (radians).
-
-    Falls back to the truncated series below 1e-8 rad where sin/angle
-    loses precision.
-    """
-    omega = np.asarray(omega, dtype=float)
-    angle = float(np.linalg.norm(omega))
-    w = skew(omega)
-    if angle < 1e-8:
-        return np.eye(3) + w + 0.5 * (w @ w)
-    s = np.sin(angle) / angle
-    c = (1.0 - np.cos(angle)) / (angle * angle)
-    return np.eye(3) + s * w + c * (w @ w)
+    """Rodrigues rotation I + b1 W + b2 W^2 from a rotation vector (radians),
+    with rodrigues_terms' coefficients and series threshold."""
+    w, ww, b1, b2, _ = rodrigues_terms(omega)
+    return np.eye(3) + b1 * w + b2 * ww
 
 
 def _skews(v) -> np.ndarray:

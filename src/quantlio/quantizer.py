@@ -2,8 +2,9 @@
 
 All three grids are uniform with floor indexing, so a value landing exactly
 on a cell edge takes the upper cell and the top edge clamps into the last
-cell. Reconstructions sit at cell centers, which makes quantization
-idempotent: re-quantizing any reconstruction returns the same index.
+cell. Reconstructions (dequantize_point, dequantize_residual_key) sit at
+cell centers, which makes quantization idempotent: re-quantizing any
+reconstruction returns the same index.
 
 Grids, for bit counts (l_p, l_n, l_z) and ranges (r_max, r_thr):
 
@@ -68,15 +69,12 @@ def _grid_index(values, step: float, offset: float, n_cells: int):
     return np.clip(idx, 0, n_cells - 1)
 
 
-def quantize_points(points, cb: Codebook):
-    """Vectorized point quantization: (N, 3) -> (indices, reconstructions)."""
+def quantize_points(points, cb: Codebook) -> np.ndarray:
+    """Vectorized point quantization: (N, 3) -> (N, 3) indices."""
     points = np.asarray(points, dtype=float)
     if np.any(np.abs(points) > cb.r_max):
         raise ValueError("point coordinate outside [-r_max, r_max]; filter upstream")
-    step = cb.point_step
-    idx = _grid_index(points, step, cb.r_max, 2 ** cb.l_p)
-    recon = idx * step - cb.r_max + 0.5 * step
-    return idx, recon
+    return _grid_index(points, cb.point_step, cb.r_max, 2 ** cb.l_p)
 
 
 def dequantize_point(indices, cb: Codebook) -> np.ndarray:
@@ -94,16 +92,14 @@ def residual_key_to_axes(key, cb: Codebook) -> np.ndarray:
     return np.stack([(key >> (2 * cb.l_n)) & mask, (key >> cb.l_n) & mask, key & mask], axis=-1)
 
 
-def quantize_residual_vectors(vectors, cb: Codebook):
-    """Vectorized residual-vector quantization: (N, 3) -> (keys, recons)."""
+def quantize_residual_vectors(vectors, cb: Codebook) -> np.ndarray:
+    """Vectorized residual-vector quantization: (N, 3) -> (N,) keys."""
     vectors = np.asarray(vectors, dtype=float)
     norms = np.linalg.norm(vectors, axis=-1)
     if np.any(norms >= cb.r_thr):
         raise ValueError("residual norm at or above r_thr; filter upstream")
-    step = cb.residual_step
-    idx = _grid_index(vectors, step, cb.r_thr, 2 ** cb.l_n)
-    recon = idx * step - cb.r_thr + 0.5 * step
-    return residual_axes_to_key(idx, cb), recon
+    idx = _grid_index(vectors, cb.residual_step, cb.r_thr, 2 ** cb.l_n)
+    return residual_axes_to_key(idx, cb)
 
 
 def dequantize_residual_key(key, cb: Codebook) -> np.ndarray:
@@ -111,15 +107,13 @@ def dequantize_residual_key(key, cb: Codebook) -> np.ndarray:
     return axes * cb.residual_step - cb.r_thr + 0.5 * cb.residual_step
 
 
-def quantize_zs(values, cb: Codebook):
-    """Vectorized scalar-residual quantization: values -> (idx, center, lo, hi)."""
+def quantize_zs(values, cb: Codebook) -> np.ndarray:
+    """Vectorized scalar-residual quantization: values -> cell indices; cell
+    i is [i * z_step, (i + 1) * z_step)."""
     values = np.asarray(values, dtype=float)
     if np.any((values < 0.0) | (values >= cb.r_thr)):
         raise ValueError("z outside [0, r_thr); filter upstream")
-    step = cb.z_step
-    idx = _grid_index(values, step, 0.0, 2 ** cb.l_z)
-    lo = idx * step
-    return idx, lo + 0.5 * step, lo, lo + step
+    return _grid_index(values, cb.z_step, 0.0, 2 ** cb.l_z)
 
 
 def int8_minmax_quantize(points):

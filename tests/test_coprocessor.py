@@ -12,7 +12,7 @@ from quantlio.quantizer import (
     quantize_residual_vectors, quantize_zs,
 )
 from quantlio.simworld import LidarModel, build_scene, synth_scan, synth_trajectory
-from quantlio.voxelmap import VoxelMap, pack_cells, plane_fit_batch
+from quantlio.voxelmap import VoxelMap, plane_fit_batch
 
 IDENTITY = (np.eye(3), np.zeros(3))
 
@@ -90,35 +90,35 @@ def associate_per_observation(world_points, lidar_points, vmap, cb, plane_thresh
     return kept, skipped
 
 
-def voxel_downsample_lexsort(points, edge):
-    """One float lexsort on (distance, x, y, z) over every point, then the
-    first of each voxel: the selection voxel_downsample replaced."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    cells = np.floor(points / edge).astype(np.int64)
-    centers = (cells + 0.5) * edge
-    diff = points - centers
-    dist = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0], dist))
-    _, first = np.unique(pack_cells(cells[order]), return_index=True)
-    return np.sort(order[first])
+def voxel_downsample_per_point(points, edge):
+    """Sorted indices of the first point to reach each voxel, one point at a
+    time."""
+    first = {}
+    for i, p in enumerate(np.atleast_2d(np.asarray(points, dtype=float))):
+        first.setdefault(tuple(np.floor(p / edge).astype(int)), i)
+    return np.array(sorted(first.values()), dtype=np.int64)
 
 
 def rq_resample_per_bucket(obs, cb, ds_0, alpha):
-    """Sorted kept row indices, from one reference voxel selection per bucket."""
-    keys, _ = quantize_residual_vectors(obs.residual_vector, cb)
-    ranges = np.linalg.norm(obs.point_lidar, axis=1)
-    kept = []
-    for key in np.unique(keys):
-        members = np.flatnonzero(keys == key)
-        ds_k = ds_0 + alpha * float(ranges[members].mean())
-        kept.extend(members[voxel_downsample_lexsort(obs.point_lidar[members], ds_k)])
-    return np.sort(np.array(kept, dtype=np.int64))
+    """Sorted kept row indices: each bucket's ranges summed left to right in
+    input order, then the first row to reach each (bucket, voxel) pair."""
+    keys = quantize_residual_vectors(obs.residual_vector, cb).tolist()
+    ranges = np.linalg.norm(obs.point_lidar, axis=1).tolist()
+    sums, sizes = {}, {}
+    for key, r in zip(keys, ranges):
+        sums[key] = sums.get(key, 0.0) + r
+        sizes[key] = sizes.get(key, 0) + 1
+    first = {}
+    for i, (key, p) in enumerate(zip(keys, obs.point_lidar)):
+        ds_k = ds_0 + alpha * (sums[key] / sizes[key])
+        first.setdefault((key, *np.floor(p / ds_k).astype(int).tolist()), i)
+    return np.array(sorted(first.values()), dtype=np.int64)
 
 
 def build_groups_per_observation(obs, cb):
-    keys, _ = quantize_residual_vectors(obs.residual_vector, cb)
-    p_idx, _ = quantize_points(obs.point_lidar, cb)
-    z_idx, _, _, _ = quantize_zs(obs.residual, cb)
+    keys = quantize_residual_vectors(obs.residual_vector, cb)
+    p_idx = quantize_points(obs.point_lidar, cb)
+    z_idx = quantize_zs(obs.residual, cb)
     grouped: dict = {}
     for key, pi, zi in zip(keys, p_idx, z_idx):
         grouped.setdefault(int(key), []).append((int(zi), tuple(int(v) for v in pi)))
@@ -241,15 +241,15 @@ class TestUndistort:
 
 
 class TestVoxelDownsample:
-    def test_keeps_one_per_voxel_nearest_center(self):
+    def test_keeps_each_voxels_first_point(self):
         pts = np.array([
             [0.10, 0.10, 0.10],
-            [0.26, 0.26, 0.26],  # nearest to the (0.25,) cell center
+            [0.26, 0.26, 0.26],  # nearest to the (0.25,) cell center, but second
             [0.40, 0.40, 0.40],
             [0.90, 0.90, 0.90],
         ])
         kept = voxel_downsample(pts, 0.5)
-        np.testing.assert_array_equal(kept, [1, 3])
+        np.testing.assert_array_equal(kept, [0, 3])
 
     def test_spread_points_survive(self):
         rng = np.random.default_rng(3)
@@ -263,26 +263,34 @@ class TestVoxelDownsample:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
            lattice=st.sampled_from([0.0625, 0.125, 0.25]),
            edge=st.sampled_from([0.25, 0.3, 0.5, 1.0]),
-           duplicates=st.sampled_from([0.0, 0.3]), mirrors=st.sampled_from([0.0, 0.3]),
-           jitter=st.sampled_from([0.0, 0.5]))
-    def test_matches_lexsort_reference(self, seed, n, lattice, edge, duplicates, mirrors,
-                                       jitter):
+           duplicates=st.sampled_from([0.0, 0.3]), jitter=st.sampled_from([0.0, 0.5]))
+    def test_matches_per_point_loop(self, seed, n, lattice, edge, duplicates, jitter):
         # Lattice points around the origin (negative coordinates, points on
-        # voxel faces, equal distances to voxel centres), exact copies of
-        # other rows, and mirror images of rows through their voxel centre,
-        # which tie on distance and differ in coordinates; a share jittered
-        # off the lattice.
+        # voxel faces) and exact copies of other rows, of which the first
+        # copy wins; a share jittered off the lattice.
         rng = np.random.default_rng(seed)
         pts = rng.integers(-24, 24, (n, 3)) * lattice
-        rows = np.flatnonzero(rng.random(n) < mirrors)
-        centres = (np.floor(pts[rows] / edge) + 0.5) * edge
-        pts[rows] = 2.0 * centres - pts[rows]
         rows = np.flatnonzero(rng.random(n) < duplicates)
         pts[rows] = pts[rng.integers(0, n, len(rows))]
         rows = np.flatnonzero(rng.random(n) < jitter)
         pts[rows] += rng.uniform(-0.1, 0.1, (len(rows), 3))
         np.testing.assert_array_equal(voxel_downsample(pts, edge),
-                                      voxel_downsample_lexsort(pts, edge))
+                                      voxel_downsample_per_point(pts, edge))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+           lattice=st.sampled_from([0.0625, 0.125]), jitter=st.sampled_from([0.0, 0.5]))
+    def test_selects_what_one_map_insert_stores(self, seed, n, lattice, jitter):
+        # One rule at two call sites: a batch inserted into an empty map of
+        # 0.5 m cells keeps the first point of each 0.25 m sub-voxel.
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-24, 24, (n, 3)) * lattice
+        rows = np.flatnonzero(rng.random(n) < jitter)
+        pts[rows] += rng.uniform(-0.1, 0.1, (len(rows), 3))
+        vmap = VoxelMap(edge=0.5)
+        vmap.insert(pts)
+        stored = {tuple(p) for p in vmap.points.tolist()}
+        assert len(stored) == len(vmap)
+        assert stored == {tuple(p) for p in pts[voxel_downsample(pts, 0.25)].tolist()}
 
     def test_refuses_a_span_no_int64_key_holds(self):
         with pytest.raises(ValueError, match="int64"):
@@ -383,13 +391,13 @@ class TestAssociate:
 class TestRqResample:
     def test_cell_size_formula(self):
         # Mean range about 50.26 m, so the bucket's voxel is
-        # 0.5 + 0.01 * 50.26 = 1.0026 m: y = 0.1 and 0.6 share a voxel (0.6
-        # is nearer its center), y = 1.1 lies in the next. A 0.5 m voxel
+        # 0.5 + 0.01 * 50.26 = 1.0026 m: y = 0.1 and 0.6 share a voxel (0.1
+        # comes first and stays), y = 1.1 lies in the next. A 0.5 m voxel
         # would keep all three.
         cb = Codebook()
         pts = [(50.25, y, 0.25) for y in (0.1, 0.6, 1.1)]
         kept = rq_resample(make_obs([0, 0, 1], 0.01, pts), cb, ds_0=0.5, alpha=0.01)
-        np.testing.assert_array_equal(kept.point_lidar[:, 1], [0.6, 1.1])
+        np.testing.assert_array_equal(kept.point_lidar[:, 1], [0.1, 1.1])
         assert len(rq_resample(make_obs([0, 0, 1], 0.01, pts), cb, ds_0=0.5, alpha=0.0)) == 3
 
     def test_distinct_buckets_pass_through(self):
@@ -399,7 +407,7 @@ class TestRqResample:
                        [(2.0 + i, 0.0, 0.0) for i in range(4)])
         kept = rq_resample(obs, cb, ds_0=0.5, alpha=0.01)
         assert len(kept) == len(obs)
-        keys, _ = quantize_residual_vectors(kept.residual_vector, cb)
+        keys = quantize_residual_vectors(kept.residual_vector, cb)
         assert len(np.unique(keys)) == len(us)
 
     def test_coincident_members_collapse(self):
@@ -424,7 +432,7 @@ class TestRqResample:
         for name in ("point_lidar", "normal", "plane_offset", "residual"):
             np.testing.assert_array_equal(getattr(kept, name), getattr(obs, name)[rows])
         # Every nonempty bucket keeps at least one member.
-        keys, _ = quantize_residual_vectors(obs.residual_vector, cb)
+        keys = quantize_residual_vectors(obs.residual_vector, cb)
         np.testing.assert_array_equal(np.unique(keys[rows]), np.unique(keys))
         np.testing.assert_array_equal(rows, rq_resample_per_bucket(obs, cb, 0.3, 0.01))
 
@@ -433,19 +441,15 @@ class TestRqResample:
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
            directions=st.integers(1, 5), lattice=st.sampled_from([0.0625, 0.125, 0.25]),
-           coincident=st.sampled_from([0.0, 0.3]), mirrors=st.sampled_from([0.0, 0.3]),
+           coincident=st.sampled_from([0.0, 0.3]),
            ds_0=st.sampled_from([0.05, 0.3, 0.5]), alpha=st.sampled_from([0.0, 0.01, 0.05]))
-    @example(seed=1, n=150, directions=2, lattice=0.125, coincident=0.3, mirrors=0.3,
-             ds_0=0.5, alpha=0.0)
-    @example(seed=2, n=150, directions=1, lattice=0.0625, coincident=0.0, mirrors=0.3,
-             ds_0=0.3, alpha=0.0)
+    @example(seed=1, n=150, directions=2, lattice=0.125, coincident=0.3, ds_0=0.5, alpha=0.0)
+    @example(seed=2, n=150, directions=1, lattice=0.0625, coincident=0.0, ds_0=0.3, alpha=0.0)
     def test_matches_per_bucket_loop(self, seed, n, directions, lattice, coincident,
-                                     mirrors, ds_0, alpha):
-        # Lattice points tie on their distance to voxel centres; copied rows
-        # are coincident; few directions make buckets spanning many voxels.
-        # A mirrored row copies another row's residual, so it shares that
-        # row's bucket, and sits at its image through its ds_0 voxel centre:
-        # with alpha 0 the voxel is ds_0, so the two tie on distance.
+                                     ds_0, alpha):
+        # Lattice points around the origin lie on voxel faces and have
+        # negative coordinates; copied rows are coincident, and the first
+        # copy wins; few directions make buckets spanning many voxels.
         rng = np.random.default_rng(seed)
         cb = Codebook(l_n=3)
         dirs = rng.standard_normal((directions, 3))
@@ -454,10 +458,6 @@ class TestRqResample:
         pts = rng.integers(-24, 24, (n, 3)) * lattice
         copies = np.flatnonzero(rng.random(n) < coincident)
         pts[copies] = pts[rng.integers(0, n, len(copies))]
-        rows = np.flatnonzero(rng.random(n) < mirrors)
-        src = rng.integers(0, n, len(rows))
-        us[rows], zs[rows] = us[src], zs[src]
-        pts[rows] = 2.0 * (np.floor(pts[src] / ds_0) + 0.5) * ds_0 - pts[src]
         obs = make_obs(us, zs, pts, points_world=np.c_[np.arange(n), np.zeros((n, 2))])
 
         kept = rq_resample(obs, cb, ds_0, alpha)
@@ -493,9 +493,9 @@ class TestBuildGroups:
         groups = build_groups(obs, cb)
 
         expected = []
-        p_idx, _ = quantize_points(obs.point_lidar, cb)
-        z_idx, _, _, _ = quantize_zs(obs.residual, cb)
-        keys, _ = quantize_residual_vectors(obs.residual_vector, cb)
+        p_idx = quantize_points(obs.point_lidar, cb)
+        z_idx = quantize_zs(obs.residual, cb)
+        keys = quantize_residual_vectors(obs.residual_vector, cb)
         for key, pi, zi in zip(keys, p_idx, z_idx):
             expected.append((int(key), int(zi), tuple(int(v) for v in pi)))
         flattened = [(g.rq_key, m[0], m[1]) for g in groups for m in g.members]

@@ -386,9 +386,9 @@ class TestQmapUpdate:
         groups = build_groups(obs, cb)
         q_state, q_cov, info = qmap_update(state, cov, groups, cb, sigma, IDENTITY)
 
-        _, n_center = quantize_residual_vectors(obs.residual_vector, cb)
+        n_center = dequantize_residual_key(quantize_residual_vectors(obs.residual_vector, cb), cb)
         u = n_center / np.linalg.norm(n_center, axis=1, keepdims=True)
-        _, p_recon = quantize_points(obs.point_lidar, cb)
+        p_recon = dequantize_point(quantize_points(obs.point_lidar, cb), cb)
         oracle_obs = PlaneObservations(
             point_world=obs.point_world, point_lidar=p_recon, normal=u,
             plane_offset=obs.plane_offset, residual=obs.residual)

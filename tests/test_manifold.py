@@ -48,6 +48,14 @@ class TestSo3:
             axis /= np.linalg.norm(axis)
             omega = axis * rng.uniform(1e-3, np.pi - 1e-3)
             np.testing.assert_allclose(so3_exp(omega), exp_series(omega), atol=1e-12)
+        # From 3e-8 to 1e-5 rad, across the 1e-6 rad series threshold,
+        # against b2 = 2 sin^2(a/2) / a^2, which has no cancellation.
+        for a in np.geomspace(3e-8, 1e-5, 200):
+            axis = rng.standard_normal(3)
+            omega = a * axis / np.linalg.norm(axis)
+            w = skew(omega)
+            want = np.eye(3) + np.sin(a) / a * w + 2.0 * np.sin(a / 2.0) ** 2 / a ** 2 * (w @ w)
+            np.testing.assert_allclose(so3_exp(omega), want, rtol=0, atol=1e-15)
 
     def test_exp_orthonormal(self):
         rng = np.random.default_rng(8)

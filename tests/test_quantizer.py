@@ -32,36 +32,34 @@ class TestPointGrid:
         # With one bit over [-200, 200) there are two 200 m cells; -1 lands
         # in the lower cell whose center is -100.
         cb = Codebook(l_p=1, r_max=200.0)
-        idx, recon = quantize_points([[-1.0, -1.0, -1.0]], cb)
+        idx = quantize_points([[-1.0, -1.0, -1.0]], cb)
         assert list(idx[0]) == [0, 0, 0]
-        np.testing.assert_allclose(recon[0], [-100.0, -100.0, -100.0])
+        np.testing.assert_allclose(dequantize_point(idx, cb)[0], [-100.0, -100.0, -100.0])
 
     def test_half_cell_error_bound(self):
         rng = np.random.default_rng(0)
         for cb in (Codebook(l_p=3, r_max=200.0), Codebook(l_p=9, r_max=50.0),
                    Codebook(l_p=16, r_max=30.0)):
             pts = rng.uniform(-cb.r_max, cb.r_max, (200_000, 3)) * (1 - 1e-12)
-            _, recon = quantize_points(pts, cb)
+            recon = dequantize_point(quantize_points(pts, cb), cb)
             assert np.abs(pts - recon).max() <= 2.0 ** (-cb.l_p) * cb.r_max + 1e-12
 
     def test_idempotent_on_cell_centers(self):
         cb = Codebook(l_p=5, r_max=40.0)
         rng = np.random.default_rng(1)
         pts = rng.uniform(-cb.r_max, cb.r_max, (1000, 3)) * (1 - 1e-12)
-        idx, recon = quantize_points(pts, cb)
-        idx2, recon2 = quantize_points(recon, cb)
-        np.testing.assert_array_equal(idx, idx2)
-        np.testing.assert_array_equal(recon, recon2)
+        idx = quantize_points(pts, cb)
+        np.testing.assert_array_equal(quantize_points(dequantize_point(idx, cb), cb), idx)
 
     def test_monotone_indices(self):
         cb = Codebook(l_p=6, r_max=10.0)
         xs = np.sort(np.random.default_rng(2).uniform(-10, 10, 5000) * (1 - 1e-12))
-        idx, _ = quantize_points(np.stack([xs, xs, xs], axis=1), cb)
+        idx = quantize_points(np.stack([xs, xs, xs], axis=1), cb)
         assert np.all(np.diff(idx[:, 0]) >= 0)
 
     def test_boundary_takes_upper_cell_and_top_clamps(self):
         cb = Codebook(l_p=2, r_max=8.0)  # edges at -8, -4, 0, 4, 8
-        idx, _ = quantize_points([[0.0, 4.0, 8.0]], cb)
+        idx = quantize_points([[0.0, 4.0, 8.0]], cb)
         assert list(idx[0]) == [2, 3, 3]
 
     def test_out_of_range_reported(self):
@@ -77,12 +75,12 @@ class TestResidualGrid:
 
     def test_positive_epsilon_hits_upper_octant(self):
         cb = Codebook(l_n=1, r_thr=0.04)
-        keys, _ = quantize_residual_vectors([[1e-12, 1e-12, 1e-12]], cb)
+        keys = quantize_residual_vectors([[1e-12, 1e-12, 1e-12]], cb)
         assert keys[0] == 0b111
 
     def test_zero_takes_upper_cells(self):
         cb = Codebook(l_n=1, r_thr=0.04)
-        keys, _ = quantize_residual_vectors([[0.0, 0.0, 0.0]], cb)
+        keys = quantize_residual_vectors([[0.0, 0.0, 0.0]], cb)
         assert keys[0] == 0b111
 
     def test_idempotent(self):
@@ -93,12 +91,12 @@ class TestResidualGrid:
         vecs = rng.uniform(-1, 1, (2000, 3))
         vecs *= (rng.uniform(0, cb.r_thr * 0.999, 2000) /
                  np.linalg.norm(vecs, axis=1))[:, None]
-        keys, recon = quantize_residual_vectors(vecs, cb)
+        keys = quantize_residual_vectors(vecs, cb)
+        recon = dequantize_residual_key(keys, cb)
         admissible = np.linalg.norm(recon, axis=1) < cb.r_thr
         assert np.count_nonzero(admissible) > 500
-        keys2, recon2 = quantize_residual_vectors(recon[admissible], cb)
-        np.testing.assert_array_equal(keys[admissible], keys2)
-        np.testing.assert_array_equal(recon[admissible], recon2)
+        np.testing.assert_array_equal(
+            quantize_residual_vectors(recon[admissible], cb), keys[admissible])
 
     def test_half_cell_error_bound(self):
         cb = Codebook(l_n=3, r_thr=0.04)
@@ -106,7 +104,7 @@ class TestResidualGrid:
         vecs = rng.uniform(-1, 1, (100_000, 3))
         vecs *= (rng.uniform(0, cb.r_thr * 0.999, len(vecs)) /
                  np.linalg.norm(vecs, axis=1))[:, None]
-        _, recon = quantize_residual_vectors(vecs, cb)
+        recon = dequantize_residual_key(quantize_residual_vectors(vecs, cb), cb)
         assert np.abs(vecs - recon).max() <= 2.0 ** (-cb.l_n) * cb.r_thr + 1e-15
 
     def test_norm_gate_reported(self):
@@ -120,7 +118,7 @@ class TestResidualGrid:
         vecs = rng.uniform(-1, 1, (5000, 3))
         vecs *= (rng.uniform(0, cb.r_thr * 0.999, len(vecs)) /
                  np.linalg.norm(vecs, axis=1))[:, None]
-        keys, _ = quantize_residual_vectors(vecs, cb)
+        keys = quantize_residual_vectors(vecs, cb)
         axes = residual_key_to_axes(keys, cb)
         np.testing.assert_array_equal(residual_axes_to_key(axes, cb), keys)
         # Stepping one cell along one axis flips exactly that sub-field.
@@ -134,40 +132,39 @@ class TestResidualGrid:
             assert np.count_nonzero(changed) == 1
 
     def test_dequantize_matches_reconstruction(self):
+        # Step 0.01: the cells holding 0.012, -0.023 and 0.004 are centered
+        # at 0.015, -0.025 and 0.005.
         cb = Codebook(l_n=3, r_thr=0.04)
-        keys, recon = quantize_residual_vectors([[0.01, -0.02, 0.005]], cb)
-        np.testing.assert_allclose(dequantize_residual_key(keys[0], cb), recon[0])
+        keys = quantize_residual_vectors([[0.012, -0.023, 0.004]], cb)
+        np.testing.assert_allclose(dequantize_residual_key(keys[0], cb), [0.015, -0.025, 0.005])
 
 
 class TestScalarGrid:
     def test_worked_example(self):
         cb = Codebook(l_z=2, r_thr=0.04)
-        idx, center, lo, hi = quantize_zs([0.013], cb)
+        idx = quantize_zs([0.013], cb)
         assert idx[0] == 1
-        assert center[0] == pytest.approx(0.015)
-        assert (lo[0], hi[0]) == (pytest.approx(0.01), pytest.approx(0.02))
+        lo = idx * cb.z_step
+        assert (lo[0], lo[0] + cb.z_step) == (pytest.approx(0.01), pytest.approx(0.02))
 
     def test_zero_lowest_cell(self):
         cb = Codebook(l_z=3, r_thr=0.04)
-        idx, center, _, _ = quantize_zs([0.0], cb)
-        assert idx[0] == 0
-        assert center[0] == pytest.approx(cb.z_step / 2)
+        assert quantize_zs([0.0], cb)[0] == 0
 
     def test_idempotent_centers(self):
         cb = Codebook(l_z=4, r_thr=0.04)
         cells = np.arange(2 ** cb.l_z)
         centers = cells * cb.z_step + 0.5 * cb.z_step
-        idx, centers2, _, _ = quantize_zs(centers, cb)
-        np.testing.assert_array_equal(idx, cells)
-        assert list(centers2) == pytest.approx(list(centers))
+        np.testing.assert_array_equal(quantize_zs(centers, cb), cells)
 
     def test_error_bound_and_interval(self):
         cb = Codebook(l_z=2, r_thr=0.04)
         rng = np.random.default_rng(6)
         zs = rng.uniform(0, cb.r_thr * 0.999999, 100_000)
-        idx, center, lo, hi = quantize_zs(zs, cb)
-        assert np.all((zs >= lo) & (zs < hi))
-        assert np.abs(zs - center).max() <= cb.z_step / 2 + 1e-15
+        idx = quantize_zs(zs, cb)
+        lo = idx * cb.z_step
+        assert np.all((zs >= lo) & (zs < lo + cb.z_step))
+        assert np.abs(zs - (lo + 0.5 * cb.z_step)).max() <= cb.z_step / 2 + 1e-15
         assert np.all(np.diff(idx[np.argsort(zs)]) >= 0)
 
     def test_out_of_range_reported(self):
