@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .manifold import rodrigues_terms, skew, so3_log
+from .manifold import rodrigues_terms, so3_log
 from .quantizer import (
     Codebook, int8_minmax_quantize, int8_minmax_reconstruct, quantize_points,
     quantize_residual_vectors, quantize_zs,
@@ -49,17 +49,11 @@ MODES = ("qlio", "baseline-float", "baseline-int8", "qlio-no-rqrs")
 
 
 def se3_log(rot, trans):
-    """Twist (rho, theta) with exp recovering (rot, trans)."""
+    """Twist (rho, theta) with exp recovering (rot, trans): rho solves
+    V(theta) rho = trans, with se3_exp's own V."""
     theta = so3_log(rot)
-    angle = np.linalg.norm(theta)
-    w = skew(theta)
-    if angle < 1e-8:
-        v_inv = np.eye(3) - 0.5 * w + (w @ w) / 12.0
-    else:
-        a2 = angle * angle
-        coeff = (1.0 - 0.5 * angle * np.sin(angle) / (1.0 - np.cos(angle))) / a2
-        v_inv = np.eye(3) - 0.5 * w + coeff * (w @ w)
-    return v_inv @ np.asarray(trans, dtype=float), theta
+    w, ww, _, b2, b3 = rodrigues_terms(theta)
+    return np.linalg.solve(np.eye(3) + b2 * w + b3 * ww, np.asarray(trans, dtype=float)), theta
 
 
 def se3_exp(rho, theta):
@@ -214,34 +208,33 @@ def associate(world_points, lidar_points, vmap: VoxelMap, cb: Codebook):
     return observations, len(world_points) - len(rows)
 
 
-def rq_resample(observations: PlaneObservations, cb: Codebook, ds_0: float,
-                alpha: float) -> PlaneObservations:
-    """Adaptive per-bucket downsampling keyed by quantized residual vectors.
+def rq_resample(observations: PlaneObservations, keys: np.ndarray, ds_0: float,
+                alpha: float) -> np.ndarray:
+    """Adaptive per-bucket downsampling keyed by each row's rq key (keys).
 
     Observations are partitioned by rq key; each bucket gets a voxel size
     ds_0 + alpha * mean sensor range of its members and keeps each voxel's
     first member in input order. Bucket counts never grow and a nonempty
-    bucket keeps at least one member. Kept rows stay in input order.
+    bucket keeps at least one member. Returns the kept rows, ascending.
     """
     if len(observations) == 0:
-        return observations
-    keys = quantize_residual_vectors(observations.residual_vector, cb)
+        return np.empty(0, dtype=np.int64)
     pts = observations.point_lidar
     ranges = np.linalg.norm(pts, axis=1)
 
     _, bucket = np.unique(keys, return_inverse=True)
     means = np.bincount(bucket, ranges) / np.bincount(bucket)
     edges = (ds_0 + alpha * means)[bucket][:, None]
-    return observations[_first_per_voxel(pts, edges, bucket)]
+    return _first_per_voxel(pts, edges, bucket)
 
 
-def build_groups(observations: PlaneObservations, cb: Codebook) -> ObservationGroups:
-    """Quantize observations and group them under shared rq keys.
+def build_groups(observations: PlaneObservations, keys: np.ndarray,
+                 cb: Codebook) -> ObservationGroups:
+    """Quantize observations and group them under their rq keys.
 
     Groups are ordered by ascending key; members within a group by ascending
     point indices (then z index), so the encoding is deterministic.
     """
-    keys = quantize_residual_vectors(observations.residual_vector, cb)
     p_idx = quantize_points(observations.point_lidar, cb)
     z_idx = quantize_zs(observations.residual, cb)
 
@@ -258,8 +251,9 @@ class Coprocessor:
     range gate, float32 rounding of the kept points (both baselines, which
     send float32) and association; the float baselines hand its observations
     to the host as they are. process_scan() is the qlio modes' path: observe,
-    then rq resampling (qlio only) and grouping. Either keeps the scan's
-    points until integrate_posterior() inserts them into the map.
+    the rq keys (quantized once), then rq resampling (qlio only) and
+    grouping. Either keeps the scan's points until integrate_posterior()
+    inserts them into the map.
 
     Transport-agnostic: the caller feeds it the pose response data and the
     posterior pose, and ships what it returns itself.
@@ -313,10 +307,12 @@ class Coprocessor:
         """observe(), then rq resampling (qlio mode) and grouping. Returns
         (groups, observations sent, stats dict)."""
         observations, stats = self.observe(points, times, t_prev, t_k, scan_delta, pose_prev)
+        keys = quantize_residual_vectors(observations.residual_vector, self.cb)
         if self.mode == "qlio":
-            observations = rq_resample(observations, self.cb, self.ds_0, self.alpha)
+            kept = rq_resample(observations, keys, self.ds_0, self.alpha)
+            observations, keys = observations[kept], keys[kept]
         stats["observations_sent"] = len(observations)
-        return build_groups(observations, self.cb), observations, stats
+        return build_groups(observations, keys, self.cb), observations, stats
 
     def integrate_posterior(self, pose_k) -> None:
         """Insert the pending scan into the map at the posterior pose."""

@@ -23,12 +23,13 @@ Payloads:
     POSE_RESP     scan delta then previous pose, each as a unit quaternion
                   (w, x, y, z) f64 plus a 3 f64 translation.
     OBS_GROUPS    u16 group count, then a continuous MSB-first bitstream:
-                  per group the rq key (3*l_n bits) and a 16-bit member
-                  count, then per member the z index (l_z bits) and three
-                  point indices (l_p bits each). Zero padding to a byte
-                  boundary once at payload end. A payload that ends early
-                  raises TruncatedFrame; one with bytes past that boundary
-                  or a nonzero padding bit raises WireError.
+                  the header block, per group the rq key (3*l_n bits) and a
+                  16-bit member count, then the member block, per member in
+                  group order the z index (l_z bits) and three point indices
+                  (l_p bits each). Zero padding to a byte boundary once at
+                  payload end. A payload that ends early raises
+                  TruncatedFrame; one with bytes past that boundary or a
+                  nonzero padding bit raises WireError.
     STATE_UPDATE  posterior pose, quaternion + translation as above.
 
 A group set is one ObservationGroups record of int64 arrays from
@@ -204,28 +205,28 @@ def _field_widths(cb: Codebook):
     return (3 * cb.l_n, 16), (cb.l_z, cb.l_p, cb.l_p, cb.l_p)
 
 
-def _bit_fields(widths):
+def _layout(widths):
     """Per bit of a record: the field it belongs to and its shift, MSB first."""
     field = np.repeat(np.arange(len(widths)), widths)
     shift = np.concatenate([np.arange(w - 1, -1, -1) for w in widths])
     return field, shift
 
 
-def _field_weights(widths) -> np.ndarray:
-    """(bits, fields) matrix taking a record's bits to its field values."""
-    field, shift = _bit_fields(widths)
-    weights = np.zeros((len(field), len(widths)), dtype=np.int64)
-    weights[np.arange(len(field)), field] = 1 << shift
-    return weights
+def _to_bits(values: np.ndarray, widths) -> np.ndarray:
+    """Records (rows, fields) as one run of bits, records back to back; a
+    field outside its width raises WireError."""
+    # Nonzero after the shift: too wide, or negative (the shift keeps the sign).
+    if np.any(values >> np.array(widths)):
+        raise WireError(f"field value outside its bit widths {widths}")
+    field, shift = _layout(widths)
+    return ((values[:, field] >> shift) & 1).astype(np.uint8).ravel()
 
 
-def _record_offsets(counts, head_bits: int, member_bits: int):
-    """Bit offsets of every group header and every member in the stream."""
-    before = np.cumsum(counts) - counts
-    heads = np.arange(len(counts)) * head_bits + before * member_bits
-    members = ((np.repeat(np.arange(len(counts)), counts) + 1) * head_bits
-               + np.arange(int(counts.sum())) * member_bits)
-    return heads, members
+def _from_bits(bits: np.ndarray, widths) -> np.ndarray:
+    """Records (rows, fields) from a run of bits holding whole records."""
+    field, shift = _layout(widths)
+    weighted = bits.reshape(-1, len(field)).astype(np.int64) << shift
+    return np.add.reduceat(weighted, np.cumsum(widths) - widths, axis=1)
 
 
 def pack_groups(groups, cb: Codebook) -> bytes:
@@ -234,59 +235,38 @@ def pack_groups(groups, cb: Codebook) -> bytes:
     if len(groups) > 0xFFFF:
         raise WireError("too many groups for a 16-bit count")
     groups = ObservationGroups.of(groups)
-    keys, counts, members = groups.keys, groups.counts, groups.members
     head_w, member_w = _field_widths(cb)
-    records = (np.column_stack([keys, counts]), head_w), (members, member_w)
-    for values, widths in records:
-        # Nonzero after the shift: too wide, or negative (the shift keeps the sign).
-        if np.any(values >> np.array(widths)):
-            raise WireError(f"field value outside its bit widths {widths}")
-    offsets = _record_offsets(counts, sum(head_w), sum(member_w))
-    bits = np.zeros(len(keys) * sum(head_w) + len(members) * sum(member_w), np.uint8)
-    for (values, widths), at in zip(records, offsets):
-        field, shift = _bit_fields(widths)
-        bits[at[:, None] + np.arange(len(field))] = (values[:, field] >> shift) & 1
-    return struct.pack("<H", len(keys)) + np.packbits(bits).tobytes()
+    bits = np.concatenate([_to_bits(np.column_stack([groups.keys, groups.counts]), head_w),
+                           _to_bits(groups.members, member_w)])
+    return struct.pack("<H", len(groups)) + np.packbits(bits).tobytes()
 
 
 def unpack_groups(payload: bytes, cb: Codebook) -> ObservationGroups:
-    """Decode an OBS_GROUPS payload into an ObservationGroups record.
-
-    Only the group headers are read one by one, since each member count
-    places the next header; all members are then gathered at once.
-    """
+    """Decode an OBS_GROUPS payload into an ObservationGroups record: the
+    header block in one gather, then the member block its counts size."""
     if len(payload) < 2:
         raise TruncatedFrame("missing group count")
     (count,) = struct.unpack_from("<H", payload)
-    stream_bits = 8 * (len(payload) - 2)
-    stream = int.from_bytes(payload[2:], "big")
-    head_w, member_w = _field_widths(cb)
-    head_bits, member_bits = sum(head_w), sum(member_w)
-    keys, counts = [], []
-    pos = 0
-    for _ in range(count):
-        if pos + head_bits > stream_bits:
-            raise TruncatedFrame("bitstream exhausted")
-        head = (stream >> (stream_bits - pos - head_bits)) & ((1 << head_bits) - 1)
-        keys.append(head >> 16)
-        counts.append(head & 0xFFFF)
-        pos += head_bits + counts[-1] * member_bits
-    if pos > stream_bits:
-        raise TruncatedFrame("bitstream exhausted")
-    if stream_bits - pos >= 8:
-        raise WireError(f"{(stream_bits - pos) // 8} bytes after the last group")
-    if stream & ((1 << (stream_bits - pos)) - 1):
-        raise WireError("nonzero padding bits")
-    counts = np.array(counts, dtype=np.int64)
-    _, at = _record_offsets(counts, head_bits, member_bits)
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8, offset=2))
-    members = bits[at[:, None] + np.arange(member_bits)] @ _field_weights(member_w)
-    return ObservationGroups(np.array(keys, dtype=np.int64), counts, members)
+    head_w, member_w = _field_widths(cb)
+    heads_end = count * sum(head_w)
+    if heads_end > len(bits):
+        raise TruncatedFrame("bitstream exhausted")
+    keys, counts = _from_bits(bits[:heads_end], head_w).T
+    end = heads_end + int(counts.sum()) * sum(member_w)
+    if end > len(bits):
+        raise TruncatedFrame("bitstream exhausted")
+    if len(bits) - end >= 8:
+        raise WireError(f"{(len(bits) - end) // 8} bytes after the last group")
+    if bits[end:].any():
+        raise WireError("nonzero padding bits")
+    return ObservationGroups(keys, counts, _from_bits(bits[heads_end:end], member_w))
 
 
 def payload_bits(groups: ObservationGroups, cb: Codebook) -> int:
     """Exact bitstream length before padding (count field excluded)."""
-    return len(groups.keys) * (3 * cb.l_n + 16) + len(groups.members) * (cb.l_z + 3 * cb.l_p)
+    head_w, member_w = _field_widths(cb)
+    return len(groups.keys) * sum(head_w) + len(groups.members) * sum(member_w)
 
 
 @dataclass

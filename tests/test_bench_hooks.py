@@ -2,14 +2,17 @@
 function is only reported as unhooked, so these tests pin which names the
 hooks miss."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
+from checks import payload_problems  # noqa: E402
 from hooks import RoundHooks  # noqa: E402
+from workloads import make_config, round_seed  # noqa: E402
 
-from quantlio import coprocessor  # noqa: E402
+from quantlio import coprocessor, pipeline  # noqa: E402
 
 
 def test_traced_hooks_miss_only_the_known_dead_targets():
@@ -23,3 +26,15 @@ def test_traced_hooks_miss_only_the_known_dead_targets():
         "quantlio.pipeline.undistort",
         "quantlio.pipeline.voxel_downsample",
     ]
+
+
+def test_benchmark_payload_check_passes_on_a_room_qlio_run():
+    # The benchmark marks a round's outputs incorrect unless every OBS_GROUPS
+    # payload decodes to the groups packed and has the length bench/checks.py
+    # derives from the layout, so a layout change must keep both in step.
+    cfg = dataclasses.replace(make_config("room-qlio", round_seed(0, 0)), duration=1.0)
+    with RoundHooks(traced=False, seed=0) as hooks:
+        pipeline.run(cfg)
+    assert len(hooks.packed) == len(hooks.obs_sent) > 1
+    assert max(len(groups) for groups, _ in hooks.packed) > 1
+    assert payload_problems(hooks.packed, hooks.obs_sent, cfg.codebook) == []

@@ -17,7 +17,7 @@ from quantlio.voxelmap import VoxelMap, plane_fit_batch
 IDENTITY = (np.eye(3), np.zeros(3))
 
 
-def make_obs(us, zs, points_lidar, points_world=None):
+def make_obs(us, zs, points_lidar):
     """Observation rows with unit normals us, residuals zs and LiDAR points;
     us, zs and points broadcast against each other."""
     us = np.atleast_2d(np.asarray(us, dtype=float))
@@ -26,8 +26,7 @@ def make_obs(us, zs, points_lidar, points_world=None):
     n = max(len(us), len(zs), len(pts))
     us = np.broadcast_to(us / np.linalg.norm(us, axis=1, keepdims=True), (n, 3)).copy()
     pts = np.broadcast_to(pts, (n, 3)).copy()
-    world = pts if points_world is None else np.asarray(points_world, dtype=float)
-    return PlaneObservations(point_world=world, point_lidar=pts, normal=us,
+    return PlaneObservations(point_world=pts, point_lidar=pts, normal=us,
                              plane_offset=np.zeros(n),
                              residual=np.broadcast_to(zs, (n,)).copy())
 
@@ -99,6 +98,10 @@ def voxel_downsample_per_point(points, edge):
     return np.array(sorted(first.values()), dtype=np.int64)
 
 
+def rq_keys(obs, cb):
+    return quantize_residual_vectors(obs.residual_vector, cb)
+
+
 def rq_resample_per_bucket(obs, cb, ds_0, alpha):
     """Sorted kept row indices: each bucket's ranges summed left to right in
     input order, then the first row to reach each (bucket, voxel) pair."""
@@ -159,6 +162,26 @@ class TestSe3:
             rot, trans = se3_exp(rho, theta)
             np.testing.assert_allclose(rot, want_rot, rtol=0, atol=1e-15)
             np.testing.assert_allclose(trans, want_trans, rtol=0, atol=1e-10)
+
+    def test_log_small_angles_round_trip_and_series(self):
+        # From 1e-9 to 1e-2 rad, exp(log(R, t)) recovers (R, t). Below 1e-3
+        # rad, rho also matches the series V^-1 = I - W/2 + (1/12 + a^2/720) W^2,
+        # whose first omitted term is a^4 W^2 / 30240. The series check's
+        # tolerance is the 1e-10 bound on the error of V's b2 W term
+        # (rodrigues_terms).
+        rng = np.random.default_rng(8)
+        trans = np.array([0.1, 0.02, -0.03])
+        for a in np.geomspace(1e-9, 1e-2, 300):
+            axis = rng.standard_normal(3)
+            rot = so3_exp(a * axis / np.linalg.norm(axis))
+            rho, theta = se3_log(rot, trans)
+            rot2, trans2 = se3_exp(rho, theta)
+            np.testing.assert_allclose(rot2, rot, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(trans2, trans, rtol=0, atol=1e-15)
+            if a < 1e-3:
+                w, angle = skew(theta), np.linalg.norm(theta)
+                v_inv = np.eye(3) - w / 2.0 + (1.0 / 12.0 + angle ** 2 / 720.0) * (w @ w)
+                np.testing.assert_allclose(rho, v_inv @ trans, rtol=0, atol=1e-10)
 
     def test_compose_invert(self):
         rng = np.random.default_rng(1)
@@ -396,25 +419,24 @@ class TestRqResample:
         # would keep all three.
         cb = Codebook()
         pts = [(50.25, y, 0.25) for y in (0.1, 0.6, 1.1)]
-        kept = rq_resample(make_obs([0, 0, 1], 0.01, pts), cb, ds_0=0.5, alpha=0.01)
-        np.testing.assert_array_equal(kept.point_lidar[:, 1], [0.1, 1.1])
-        assert len(rq_resample(make_obs([0, 0, 1], 0.01, pts), cb, ds_0=0.5, alpha=0.0)) == 3
+        obs = make_obs([0, 0, 1], 0.01, pts)
+        kept = rq_resample(obs, rq_keys(obs, cb), ds_0=0.5, alpha=0.01)
+        np.testing.assert_array_equal(obs[kept].point_lidar[:, 1], [0.1, 1.1])
+        assert len(rq_resample(obs, rq_keys(obs, cb), ds_0=0.5, alpha=0.0)) == 3
 
     def test_distinct_buckets_pass_through(self):
         cb = Codebook(l_n=3)
         us = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0)]
         obs = make_obs(us, 0.01 + 0.002 * np.arange(4),
                        [(2.0 + i, 0.0, 0.0) for i in range(4)])
-        kept = rq_resample(obs, cb, ds_0=0.5, alpha=0.01)
-        assert len(kept) == len(obs)
-        keys = quantize_residual_vectors(kept.residual_vector, cb)
-        assert len(np.unique(keys)) == len(us)
+        kept = rq_resample(obs, rq_keys(obs, cb), ds_0=0.5, alpha=0.01)
+        np.testing.assert_array_equal(kept, np.arange(len(obs)))
+        assert len(np.unique(rq_keys(obs, cb))) == len(us)
 
     def test_coincident_members_collapse(self):
         cb = Codebook()
         obs = make_obs([0, 0, 1], np.full(100, 0.01), (1.0, 1.0, 1.0))
-        kept = rq_resample(obs, cb, ds_0=0.5, alpha=0.01)
-        assert len(kept) == 1
+        assert rq_resample(obs, rq_keys(obs, cb), ds_0=0.5, alpha=0.01).tolist() == [0]
 
     def test_partition_and_coherence_properties(self):
         rng = np.random.default_rng(4)
@@ -422,22 +444,20 @@ class TestRqResample:
         us = rng.standard_normal((300, 3))
         us /= np.linalg.norm(us, axis=1, keepdims=True)
         zs = rng.uniform(0.0, cb.r_thr * 0.99, 300)
-        obs = make_obs(us, zs, rng.uniform(-8, 8, (300, 3)),
-                       points_world=np.c_[np.arange(300), np.zeros((300, 2))])
-        kept = rq_resample(obs, cb, ds_0=0.3, alpha=0.01)
-        assert len(kept) <= len(obs)
-        rows = kept.point_world[:, 0].astype(int)
+        obs = make_obs(us, zs, rng.uniform(-8, 8, (300, 3)))
+        keys = rq_keys(obs, cb)
+        rows = rq_resample(obs, keys, ds_0=0.3, alpha=0.01)
+        assert rows.dtype == np.int64 and len(rows) <= len(obs)
         # Kept rows are input rows, in input order.
-        assert np.all(np.diff(rows) > 0)
-        for name in ("point_lidar", "normal", "plane_offset", "residual"):
-            np.testing.assert_array_equal(getattr(kept, name), getattr(obs, name)[rows])
+        assert np.all(np.diff(rows) > 0) and 0 <= rows.min() and rows.max() < len(obs)
         # Every nonempty bucket keeps at least one member.
-        keys = quantize_residual_vectors(obs.residual_vector, cb)
         np.testing.assert_array_equal(np.unique(keys[rows]), np.unique(keys))
         np.testing.assert_array_equal(rows, rq_resample_per_bucket(obs, cb, 0.3, 0.01))
 
     def test_empty(self):
-        assert len(rq_resample(PlaneObservations.empty(), Codebook(), 0.5, 0.01)) == 0
+        empty = PlaneObservations.empty()
+        kept = rq_resample(empty, rq_keys(empty, Codebook()), 0.5, 0.01)
+        assert kept.dtype == np.int64 and len(kept) == 0
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
            directions=st.integers(1, 5), lattice=st.sampled_from([0.0625, 0.125, 0.25]),
@@ -458,20 +478,21 @@ class TestRqResample:
         pts = rng.integers(-24, 24, (n, 3)) * lattice
         copies = np.flatnonzero(rng.random(n) < coincident)
         pts[copies] = pts[rng.integers(0, n, len(copies))]
-        obs = make_obs(us, zs, pts, points_world=np.c_[np.arange(n), np.zeros((n, 2))])
+        obs = make_obs(us, zs, pts)
 
-        kept = rq_resample(obs, cb, ds_0, alpha)
-        np.testing.assert_array_equal(kept.point_world[:, 0].astype(int),
-                                      rq_resample_per_bucket(obs, cb, ds_0, alpha))
-        groups = build_groups(kept, cb)
-        assert [(g.rq_key, g.members) for g in groups] == build_groups_per_observation(kept, cb)
+        keys = rq_keys(obs, cb)
+        kept = rq_resample(obs, keys, ds_0, alpha)
+        np.testing.assert_array_equal(kept, rq_resample_per_bucket(obs, cb, ds_0, alpha))
+        groups = build_groups(obs[kept], keys[kept], cb)
+        assert [(g.rq_key, g.members) for g in groups] == \
+            build_groups_per_observation(obs[kept], cb)
 
 
 class TestBuildGroups:
     def test_shared_key_single_group(self):
         cb = Codebook()
         obs = make_obs([0, 0, 1], 0.011, [(1.0 + i, 0.0, 0.0) for i in range(3)])
-        groups = build_groups(obs, cb)
+        groups = build_groups(obs, rq_keys(obs, cb), cb)
         assert len(groups) == 1
         assert groups.counts.tolist() == [3]
         assert groups.members.shape == (3, 4)
@@ -479,7 +500,7 @@ class TestBuildGroups:
     def test_two_keys_ascending(self):
         cb = Codebook()
         obs = make_obs([[0, 0, 1], [0, 0, -1]], 0.011, (1.0, 0.0, 0.0))
-        groups = build_groups(obs, cb)
+        groups = build_groups(obs, rq_keys(obs, cb), cb)
         assert len(groups) == 2
         assert groups.keys[0] < groups.keys[1]
 
@@ -490,7 +511,7 @@ class TestBuildGroups:
         us /= np.linalg.norm(us, axis=1, keepdims=True)
         obs = make_obs(us, rng.uniform(0.0, cb.r_thr * 0.99, 500),
                        rng.uniform(-19, 19, (500, 3)))
-        groups = build_groups(obs, cb)
+        groups = build_groups(obs, rq_keys(obs, cb), cb)
 
         expected = []
         p_idx = quantize_points(obs.point_lidar, cb)
@@ -504,7 +525,7 @@ class TestBuildGroups:
     def test_member_ordering_deterministic(self):
         cb = Codebook()
         obs = make_obs([0, 0, 1], 0.011, [(3.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)])
-        groups = build_groups(obs, cb)
+        groups = build_groups(obs, rq_keys(obs, cb), cb)
         rows = groups.members.tolist()  # (z, px, py, pz)
         assert rows == sorted(rows, key=lambda m: (m[1:], m[0]))
 

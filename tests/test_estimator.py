@@ -16,7 +16,7 @@ from quantlio.manifold import (
     ERROR_DIM, ImuStream, NavState, NoiseParams, boxplus, propagate, so3_exp,
 )
 from quantlio.quantizer import (
-    Codebook, dequantize_point, dequantize_residual_key,
+    Codebook, dequantize_point, dequantize_residual_key, quantize_residual_vectors,
 )
 from quantlio.simworld import LidarModel, build_scene, synth_scan, synth_trajectory
 from quantlio.voxelmap import VoxelMap
@@ -375,7 +375,7 @@ class TestQmapUpdate:
         # isolates the interval-likelihood machinery, which must converge to
         # the standard update as the z grid refines.
         from quantlio.coprocessor import PlaneObservations
-        from quantlio.quantizer import quantize_points, quantize_residual_vectors
+        from quantlio.quantizer import quantize_points
 
         obs, cb = static_observations(sigma_r=0.01, seed=1)
         assert len(obs) >= 100
@@ -383,7 +383,7 @@ class TestQmapUpdate:
         cov = np.eye(ERROR_DIM) * 1e-3
         sigma = 0.02
 
-        groups = build_groups(obs, cb)
+        groups = build_groups(obs, quantize_residual_vectors(obs.residual_vector, cb), cb)
         q_state, q_cov, info = qmap_update(state, cov, groups, cb, sigma, IDENTITY)
 
         n_center = dequantize_residual_key(quantize_residual_vectors(obs.residual_vector, cb), cb)
@@ -425,7 +425,7 @@ class TestQmapUpdate:
         cov = np.eye(ERROR_DIM) * 1e-2
         cb = Codebook(l_p=12, l_n=8, l_z=8, r_max=10.0)
         obs = self._floor_observation()
-        groups = build_groups(obs, cb)
+        groups = build_groups(obs, quantize_residual_vectors(obs.residual_vector, cb), cb)
         _, post, info = qmap_update(state, cov, groups, cb, 0.02, IDENTITY)
         assert info["updated"]
         assert post[5, 5] < cov[5, 5]
@@ -438,7 +438,7 @@ class TestQmapUpdate:
         obs, cb = static_observations(sigma_r=0.02, seed=2)
         state = NavState()
         cov = np.eye(ERROR_DIM) * 1e-3
-        groups = build_groups(obs, cb)
+        groups = build_groups(obs, quantize_residual_vectors(obs.residual_vector, cb), cb)
         _, post, _ = qmap_update(state, cov, groups, cb, 0.02, IDENTITY)
         assert np.linalg.eigvalsh(post).min() >= -1e-9
         assert np.linalg.eigvalsh(cov - post).min() >= -1e-9

@@ -92,11 +92,13 @@ class BitReader:
 
 
 def reference_pack(groups, cb):
-    """OBS_GROUPS payload written field by field."""
+    """OBS_GROUPS payload written field by field: every group header, then
+    every member."""
     writer = BitWriter()
     for group in groups:
         writer.write(group.rq_key, 3 * cb.l_n)
         writer.write(len(group.members), 16)
+    for group in groups:
         for z_index, (px, py, pz) in group.members:
             writer.write(z_index, cb.l_z)
             writer.write(px, cb.l_p)
@@ -106,17 +108,15 @@ def reference_pack(groups, cb):
 
 
 def reference_unpack(payload, cb):
-    """(key, members) per group, read field by field."""
+    """(key, members) per group, read field by field: every group header,
+    then every member."""
     (count,) = struct.unpack_from("<H", payload)
     reader = BitReader(payload[2:])
-    groups = []
-    for _ in range(count):
-        key = reader.read(3 * cb.l_n)
-        members = [(reader.read(cb.l_z), (reader.read(cb.l_p), reader.read(cb.l_p),
+    heads = [(reader.read(3 * cb.l_n), reader.read(16)) for _ in range(count)]
+    return [(key, [(reader.read(cb.l_z), (reader.read(cb.l_p), reader.read(cb.l_p),
                                           reader.read(cb.l_p)))
-                   for _ in range(reader.read(16))]
-        groups.append((key, members))
-    return groups
+                   for _ in range(n)])
+            for key, n in heads]
 
 
 @st.composite
@@ -219,6 +219,33 @@ class TestBitPacking:
         assert payload_bits(ObservationGroups.of(one), cb) == 36
         assert len(packed) == 7
         assert packed == bytes.fromhex("0100028000a9c0")
+
+    def test_worked_example_two_groups_headers_first(self):
+        cb = Codebook(l_p=3, l_n=3, l_z=2)
+        groups = [ObservationGroup(rq_key=5, members=[(1, (2, 3, 4))]),
+                  ObservationGroup(rq_key=6, members=[(0, (1, 1, 1)), (3, (7, 0, 5))])]
+        # Count 2 (u16 LE), then both headers, then all three members:
+        #   key 5 000000101, count 1 0000000000000001,
+        #   key 6 000000110, count 2 0000000000000010,
+        #   01 010 011 100, 00 001 001 001, 11 111 000 101,
+        # 83 bits plus 5 zero padding bits.
+        payload = bytes.fromhex("020002800081800094e049f8a0")
+        assert pack_groups(groups, cb) == payload
+        assert list(unpack_groups(payload, cb)) == groups
+
+    def test_single_bit_flips_decode_or_raise_wire_error(self):
+        rng = np.random.default_rng(5)
+        cb = Codebook(l_p=4, l_n=2, l_z=2)
+        payload = pack_groups(random_groups(rng, cb, max_groups=4, max_members=3), cb)
+        assert len(unpack_groups(payload, cb)) == 4
+        for byte_idx in range(len(payload)):
+            for bit in range(8):
+                corrupted = bytearray(payload)
+                corrupted[byte_idx] ^= 1 << bit
+                try:
+                    unpack_groups(bytes(corrupted), cb)
+                except WireError:
+                    pass
 
     def test_empty_set_two_bytes(self):
         cb = Codebook()
