@@ -343,10 +343,8 @@ def _trajectory_rows(host: Host) -> np.ndarray:
 def _finalize(gt, host: Host, rows, stats, sim_time, t0) -> RunMetrics:
     diverged = _diverged(host)
     if len(rows) >= 2 and not diverged:
-        gt_poses = [gt.pose_at(t) for t in rows[:, 0]]
-        ate_trans, ate_rot = ate(rows[:, 1:4], rows[:, 4:8],
-                                 np.array([p for _, p in gt_poses]),
-                                 [r for r, _ in gt_poses])
+        gt_rots, gt_positions = gt.poses_at(rows[:, 0])
+        ate_trans, ate_rot = ate(rows[:, 1:4], rows[:, 4:8], gt_positions, gt_rots)
     else:
         ate_trans, ate_rot = float("inf"), float("inf")
         diverged = True
