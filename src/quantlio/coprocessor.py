@@ -32,8 +32,6 @@ rounding difference crosses a quantizer bin edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from .manifold import rodrigues_terms, so3_log
@@ -43,7 +41,7 @@ from .quantizer import (
 )
 from .voxelmap import VoxelMap, plane_fit_batch
 # ObservationGroup is unused here; bench/tests/test_bench.py imports it from this module.
-from .wire import ObservationGroup, ObservationGroups  # noqa: F401
+from .wire import ObservationGroup, ObservationGroups, PlaneObservations  # noqa: F401
 
 MODES = ("qlio", "baseline-float", "baseline-int8", "qlio-no-rqrs")
 
@@ -140,37 +138,6 @@ def _first_per_voxel(points: np.ndarray, edges, groups: np.ndarray) -> np.ndarra
     return np.sort(np.unique(key, return_index=True)[1])
 
 
-@dataclass(frozen=True)
-class PlaneObservations:
-    """Associated point-to-plane measurements, one row per observation.
-
-    point_world, point_lidar and normal are (n, 3); plane_offset and the
-    folded, nonnegative residual are (n,). Indexing selects rows.
-    """
-
-    point_world: np.ndarray
-    point_lidar: np.ndarray
-    normal: np.ndarray
-    plane_offset: np.ndarray
-    residual: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "PlaneObservations":
-        return cls(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)),
-                   np.empty(0), np.empty(0))
-
-    def __len__(self) -> int:
-        return len(self.residual)
-
-    def __getitem__(self, rows) -> "PlaneObservations":
-        return PlaneObservations(*(getattr(self, f.name)[rows] for f in fields(self)))
-
-    @property
-    def residual_vector(self) -> np.ndarray:
-        """z * u per row: the vector the rq key quantizes."""
-        return self.residual[:, None] * self.normal
-
-
 def associate(world_points, lidar_points, vmap: VoxelMap, cb: Codebook):
     """Point-plane association against the map.
 
@@ -198,13 +165,8 @@ def associate(world_points, lidar_points, vmap: VoxelMap, cb: Codebook):
     z = sign * signed
     keep = fit_ok & (z < cb.r_thr)
     rows = rows[keep]
-    observations = PlaneObservations(
-        point_world=world_points[rows],
-        point_lidar=lidar_points[rows],
-        normal=sign[keep, None] * normals[keep],
-        plane_offset=sign[keep] * offsets[keep],
-        residual=z[keep],
-    )
+    observations = PlaneObservations(point_lidar=lidar_points[rows], residual=z[keep],
+                                     normal=sign[keep, None] * normals[keep])
     return observations, len(world_points) - len(rows)
 
 
@@ -248,12 +210,11 @@ class Coprocessor:
 
     observe() runs the stages every mode shares: the int8 min-max round trip
     (baseline-int8 only), undistortion, voxel downsampling, the codebook
-    range gate, float32 rounding of the kept points (both baselines, which
-    send float32) and association; the float baselines hand its observations
-    to the host as they are. process_scan() is the qlio modes' path: observe,
-    the rq keys (quantized once), then rq resampling (qlio only) and
-    grouping. Either keeps the scan's points until integrate_posterior()
-    inserts them into the map.
+    range gate and association; the float baselines send its observations
+    as they are, and the OBS_FLOAT encoding rounds them to float32.
+    process_scan() is the qlio modes' path: observe, the rq keys (quantized
+    once), then rq resampling (qlio only) and grouping. Either keeps the
+    scan's points until integrate_posterior() inserts them into the map.
 
     Transport-agnostic: the caller feeds it the pose response data and the
     posterior pose, and ships what it returns itself.
@@ -286,8 +247,6 @@ class Coprocessor:
         # dropped before association.
         in_range = np.all(np.abs(lidar_end) < self.cb.r_max, axis=1)
         lidar_end = lidar_end[in_range]
-        if self.mode.startswith("baseline"):  # the baselines send float32 points
-            lidar_end = lidar_end.astype(np.float32).astype(np.float64)
 
         pose_k = compose(pose_prev, invert(scan_delta))
         world = apply_transform(compose(pose_k, self.extrinsic), lidar_end)

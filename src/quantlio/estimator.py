@@ -51,8 +51,8 @@ from .manifold import (
 from .quantizer import Codebook, dequantize_point, dequantize_residual_key
 from .wire import (
     FrameType, ObservationGroups, ProtocolOrderError, SessionConfig, WireFrame,
-    decode_pose_req, encode_config, encode_frame, encode_pose_resp,
-    encode_state_update, unpack_groups,
+    decode_obs_float, decode_pose_req, encode_config, encode_frame,
+    encode_pose_resp, encode_state_update, unpack_groups,
 )
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -228,11 +228,10 @@ def qmap_update(state: NavState, cov: np.ndarray, groups: ObservationGroups,
 
 def standard_update(state: NavState, cov: np.ndarray, observations,
                     sigma: float, extrinsic):
-    """Unquantized point-to-plane update used by the float baseline.
+    """Unquantized point-to-plane update used by the float baselines.
 
-    observations (a coprocessor PlaneObservations record) carry exact
-    residuals z_i and normals; every measurement weighs in with variance
-    sigma^2.
+    observations (a wire.PlaneObservations record) carry exact residuals z_i
+    and normals; every measurement weighs in with variance sigma^2.
     """
     if len(observations) == 0:
         return state.copy(), np.array(cov, copy=True)
@@ -272,12 +271,32 @@ class Host:
         return encode_frame(FrameType.CONFIG, int(self.time * 1e6),
                             encode_config(self.config))
 
+    @property
+    def extrinsic(self):
+        return self.config.extrinsic_rotation, self.config.extrinsic_translation
+
     def handle_frame(self, frame: WireFrame) -> bytes:
-        if frame.frame_type == FrameType.POSE_REQ:
+        """Answer a POSE_REQ with POSE_RESP, and an observation frame (OBS_GROUPS
+        or OBS_FLOAT) for the pending scan with STATE_UPDATE."""
+        kind = FrameType(frame.frame_type)
+        if kind == FrameType.POSE_REQ:
             return self._on_pose_req(frame)
-        if frame.frame_type == FrameType.OBS_GROUPS:
-            return self._on_obs_groups(frame)
-        raise ProtocolOrderError(f"host cannot accept {FrameType(frame.frame_type).name}")
+        if kind not in (FrameType.OBS_GROUPS, FrameType.OBS_FLOAT):
+            raise ProtocolOrderError(f"host cannot accept {kind.name}")
+        if not self.awaiting_obs:
+            raise ProtocolOrderError(f"{kind.name} arrived with no pending scan")
+        prior_cov = self.cov
+        if kind == FrameType.OBS_GROUPS:
+            cb = self.config.codebook
+            self.state, self.cov, _ = qmap_update(
+                self.state, self.cov, unpack_groups(frame.payload, cb), cb,
+                self.config.sigma, self.extrinsic)
+        else:
+            self.apply_float_observations(self.time, decode_obs_float(frame.payload))
+        self._log_scan(prior_cov)
+        self.awaiting_obs = False
+        return encode_frame(FrameType.STATE_UPDATE, frame.timestamp_us,
+                            encode_state_update((self.state.rotation, self.state.position)))
 
     def _on_pose_req(self, frame: WireFrame) -> bytes:
         t_prev_us, t_k_us = decode_pose_req(frame.payload)
@@ -307,30 +326,10 @@ class Host:
         return encode_frame(FrameType.POSE_RESP, t_k_us,
                             encode_pose_resp((delta_rot, delta_trans), pose_prev))
 
-    def _on_obs_groups(self, frame: WireFrame) -> bytes:
-        if not self.awaiting_obs:
-            raise ProtocolOrderError("observation groups arrived with no pending scan")
-        groups = unpack_groups(frame.payload, self.config.codebook)
-        extrinsic = (self.config.extrinsic_rotation, self.config.extrinsic_translation)
-        prior_cov = self.cov
-        self.state, self.cov, _ = qmap_update(
-            self.state, self.cov, groups, self.config.codebook,
-            self.config.sigma, extrinsic)
-        self._log_scan(prior_cov)
-        self.awaiting_obs = False
-        return encode_frame(FrameType.STATE_UPDATE, frame.timestamp_us,
-                            encode_state_update((self.state.rotation, self.state.position)))
-
     def apply_float_observations(self, t_k: float, observations) -> None:
-        """Baseline path: exact residuals, no wire codec in between."""
-        if not self.awaiting_obs:
-            raise ProtocolOrderError("observations arrived with no pending scan")
-        extrinsic = (self.config.extrinsic_rotation, self.config.extrinsic_translation)
-        prior_cov = self.cov
+        """The OBS_FLOAT update of the scan ending at t_k, by standard_update."""
         self.state, self.cov = standard_update(self.state, self.cov, observations,
-                                               self.config.sigma, extrinsic)
-        self._log_scan(prior_cov)
-        self.awaiting_obs = False
+                                               self.config.sigma, self.extrinsic)
 
     def _log_scan(self, prior_cov: np.ndarray) -> None:
         gap_eigs = np.linalg.eigvalsh(prior_cov - self.cov)

@@ -3,15 +3,15 @@
 One run wires the simulated sensors, the coprocessor stage and the host
 estimator together in the selected mode:
 
-    qlio            quantized groups over the wire, rq resampling on
-    qlio-no-rqrs    quantized groups over the wire, resampling off
-    baseline-float  exact float observations, no codec (224 bits each)
-    baseline-int8   per-scan min-max int8 points, then the float pipeline
+    qlio            quantized groups in OBS_GROUPS, rq resampling on
+    qlio-no-rqrs    quantized groups in OBS_GROUPS, resampling off
+    baseline-float  float32 observations in OBS_FLOAT (224 bits each)
+    baseline-int8   per-scan min-max int8 points, then baseline-float
 
-All four run the same scan loop. Transports: "inproc" pumps encoded frames
-synchronously through the codec; "socket:PORT" runs the host behind a
-localhost TCP socket. The float baselines have no wire encoding of their
-observations, so they run in-process whatever the transport says.
+All four run the same scan loop and send their observations to the host
+in a frame. Transports: "inproc" pumps encoded frames synchronously
+through the codec; "socket:PORT" runs the host behind a localhost TCP
+socket.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ from .simworld import (
     GRAVITY_W, LidarModel, build_scene, synth_imu, synth_scan, synth_trajectory,
 )
 from .wire import (
-    FrameType, PeerClosed, SessionConfig, StreamTransport, WireFrame,
-    decode_config, decode_frame, decode_pose_resp, decode_state_update,
-    encode_frame, encode_pose_req, pack_groups, payload_bits,
+    OBS_FLOAT_ROW_BYTES, FrameType, PeerClosed, SessionConfig, StreamTransport,
+    WireFrame, decode_config, decode_frame, decode_pose_resp, decode_state_update,
+    encode_frame, encode_obs_float, encode_pose_req, pack_groups, payload_bits,
     tcp_connect, tcp_listen,
 )
 
-FLOAT_OBS_BITS = 224  # 28-byte float32 observation: residual + vector + point
+FLOAT_OBS_BITS = 8 * OBS_FLOAT_ROW_BYTES  # an OBS_FLOAT row: residual, normal, point
 POINT_OBS_BITS = 96   # bare float32 point triple
 
 DIVERGENCE_TRACE = 1e6
@@ -88,6 +88,11 @@ class RunConfig:
 @dataclass
 class RunMetrics:
     """Aggregated outcomes of one run.
+
+    In every mode bits_total is the bits of the observation payloads the
+    host decoded: 16 + payload_bits per OBS_GROUPS frame, 8 per OBS_FLOAT
+    payload byte. So baseline-int8 is billed like baseline-float; the LiDAR
+    link that carries its int8 points is not billed.
 
     Both reductions divide a float observation's size by bits_per_meas_assoc,
     the bits sent per associated measurement: reduction_vs_float_obs uses
@@ -182,13 +187,11 @@ def _host_serve(transport: StreamTransport, host: Host, errors: list) -> None:
 
 @contextmanager
 def _open_channel(cfg: RunConfig, host: Host):
-    """Yield (channel, decoded CONFIG frame) for the run's transport.
-
-    The float baselines have no wire encoding of their observations and
-    always run in-process. On a socket, an error the host thread recorded
-    is raised when the channel closes.
+    """Yield (channel, decoded CONFIG frame) for the run's transport, in
+    every mode. On a socket, an error the host thread recorded is raised
+    when the channel closes.
     """
-    if cfg.transport == "inproc" or not cfg.mode.startswith("qlio"):
+    if cfg.transport == "inproc":
         yield _SyncChannel(host), decode_frame(host.config_frame())
         return
     server = tcp_listen(int(cfg.transport.split(":", 1)[1]))
@@ -230,12 +233,10 @@ def _scan_schedule(cfg: RunConfig):
     return [(k * period) for k in range(1, count + 1)]
 
 
-def _diverged(host: Host) -> bool:
-    pos = host.state.position
-    return (not np.all(np.isfinite(pos))
-            or np.linalg.norm(pos) > DIVERGENCE_POSITION
-            or not np.isfinite(np.trace(host.cov))
-            or np.trace(host.cov) > DIVERGENCE_TRACE)
+def _diverged(position, cov_trace: float = 0.0) -> bool:
+    """Past a DIVERGENCE_ bound or not finite, as a NumPy bool like RunMetrics'."""
+    return np.logical_not(np.linalg.norm(position) <= DIVERGENCE_POSITION
+                          and cov_trace <= DIVERGENCE_TRACE)
 
 
 def run(cfg: RunConfig):
@@ -267,12 +268,13 @@ def run(cfg: RunConfig):
 
 
 def _run_scans(cfg: RunConfig, scene, gt, host: Host, scan_seed):
-    """The scan loop of every mode.
+    """The scan loop of every mode; the host is only reached through frames.
 
     Per scan the coprocessor requests the prior pose, turns the scan into
-    observations, and inserts its points into the map at the posterior pose.
-    The qlio modes send groups in an OBS_GROUPS frame; the float baselines
-    hand their observations straight to the host.
+    observations, sends them in one frame (OBS_GROUPS in the qlio modes,
+    OBS_FLOAT in the float baselines), and inserts its points into the map
+    at the posterior pose of the STATE_UPDATE reply, which ends the loop
+    early once its position diverges.
     """
     totals = {"bits": 0, "sent": 0, "assoc": 0, "assoc_input": 0,
               "coproc_time": 0.0, "host_time": 0.0, "scan_bits": [],
@@ -299,26 +301,19 @@ def _run_scans(cfg: RunConfig, scene, gt, host: Host, scan_seed):
             if cfg.mode.startswith("qlio"):
                 groups, _, stats = coproc.process_scan(
                     pts, times, t_prev, t_k, scan_delta, pose_prev)
-                payload = pack_groups(groups, session.codebook)
-                obs_frame = encode_frame(FrameType.OBS_GROUPS, int(t_k * 1e6), payload)
-                totals["coproc_time"] += _time.perf_counter() - tc
-                tw = _time.perf_counter()
-                update = channel.request(obs_frame)
-                totals["host_time"] += _time.perf_counter() - tw
-                pose_post = decode_state_update(update.payload)
+                obs_type, payload = FrameType.OBS_GROUPS, pack_groups(groups, session.codebook)
                 bits = 16 + payload_bits(groups, session.codebook)
             else:
                 observations, stats = coproc.observe(
                     pts, times, t_prev, t_k, scan_delta, pose_prev)
-                totals["coproc_time"] += _time.perf_counter() - tc
-                tw = _time.perf_counter()
-                host.apply_float_observations(t_k, observations)
-                totals["host_time"] += _time.perf_counter() - tw
-                pose_post = (host.state.rotation.copy(), host.state.position.copy())
-                if cfg.mode == "baseline-float":
-                    bits = FLOAT_OBS_BITS * len(observations)
-                else:  # int8 levels plus min/max side data; an empty scan sends none
-                    bits = 24 * stats["points_in"] + 6 * 32 if stats["points_in"] else 0
+                obs_type, payload = FrameType.OBS_FLOAT, encode_obs_float(observations)
+                bits = 8 * len(payload)
+            obs_frame = encode_frame(obs_type, int(t_k * 1e6), payload)
+            totals["coproc_time"] += _time.perf_counter() - tc
+            tw = _time.perf_counter()
+            update = channel.request(obs_frame)
+            totals["host_time"] += _time.perf_counter() - tw
+            pose_post = decode_state_update(update.payload)
             coproc.integrate_posterior(pose_post)
 
             totals["bits"] += bits
@@ -328,7 +323,7 @@ def _run_scans(cfg: RunConfig, scene, gt, host: Host, scan_seed):
             totals["assoc"] += stats["observations_raw"]
             totals["assoc_input"] += stats["points_assoc_input"]
             t_prev = t_k
-            if _diverged(host):
+            if _diverged(pose_post[1]):
                 break
     return totals
 
@@ -341,7 +336,7 @@ def _trajectory_rows(host: Host) -> np.ndarray:
 
 
 def _finalize(gt, host: Host, rows, stats, sim_time, t0) -> RunMetrics:
-    diverged = _diverged(host)
+    diverged = _diverged(host.state.position, np.trace(host.cov))
     if len(rows) >= 2 and not diverged:
         gt_rots, gt_positions = gt.poses_at(rows[:, 0])
         ate_trans, ate_rot = ate(rows[:, 1:4], rows[:, 4:8], gt_positions, gt_rots)

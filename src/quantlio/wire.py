@@ -12,7 +12,7 @@ Frame layout, all multi-byte integers little-endian:
     16+n    4     IEEE CRC-32 over bytes [0, 16+n)
 
 Frame types: 0x00 CONFIG, 0x01 POSE_REQ, 0x02 POSE_RESP, 0x03 OBS_GROUPS,
-0x04 STATE_UPDATE.
+0x04 STATE_UPDATE, 0x05 OBS_FLOAT.
 
 Payloads:
 
@@ -31,6 +31,9 @@ Payloads:
                   TruncatedFrame; one with bytes past that boundary or a
                   nonzero padding bit raises WireError.
     STATE_UPDATE  posterior pose, quaternion + translation as above.
+    OBS_FLOAT     n rows of seven f32 (residual, normal, point) and nothing
+                  else: 224 n bits, n from the length field. A partial row
+                  or a value that is not finite raises WireError.
 
 A group set is one ObservationGroups record of int64 arrays from
 coprocessor.build_groups through pack_groups, unpack_groups and
@@ -40,12 +43,12 @@ list of (z, (px, py, pz)) tuples) per group, for comparing group sets;
 pack_groups also accepts a list of them.
 
 The session runs one CONFIG (host to coprocessor) then, per scan,
-POSE_REQ -> POSE_RESP -> OBS_GROUPS -> STATE_UPDATE. The host
+POSE_REQ -> POSE_RESP -> OBS_GROUPS or OBS_FLOAT -> STATE_UPDATE. The host
 (estimator.Host) enforces the order: a POSE_REQ window must start at the
-host's time and end after it; OBS_GROUPS needs a pending POSE_REQ and
-answers it; any other frame type is refused. A POSE_REQ for a later scan
-while OBS_GROUPS is still pending drops the pending scan, which the host
-counts and dead-reckons through.
+host's time and end after it; an observation frame needs a pending
+POSE_REQ and answers it; any other frame type is refused. A POSE_REQ for a
+later scan while observations are still pending drops the pending scan,
+which the host counts and dead-reckons through.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import socket
 import struct
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -77,6 +80,7 @@ class FrameType(IntEnum):
     POSE_RESP = 0x02
     OBS_GROUPS = 0x03
     STATE_UPDATE = 0x04
+    OBS_FLOAT = 0x05
 
 
 class WireError(Exception):
@@ -199,6 +203,32 @@ class ObservationGroups:
                 for key, n, end in zip(self.keys.tolist(), self.counts.tolist(), ends))
 
 
+@dataclass(frozen=True)
+class PlaneObservations:
+    """Associated point-to-plane measurements, one row per observation:
+    point_lidar and normal (n, 3), the folded, nonnegative residual (n,).
+    Indexing selects rows."""
+
+    point_lidar: np.ndarray
+    normal: np.ndarray
+    residual: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "PlaneObservations":
+        return cls(np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
+
+    def __len__(self) -> int:
+        return len(self.residual)
+
+    def __getitem__(self, rows) -> "PlaneObservations":
+        return PlaneObservations(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @property
+    def residual_vector(self) -> np.ndarray:
+        """z * u per row: the vector the rq key quantizes."""
+        return self.residual[:, None] * self.normal
+
+
 def _field_widths(cb: Codebook):
     """Bit widths of a group header (key, member count) and of a member
     (z index, three point indices)."""
@@ -284,6 +314,7 @@ class SessionConfig:
 _CONFIG = struct.Struct("<3B17d")
 _POSE_REQ = struct.Struct("<QQ")
 _POSE = struct.Struct("<7d")
+OBS_FLOAT_ROW_BYTES = 28  # seven little-endian float32
 
 
 def encode_config(cfg: SessionConfig) -> bytes:
@@ -342,6 +373,22 @@ def decode_state_update(payload: bytes):
     if len(payload) != _POSE.size:
         raise WireError("STATE_UPDATE payload must be 56 bytes")
     return _unpack_pose(payload)
+
+
+def encode_obs_float(observations: PlaneObservations) -> bytes:
+    """The OBS_FLOAT payload: per row the residual, normal and point as f32."""
+    return np.column_stack([observations.residual, observations.normal,
+                            observations.point_lidar]).astype("<f4").tobytes()
+
+
+def decode_obs_float(payload: bytes) -> PlaneObservations:
+    """A PlaneObservations record of float64 arrays from an OBS_FLOAT payload."""
+    if len(payload) % OBS_FLOAT_ROW_BYTES:
+        raise WireError(f"OBS_FLOAT payload of {len(payload)} bytes is not whole 28-byte rows")
+    rows = np.frombuffer(payload, dtype="<f4").reshape(-1, 7).astype(np.float64)
+    if not np.all(np.isfinite(rows)):
+        raise WireError("OBS_FLOAT value is not finite")
+    return PlaneObservations(point_lidar=rows[:, 4:], normal=rows[:, 1:4], residual=rows[:, 0])
 
 
 class StreamTransport:

@@ -26,8 +26,7 @@ def make_obs(us, zs, points_lidar):
     n = max(len(us), len(zs), len(pts))
     us = np.broadcast_to(us / np.linalg.norm(us, axis=1, keepdims=True), (n, 3)).copy()
     pts = np.broadcast_to(pts, (n, 3)).copy()
-    return PlaneObservations(point_world=pts, point_lidar=pts, normal=us,
-                             plane_offset=np.zeros(n),
+    return PlaneObservations(point_lidar=pts, normal=us,
                              residual=np.broadcast_to(zs, (n,)).copy())
 
 
@@ -402,10 +401,8 @@ class TestAssociate:
         assert skipped == want_skipped
         assert len(obs) == len(kept)
         rows = np.array([k[0] for k in kept], dtype=np.int64)
-        np.testing.assert_array_equal(obs.point_world, world[rows].reshape(-1, 3))
         np.testing.assert_array_equal(obs.point_lidar, lidar[rows].reshape(-1, 3))
         np.testing.assert_array_equal(obs.normal, np.array([k[1] for k in kept]).reshape(-1, 3))
-        np.testing.assert_array_equal(obs.plane_offset, [k[2] for k in kept])
         np.testing.assert_array_equal(obs.residual, [k[3] for k in kept])
         np.testing.assert_array_equal(
             obs.residual_vector, np.array([k[3] * k[1] for k in kept]).reshape(-1, 3))
@@ -551,13 +548,11 @@ class TestCoprocessor:
         assert stats["points_in"] == len(pts1)
         assert stats["observations_raw"] == stats["observations_sent"] == len(obs) > 0
         # At rest, undistortion moves no point: every observed point is a
-        # scan point, after the int8 round trip and float32 rounding where
-        # the mode has them.
+        # scan point, after the int8 round trip in baseline-int8. No mode
+        # rounds to float32 here; the OBS_FLOAT encoding does.
         sent = pts1
         if mode == "baseline-int8":
             sent = int8_minmax_reconstruct(*int8_minmax_quantize(pts1))
-        if mode.startswith("baseline"):
-            sent = sent.astype(np.float32).astype(np.float64)
         assert set(map(tuple, obs.point_lidar)) <= set(map(tuple, sent))
 
         groups, sent_obs, scan_stats = coproc.process_scan(

@@ -21,9 +21,9 @@ from quantlio.quantizer import (
 from quantlio.simworld import LidarModel, build_scene, synth_scan, synth_trajectory
 from quantlio.voxelmap import VoxelMap
 from quantlio.wire import (
-    FrameType, ObservationGroups, ProtocolOrderError, SessionConfig, WireFrame,
-    decode_frame, decode_pose_resp, encode_frame, encode_pose_req,
-    pack_groups,
+    FrameType, ObservationGroups, PlaneObservations, ProtocolOrderError, SessionConfig,
+    WireFrame, decode_frame, decode_pose_resp, decode_state_update, encode_frame,
+    encode_obs_float, encode_pose_req, pack_groups,
 )
 
 IDENTITY = (np.eye(3), np.zeros(3))
@@ -389,9 +389,7 @@ class TestQmapUpdate:
         n_center = dequantize_residual_key(quantize_residual_vectors(obs.residual_vector, cb), cb)
         u = n_center / np.linalg.norm(n_center, axis=1, keepdims=True)
         p_recon = dequantize_point(quantize_points(obs.point_lidar, cb), cb)
-        oracle_obs = PlaneObservations(
-            point_world=obs.point_world, point_lidar=p_recon, normal=u,
-            plane_offset=obs.plane_offset, residual=obs.residual)
+        oracle_obs = PlaneObservations(point_lidar=p_recon, normal=u, residual=obs.residual)
         s_state, s_cov = standard_update(state, cov, oracle_obs, sigma, IDENTITY)
 
         assert info["updated"]
@@ -401,10 +399,8 @@ class TestQmapUpdate:
     def _floor_observation(self):
         from quantlio.coprocessor import PlaneObservations
         return PlaneObservations(
-            point_world=np.array([[0.0, 0.0, -1.5]]),
             point_lidar=np.array([[0.0, 0.0, -1.5]]),
             normal=np.array([[0.0, 0.0, 1.0]]),
-            plane_offset=np.array([1.5]),
             residual=np.array([0.01]))
 
     def test_floor_plane_shrinks_only_height_variance(self):
@@ -506,12 +502,43 @@ class TestHost:
         assert len(host.logs) == 1
         assert host.logs[0].psd_ok and host.logs[0].contraction_ok
 
+    def test_obs_float_updates_once_and_produces_state_update(self, monkeypatch):
+        # The host decodes the float32 rows and hands them to
+        # apply_float_observations once, positionally, as the standard update.
+        host = make_host()
+        host.handle_frame(self.pose_req(0.0, 0.1))
+        prior_state, prior_cov = host.state.copy(), host.cov.copy()
+        obs = PlaneObservations(point_lidar=np.array([[0.1, 0.2, -1.5], [2.0, 0.1, 0.3]]),
+                                normal=np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]),
+                                residual=np.array([0.0123, 0.004]))
+        calls = []
+        apply = Host.apply_float_observations
+        monkeypatch.setattr(Host, "apply_float_observations",
+                            lambda host, *args: calls.append(args) or apply(host, *args))
+        reply = decode_frame(host.handle_frame(decode_frame(
+            encode_frame(FrameType.OBS_FLOAT, 100000, encode_obs_float(obs)))))
+        assert reply.frame_type == FrameType.STATE_UPDATE
+        assert len(calls) == 1 and calls[0][0] == host.time == pytest.approx(0.1)
+        sent = calls[0][1]
+        np.testing.assert_array_equal(sent.residual, obs.residual.astype(np.float32))
+        want_state, want_cov = standard_update(prior_state, prior_cov, sent, 0.02, IDENTITY)
+        rot, trans = decode_state_update(reply.payload)
+        np.testing.assert_array_equal(trans, want_state.position)
+        np.testing.assert_array_equal(host.cov, want_cov)
+        assert len(host.logs) == 1 and not host.awaiting_obs
+
     def test_obs_without_pending_scan_rejected(self):
         host = make_host()
         payload = pack_groups([], host.config.codebook)
         with pytest.raises(ProtocolOrderError):
             host.handle_frame(decode_frame(
                 encode_frame(FrameType.OBS_GROUPS, 100000, payload)))
+
+    def test_obs_float_without_pending_scan_rejected(self):
+        host = make_host()
+        payload = encode_obs_float(PlaneObservations.empty())
+        with pytest.raises(ProtocolOrderError, match="OBS_FLOAT arrived with no pending scan"):
+            host.handle_frame(decode_frame(encode_frame(FrameType.OBS_FLOAT, 100000, payload)))
 
     @pytest.mark.parametrize("frame_type", [FrameType.CONFIG, FrameType.POSE_RESP,
                                             FrameType.STATE_UPDATE])

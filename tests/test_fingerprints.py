@@ -29,6 +29,16 @@ def test_fingerprint_repeats_and_sees_the_payloads():
     assert payloads != hashlib.sha256().hexdigest()
 
 
+def test_fingerprint_sees_the_obs_float_payloads():
+    tool = load_tool()
+    from workloads import make_config, round_seed
+
+    cfg = dataclasses.replace(make_config("dense-float", round_seed(0, 0)), duration=0.5)
+    assert cfg.mode == "baseline-float"
+    _, _, payloads = tool.fingerprint(cfg)
+    assert payloads != hashlib.sha256().hexdigest()
+
+
 def test_compare_reports_differing_parts_fields_and_count(tmp_path, capsys):
     tool = load_tool()
     same = ("dense-float seed=1 baseline-float/inproc fields=(0.004, 0.002, 100, 5, 5, 0.05, "

@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,9 +73,10 @@ def test_batched_propagation_tracks_the_step_loop_end_to_end(monkeypatch):
     assert metrics.bits_total == loop_metrics.bits_total
 
 def test_socket_transport_matches_inproc():
-    # Both channels hand back decoded reply frames; the session over a
-    # localhost TCP link must end exactly where the in-process pump does.
-    for mode in ("qlio", "qlio-no-rqrs"):
+    # Both channels hand back decoded reply frames; in every mode the session
+    # over a localhost TCP link must end exactly where the in-process pump
+    # does.
+    for mode in pipeline.MODES:
         runs = [pipeline.run(pipeline.RunConfig(duration=0.5, mode=mode, transport=t, seed=4))
                 for t in ("inproc", "socket:0")]
         (inproc, rows), (socket, rows_socket) = runs
@@ -85,23 +85,12 @@ def test_socket_transport_matches_inproc():
         assert rows_socket.tobytes() == rows.tobytes()
 
 
-def test_float_baselines_run_in_process_whatever_the_transport(monkeypatch):
-    def no_socket(port):
-        raise AssertionError("a float baseline opened a socket")
-
-    monkeypatch.setattr(pipeline, "tcp_listen", no_socket)
-    cfg = pipeline.RunConfig(duration=0.5, mode="baseline-float", seed=4)
-    metrics, rows = pipeline.run(replace(cfg, transport="socket:0"))
-    inproc, rows_inproc = pipeline.run(cfg)
-    assert metrics.deterministic_fields() == inproc.deterministic_fields()
-    assert rows.tobytes() == rows_inproc.tobytes()
-
-
 def recorded_run(monkeypatch, cfg):
-    """run(cfg), plus the point count of every simulated scan and the
-    (groups, payload) of every OBS_GROUPS payload packed."""
-    points, packed = [], []
-    synth, pack = pipeline.synth_scan, pipeline.pack_groups
+    """run(cfg), plus the point count of every simulated scan, the (groups,
+    payload) of every OBS_GROUPS payload packed and the (row count, payload)
+    of every OBS_FLOAT payload encoded."""
+    points, packed, floats = [], [], []
+    synth, pack, encode = pipeline.synth_scan, pipeline.pack_groups, pipeline.encode_obs_float
 
     def synth_scan(*args, **kwargs):
         pts, times = synth(*args, **kwargs)
@@ -113,17 +102,23 @@ def recorded_run(monkeypatch, cfg):
         packed.append((groups, payload))
         return payload
 
+    def encode_obs_float(observations):
+        payload = encode(observations)
+        floats.append((len(observations), payload))
+        return payload
+
     monkeypatch.setattr(pipeline, "synth_scan", synth_scan)
     monkeypatch.setattr(pipeline, "pack_groups", pack_groups)
+    monkeypatch.setattr(pipeline, "encode_obs_float", encode_obs_float)
     metrics, rows = pipeline.run(cfg)
     monkeypatch.undo()
-    return metrics, rows, points, packed
+    return metrics, rows, points, packed, floats
 
 
 @pytest.mark.parametrize("mode", pipeline.MODES)
 def test_every_mode_is_deterministic_and_counts_its_bits(monkeypatch, mode):
     cfg = pipeline.RunConfig(duration=1.0, mode=mode, seed=5)
-    metrics, rows, points, packed = recorded_run(monkeypatch, cfg)
+    metrics, rows, points, packed, floats = recorded_run(monkeypatch, cfg)
     again, rows_again = pipeline.run(cfg)
     assert again.deterministic_fields() == metrics.deterministic_fields()
     assert rows_again.tobytes() == rows.tobytes()
@@ -131,11 +126,14 @@ def test_every_mode_is_deterministic_and_counts_its_bits(monkeypatch, mode):
 
     cb = cfg.codebook
     assert len(packed) == (metrics.scans if mode.startswith("qlio") else 0)
-    if mode == "baseline-float":
+    assert len(floats) == (0 if mode.startswith("qlio") else metrics.scans)
+    if mode.startswith("baseline"):
+        # Both baselines bill their OBS_FLOAT payloads: seven float32 per
+        # measurement and nothing else.
+        assert pipeline.FLOAT_OBS_BITS == 224
         assert metrics.bits_total == pipeline.FLOAT_OBS_BITS * metrics.measurements_total
-    elif mode == "baseline-int8":
-        # 8 bits per coordinate plus the per-axis min and max as float32.
-        assert metrics.bits_total == sum(24 * n + 192 for n in points)
+        assert all(len(payload) == 28 * n for n, payload in floats)
+        assert sum(n for n, _ in floats) == metrics.measurements_total
     else:
         # A 16-bit group count, then per group the key and a 16-bit member
         # count, then the members; the payload pads to whole bytes.

@@ -6,16 +6,17 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quantlio.coprocessor import ObservationGroup
 from quantlio.manifold import so3_exp
 from quantlio.quantizer import Codebook
 from quantlio.wire import (
     HEADER, MAGIC, MAX_PAYLOAD, VERSION, BadCrc, BadMagic, BadVersion, FrameType,
-    ObservationGroups, PeerClosed, SessionConfig, StreamTransport, TruncatedFrame,
-    UnknownFrameType, WireError, WireFrame,
-    decode_config, decode_frame, decode_pose_req, decode_pose_resp,
-    decode_state_update, encode_config, encode_frame, encode_pose_req,
+    ObservationGroups, PeerClosed, PlaneObservations, SessionConfig, StreamTransport,
+    TruncatedFrame, UnknownFrameType, WireError, WireFrame,
+    decode_config, decode_frame, decode_obs_float, decode_pose_req, decode_pose_resp,
+    decode_state_update, encode_config, encode_frame, encode_obs_float, encode_pose_req,
     encode_pose_resp, encode_state_update, pack_groups,
     payload_bits, tcp_connect, tcp_listen, unpack_groups,
 )
@@ -144,7 +145,7 @@ class TestFraming:
     def test_round_trip_random_frames(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            ftype = FrameType(int(rng.integers(0, 5)))
+            ftype = FrameType(int(rng.integers(0, len(FrameType))))
             ts = int(rng.integers(0, 2 ** 63))
             payload = rng.bytes(int(rng.integers(0, 200)))
             frame = decode_frame(encode_frame(ftype, ts, payload))
@@ -402,6 +403,56 @@ class TestPayloadCodecs:
         rot, trans = decode_state_update(payload)
         np.testing.assert_allclose(rot, pose[0], atol=1e-12)
         np.testing.assert_allclose(trans, pose[1], atol=1e-12)
+
+
+def obs_rows(rows) -> PlaneObservations:
+    """Observations from (n, 7) rows of residual, normal, point."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, 7)
+    return PlaneObservations(point_lidar=rows[:, 4:], normal=rows[:, 1:4], residual=rows[:, 0])
+
+
+class TestObsFloat:
+    # Below the float32 maximum, so the f32 rounding of every value is finite.
+    @given(arrays(np.float64, st.tuples(st.integers(0, 40), st.just(7)),
+                  elements=st.floats(-1e38, 1e38)))
+    def test_round_trip_is_the_float32_rounding(self, rows):
+        payload = encode_obs_float(obs_rows(rows))
+        assert len(payload) == 28 * len(rows)
+        back = decode_obs_float(payload)
+        assert len(back) == len(rows)
+        want = obs_rows(rows.astype(np.float32).astype(np.float64))
+        for name in ("residual", "normal", "point_lidar"):
+            got = getattr(back, name)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, getattr(want, name))
+
+    def test_empty_payload_is_no_rows(self):
+        assert encode_obs_float(PlaneObservations.empty()) == b""
+        assert len(decode_obs_float(b"")) == 0
+
+    @pytest.mark.parametrize("size", [1, 27, 29, 55])
+    def test_partial_row_raises(self, size):
+        with pytest.raises(WireError, match="whole 28-byte rows"):
+            decode_obs_float(bytes(size))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", range(7))
+    def test_non_finite_value_raises(self, value, column):
+        rows = np.ones((3, 7), dtype="<f4")
+        rows[1, column] = value
+        with pytest.raises(WireError, match="not finite"):
+            decode_obs_float(rows.tobytes())
+
+    def test_every_single_bit_flip_of_a_frame_raises(self):
+        rng = np.random.default_rng(3)
+        payload = encode_obs_float(obs_rows(rng.uniform(-5.0, 5.0, (2, 7))))
+        encoded = encode_frame(FrameType.OBS_FLOAT, 700000, payload)
+        assert decode_frame(encoded).frame_type == FrameType.OBS_FLOAT
+        for bit in range(8 * len(encoded)):
+            corrupted = bytearray(encoded)
+            corrupted[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(WireError):
+                decode_obs_float(decode_frame(bytes(corrupted)).payload)
 
 
 class TestTransports:

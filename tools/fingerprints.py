@@ -9,8 +9,8 @@ For each workload in bench/workloads.py and seeds 0-3, the configuration
 make_config(name, round_seed(seed, 0)) runs in-process in every mode, and in
 qlio over socket:0: 60 runs. Each prints one line with three fingerprints:
 repr(RunMetrics.deterministic_fields()), the SHA-256 of the trajectory rows
-and the SHA-256 of every OBS_GROUPS payload in order (the float baselines
-send none). A refactor that must leave the outputs unchanged is checked by
+and the SHA-256 of every observation payload in order (OBS_GROUPS in the
+qlio modes, OBS_FLOAT in the float baselines). A refactor that must leave the outputs unchanged is checked by
 running this script on both commits and comparing the files with diff.
 
 --compare OLD NEW reads two such files and reports, for each line that
@@ -34,6 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from quantlio import pipeline  # noqa: E402
 from quantlio.coprocessor import MODES  # noqa: E402
+from quantlio.wire import FrameType  # noqa: E402
 
 from workloads import WORKLOADS, make_config, round_seed  # noqa: E402
 
@@ -53,18 +54,18 @@ def fingerprint(cfg) -> tuple[str, str, str]:
     """(repr of the deterministic fields, trajectory SHA-256, payload SHA-256)
     of one run."""
     payloads = hashlib.sha256()
-    pack_groups = pipeline.pack_groups
+    encode_frame = pipeline.encode_frame
 
-    def recording(groups, cb):
-        payload = pack_groups(groups, cb)
-        payloads.update(payload)
-        return payload
+    def recording(frame_type, timestamp_us, payload):
+        if frame_type in (FrameType.OBS_GROUPS, FrameType.OBS_FLOAT):
+            payloads.update(payload)
+        return encode_frame(frame_type, timestamp_us, payload)
 
-    pipeline.pack_groups = recording
+    pipeline.encode_frame = recording
     try:
         metrics, rows = pipeline.run(cfg)
     finally:
-        pipeline.pack_groups = pack_groups
+        pipeline.encode_frame = encode_frame
     trajectory = hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest()
     return repr(metrics.deterministic_fields()), trajectory, payloads.hexdigest()
 
