@@ -124,7 +124,9 @@ def voxel_downsample(points, edge: float) -> np.ndarray:
 def _first_per_voxel(points: np.ndarray, edges, groups: np.ndarray) -> np.ndarray:
     """Ascending indices of the first point in input order of each (group,
     voxel) pair, voxels of side edges (a scalar or one per point). The pair
-    is folded into one int64 key over the occupied span of cells."""
+    is folded into one int64 key over the occupied span of cells, then
+    narrowed to the smallest unsigned type that holds it: NumPy's stable sort
+    is a radix sort for integers of 16 bits or fewer."""
     cells = np.floor(points / edges).astype(np.int64)
     # Column by column: an axis-0 reduction over (n, 3) rows is many times
     # slower.
@@ -135,6 +137,7 @@ def _first_per_voxel(points: np.ndarray, edges, groups: np.ndarray) -> np.ndarra
         key, size = key * span + (col - low), size * span
     if size > 1 << 63:
         raise ValueError("points span too many voxels for an int64 key")
+    key = key.astype(np.min_scalar_type(size - 1))
     return np.sort(np.unique(key, return_index=True)[1])
 
 

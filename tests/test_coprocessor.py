@@ -319,6 +319,46 @@ class TestVoxelDownsample:
             voxel_downsample([[0.0, 0.0, 0.0], [1e12, 1e12, 0.0]], 1.0)
 
 
+# Cell spans whose folded key count sits on each side of 2^8, 2^16 and 2^32,
+# where the key narrows from uint8 to uint16, uint32 and uint64.
+KEY_WIDTH_SPANS = [(256, 1, 1), (257, 1, 1), (256, 256, 1), (257, 256, 1),
+                   (65536, 65536, 1), (65537, 65536, 1)]
+
+
+def points_folding_to(spans, rng, n=60):
+    """Points in unit voxels whose folded keys span exactly prod(spans):
+    the first and last key, pairs of keys 2^8, 2^16 and 2^32 apart (which a
+    too-narrow key would merge) and repeated voxels."""
+    size = int(np.prod(spans))
+    keys = rng.integers(0, size, n)
+    keys[:2] = 0, size - 1
+    for i, step in enumerate((1 << 8, 1 << 16, 1 << 32)):
+        if step < size:
+            keys[2 + 2 * i: 4 + 2 * i] = [0, step] if i % 2 else [size - 1 - step, size - 1]
+    keys = np.concatenate([keys, keys[rng.integers(0, n, n // 2)]])
+    cells = np.column_stack(np.unravel_index(keys, spans)) - 3
+    return cells + rng.uniform(0.05, 0.95, cells.shape)
+
+
+class TestVoxelKeyWidth:
+    @pytest.mark.parametrize("spans", KEY_WIDTH_SPANS)
+    def test_voxel_downsample_matches_per_point_loop(self, spans):
+        pts = points_folding_to(spans, np.random.default_rng(len(spans) + spans[0]))
+        np.testing.assert_array_equal(voxel_downsample(pts, 1.0),
+                                      voxel_downsample_per_point(pts, 1.0))
+
+    @pytest.mark.parametrize("spans", KEY_WIDTH_SPANS)
+    @pytest.mark.parametrize("buckets", [1, 2])
+    def test_rq_resample_matches_per_bucket_loop(self, spans, buckets):
+        cb = Codebook()
+        pts = points_folding_to(spans, np.random.default_rng(spans[0] + buckets))
+        us = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])[np.arange(len(pts)) % buckets]
+        obs = make_obs(us, 0.5 * cb.r_thr, pts)
+        np.testing.assert_array_equal(
+            rq_resample(obs, rq_keys(obs, cb), 1.0, 0.0),
+            rq_resample_per_bucket(obs, cb, 1.0, 0.0))
+
+
 def build_plane_map(height=1.0, normal="z", extent=3.0, step=0.2):
     vmap = VoxelMap(edge=0.5)
     g = np.arange(-extent, extent + 1e-9, step)
