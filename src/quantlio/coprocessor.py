@@ -86,14 +86,13 @@ def undistort(points, times, t_prev: float, t_k: float, scan_delta, extrinsic):
     scan_delta is the IMU-frame transform over the scan (start coordinates
     into the end frame); each point gets the constant-twist fraction
     (t_k - t_j) / (t_k - t_prev) of it, sandwiched through the LiDAR-IMU
-    extrinsic. Point count is preserved.
+    extrinsic. Point count is preserved. Precondition: every time lies in
+    [t_prev, t_k] (to 1e-9 s); Coprocessor.observe checks the raw scan.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     times = np.asarray(times, dtype=float)
     if len(points) == 0:
         return points.copy()
-    if np.any(times < t_prev - 1e-9) or np.any(times > t_k + 1e-9):
-        raise ValueError("point timestamps fall outside the scan window")
     span = t_k - t_prev
     if span <= 0.0:
         raise ValueError("scan window must have positive duration")
@@ -242,6 +241,10 @@ class Coprocessor:
         combined with scan_delta it yields the end-of-scan world pose used
         to place points for association. Returns (observations, stats dict).
         """
+        points, times = np.atleast_2d(np.asarray(points, dtype=float)), np.asarray(times)
+        in_window = (times >= t_prev - 1e-9) & (times <= t_k + 1e-9)
+        if not (np.all(np.isfinite(points)) and np.all(in_window)):
+            raise ValueError("scan points must be finite, with timestamps in the scan window")
         if self.mode == "baseline-int8" and len(points):
             points = int8_minmax_reconstruct(*int8_minmax_quantize(points))
         lidar_end = undistort(points, times, t_prev, t_k, scan_delta, self.extrinsic)

@@ -210,13 +210,11 @@ class TestUndistort:
         out = undistort(pts, np.array([0.05]), 0.0, 0.1, delta, IDENTITY)
         np.testing.assert_allclose(out, [[2.5, 0.0, 0.0]], atol=1e-12)
 
-    def test_count_preserved_and_window_checked(self):
+    def test_count_preserved(self):
         pts = np.zeros((10, 3))
         times = np.linspace(0.0, 0.1, 10)
         delta = (so3_exp([0, 0, 0.02]), np.array([0.1, 0.0, 0.0]))
         assert len(undistort(pts, times, 0.0, 0.1, delta, IDENTITY)) == 10
-        with pytest.raises(ValueError):
-            undistort(pts, times + 0.05, 0.0, 0.1, delta, IDENTITY)
 
     @given(seed=st.integers(0, 2**32 - 1),
            angle=st.sampled_from([0.0, 1e-12, 1e-9, 5e-8, 2e-6, 1e-3, 0.05, 0.7, 2.5]),
@@ -604,6 +602,30 @@ class TestCoprocessor:
             assert len(sent_obs) < len(obs)
         else:
             assert len(sent_obs) == len(obs)
+
+    def test_observe_checks_the_window_on_every_raw_timestamp(self):
+        # The late timestamp sits on a point the voxel filter drops, so a
+        # check of the kept points alone would pass it.
+        _, (pts, times) = self.static_scans()
+        dropped = np.setdiff1d(np.arange(len(pts)), voxel_downsample(pts, 0.5))
+        coproc = Coprocessor(Codebook(), IDENTITY, ds_0=0.5)
+        for row, time in ((0, 0.05), (dropped[-1], 0.2 + 1e-6)):
+            late = times.copy()
+            late[row] = time
+            with pytest.raises(ValueError, match="window"):
+                coproc.observe(pts, late, 0.1, 0.2, IDENTITY, IDENTITY)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["points", "times"])
+    def test_observe_refuses_non_finite_input(self, value, where):
+        # NaN compares False both ways, so a window test written as "any
+        # time outside" would let it through.
+        _, (pts, times) = self.static_scans()
+        scan = {"points": pts.copy(), "times": times.copy()}
+        scan[where][7] = value
+        coproc = Coprocessor(Codebook(), IDENTITY)
+        with pytest.raises(ValueError, match="finite"):
+            coproc.observe(scan["points"], scan["times"], 0.1, 0.2, IDENTITY, IDENTITY)
 
     def test_unknown_mode_refused(self):
         with pytest.raises(ValueError, match="mode"):
