@@ -54,7 +54,44 @@ def test_compare_reports_differing_parts_fields_and_count(tmp_path, capsys):
         "room-qlio seed=0 qlio/inproc: fields trajectory differ",
         "  ate_trans: 0.004 -> 0.005 (rel +0.25)",
         "dense-float seed=2 baseline-float/inproc: only in NEW",
+        "means over seeds, old -> new:",
+        "  dense-float baseline-float/inproc (n=1): ate_trans 0.004 -> 0.004 (rel +0); "
+        "ate_rot 0.002 -> 0.002 (rel +0); meas_per_scan 0.05 -> 0.05 (rel +0); "
+        "bits_per_meas_sent 224 -> 224 (rel +0)",
+        "  room-qlio qlio/inproc (n=1): ate_trans 0.004 -> 0.005 (rel +0.25); "
+        "ate_rot 0.002 -> 0.002 (rel +0); meas_per_scan 0.05 -> 0.05 (rel +0); "
+        "bits_per_meas_sent 34 -> 34 (rel +0)",
         "identical: 1 of 3 lines",
     ]
     assert tool.main(["--compare", str(tmp_path / "old.txt"), str(tmp_path / "old.txt")]) == 0
     assert capsys.readouterr().out == "identical: 2 of 2 lines\n"
+
+
+def test_compare_summarises_each_workload_and_variant_over_seeds(tmp_path, capsys):
+    # Two seeds of one variant and one of another; a run whose field count
+    # changed is left out of the means.
+    def line(run, ate, meas, bits, extra=""):
+        return (f"{run} fields=({ate}, 0.002, 100, 5, 5, {meas}, 1.0, 170, {bits}, 34.0, "
+                f"np.False_, True, True, 0{extra}) trajectory=ab payloads=cd")
+
+    old = [line("room-qlio seed=0 qlio/inproc", 0.004, 450.0, 33.0),
+           line("room-qlio seed=1 qlio/inproc", 0.006, 460.0, 33.2),
+           line("yard-qlio seed=0 qlio/inproc", 0.010, 400.0, 32.0),
+           line("yard-qlio seed=1 qlio/inproc", 0.010, 400.0, 32.0)]
+    new = [line("room-qlio seed=0 qlio/inproc", 0.003, 452.0, 33.0),
+           line("room-qlio seed=1 qlio/inproc", 0.005, 462.0, 33.0),
+           line("yard-qlio seed=0 qlio/inproc", 0.010, 400.0, 32.0),
+           line("yard-qlio seed=1 qlio/inproc", 0.010, 400.0, 32.0, extra=", 7")]
+    (tmp_path / "old.txt").write_text("\n".join(old) + "\n")
+    (tmp_path / "new.txt").write_text("\n".join(new) + "\n")
+    assert load_tool().main(["--compare", str(tmp_path / "old.txt"), str(tmp_path / "new.txt")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[out.index("means over seeds, old -> new:") + 1:] == [
+        "  room-qlio qlio/inproc (n=2): ate_trans 0.005 -> 0.004 (rel -0.2); "
+        "ate_rot 0.002 -> 0.002 (rel +0); meas_per_scan 455 -> 457 (rel +0.0044); "
+        "bits_per_meas_sent 33.1 -> 33 (rel -0.00302)",
+        "  yard-qlio qlio/inproc (n=1): ate_trans 0.01 -> 0.01 (rel +0); "
+        "ate_rot 0.002 -> 0.002 (rel +0); meas_per_scan 400 -> 400 (rel +0); "
+        "bits_per_meas_sent 32 -> 32 (rel +0)",
+        "identical: 1 of 4 lines",
+    ]

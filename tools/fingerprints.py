@@ -16,8 +16,10 @@ running this script on both commits and comparing the files with diff.
 --compare OLD NEW reads two such files and reports, for each line that
 differs, which of fields, trajectory and payloads differ and, per differing
 deterministic field, its name (pipeline.DETERMINISTIC_FIELDS) and relative
-change; it ends with the count of identical lines and exits 1 if any line
-differs.
+change. If any line differs, one row per workload and variant follows, with
+the means over seeds of SUMMARY_FIELDS, old -> new: the report a change that
+moves fingerprints by design gives. It ends with the count of identical
+lines and exits 1 if any line differs.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from quantlio.wire import FrameType  # noqa: E402
 from workloads import WORKLOADS, make_config, round_seed  # noqa: E402
 
 SEEDS = range(4)
+SUMMARY_FIELDS = ("ate_trans", "ate_rot", "meas_per_scan", "bits_per_meas_sent")
 LINE = re.compile(r"(?P<run>.+?) fields=\((?P<fields>.*)\) "
                   r"trajectory=(?P<trajectory>\w+) payloads=(?P<payloads>\w+)")
 
@@ -91,6 +94,26 @@ def field_change(old: str, new: str) -> str:
     return f"{old} -> {new} (rel {rel})"
 
 
+def summary(old: dict, new: dict) -> list[str]:
+    """One row per (workload, variant) of the runs in both files: the mean
+    over seeds of each SUMMARY_FIELDS field, old -> new."""
+    runs: dict[tuple[str, str], list[str]] = {}
+    for run in old:
+        if run in new and len(old[run][0]) == len(new[run][0]):
+            workload, _, variant = run.split(" ")
+            runs.setdefault((workload, variant), []).append(run)
+    rows = []
+    for (workload, variant), labels in runs.items():
+        cells = []
+        for name in SUMMARY_FIELDS:
+            i = pipeline.DETERMINISTIC_FIELDS.index(name)
+            a, b = (sum(float(side[r][0][i]) for r in labels) / len(labels)
+                    for side in (old, new))
+            cells.append(f"{name} {field_change(f'{a:.6g}', f'{b:.6g}')}")
+        rows.append(f"  {workload} {variant} (n={len(labels)}): {'; '.join(cells)}")
+    return rows
+
+
 def compare(old_path, new_path) -> int:
     """Print the differences between two fingerprint files; 1 if any."""
     old, new = parse(old_path), parse(new_path)
@@ -113,6 +136,8 @@ def compare(old_path, new_path) -> int:
             if x != y:
                 print(f"  {name}: {field_change(x, y)}")
     total = len(old.keys() | new.keys())
+    if identical != total:
+        print("means over seeds, old -> new:", *summary(old, new), sep="\n")
     print(f"identical: {identical} of {total} lines")
     return int(identical != total)
 
