@@ -7,17 +7,20 @@ taking scan-start IMU coordinates into the scan-end IMU frame, so applying
 the interpolated fraction of its twist to a point captured mid-scan moves it
 into the end-of-scan frame.
 
-A scan stays in arrays from start to end: one batched pose per column
-timestamp, gathered per point (within 1e-12 m of a per-column loop, not bit
-for bit), then one PlaneObservations record that resampling and grouping
-filter and quantize whole, selecting exactly what per-row loops would, and
-last one wire.ObservationGroups record, which pack_groups encodes.
+The voxel filter runs first, on the raw sensor-frame points, so what it
+keeps depends on the raw scan alone. From there a scan stays in arrays: one
+batched undistortion pose per column timestamp, gathered per kept point
+(within 1e-12 m of a per-column loop, not bit for bit), then one
+PlaneObservations record that resampling and grouping filter and quantize
+whole, selecting exactly what per-row loops would, and last one
+wire.ObservationGroups record, which pack_groups encodes.
 
 Voxel selection, in voxel_downsample and per rq bucket in rq_resample,
 keeps each voxel's first member in input order, the rule VoxelMap.insert
 applies to its sub-voxels: no distance, no tie-break. Each (group, voxel)
-pair is folded into one int64 key, and np.unique's first index per key is
-the selection.
+pair is folded into one key, in the narrowest unsigned type that holds it
+(NumPy's stable sort is a radix sort up to 16 bits), and np.unique's first
+index per key is the selection.
 
 Association fits its planes with voxelmap.plane_fit_batch, in closed form:
 the 3x3 normal equations of each 5-point set, solved by adjugate and
@@ -123,9 +126,7 @@ def voxel_downsample(points, edge: float) -> np.ndarray:
 def _first_per_voxel(points: np.ndarray, edges, groups: np.ndarray) -> np.ndarray:
     """Ascending indices of the first point in input order of each (group,
     voxel) pair, voxels of side edges (a scalar or one per point). The pair
-    is folded into one int64 key over the occupied span of cells, then
-    narrowed to the smallest unsigned type that holds it: NumPy's stable sort
-    is a radix sort for integers of 16 bits or fewer."""
+    is folded into one key over the occupied span of cells."""
     cells = np.floor(points / edges).astype(np.int64)
     # Column by column: an axis-0 reduction over (n, 3) rows is many times
     # slower.
@@ -211,9 +212,10 @@ class Coprocessor:
     """Owns the map and turns raw scans into observations, one scan at a time.
 
     observe() runs the stages every mode shares: the int8 min-max round trip
-    (baseline-int8 only), undistortion, voxel downsampling, the codebook
-    range gate and association; the float baselines send its observations
-    as they are, and the OBS_FLOAT encoding rounds them to float32.
+    (baseline-int8 only), voxel downsampling of the raw points, undistortion
+    of the kept ones, the codebook range gate and association; the float
+    baselines send its observations as they are, and the OBS_FLOAT encoding
+    rounds them to float32.
     process_scan() is the qlio modes' path: observe, the rq keys (quantized
     once), then rq resampling (qlio only) and grouping. Either keeps the
     scan's points until integrate_posterior() inserts them into the map.
@@ -235,8 +237,10 @@ class Coprocessor:
         self._pending_lidar_points = None
 
     def observe(self, points, times, t_prev: float, t_k: float, scan_delta, pose_prev):
-        """Undistort, downsample and associate one scan.
+        """Check, downsample, undistort the kept points and associate one scan.
 
+        A non-finite point or timestamp, or a timestamp outside the scan
+        window, raises ValueError.
         pose_prev is the world-from-IMU pose at the previous scan end;
         combined with scan_delta it yields the end-of-scan world pose used
         to place points for association. Returns (observations, stats dict).
@@ -247,8 +251,8 @@ class Coprocessor:
             raise ValueError("scan points must be finite, with timestamps in the scan window")
         if self.mode == "baseline-int8" and len(points):
             points = int8_minmax_reconstruct(*int8_minmax_quantize(points))
-        lidar_end = undistort(points, times, t_prev, t_k, scan_delta, self.extrinsic)
-        lidar_end = lidar_end[voxel_downsample(lidar_end, self.ds_0)]
+        kept = voxel_downsample(points, self.ds_0)
+        lidar_end = undistort(points[kept], times[kept], t_prev, t_k, scan_delta, self.extrinsic)
         # Codebook range gate: whatever the quantizer cannot represent is
         # dropped before association.
         in_range = np.all(np.abs(lidar_end) < self.cb.r_max, axis=1)

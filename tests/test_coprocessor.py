@@ -603,6 +603,23 @@ class TestCoprocessor:
         else:
             assert len(sent_obs) == len(obs)
 
+    @pytest.mark.parametrize("mode", ["baseline-float", "baseline-int8"])
+    def test_observe_undistorts_only_what_the_raw_voxel_filter_keeps(self, mode):
+        # A moving scan delta and a tilted extrinsic: undistorting first
+        # would move points across voxel faces and change the kept set.
+        _, (pts, times) = self.static_scans()
+        extrinsic = (so3_exp([0.1, -0.2, 0.3]), np.array([0.05, 0.0, -0.1]))
+        delta = (so3_exp([0.0, 0.01, 0.2]), np.array([0.3, -0.1, 0.02]))
+        coproc = Coprocessor(Codebook(), extrinsic, ds_0=0.5, mode=mode)
+        coproc.observe(pts, times, 0.1, 0.2, delta, IDENTITY)
+        raw = pts
+        if mode == "baseline-int8":
+            raw = int8_minmax_reconstruct(*int8_minmax_quantize(pts))
+        kept = voxel_downsample(raw, 0.5)
+        want = undistort(raw[kept], times[kept], 0.1, 0.2, delta, extrinsic)
+        want = want[np.all(np.abs(want) < coproc.cb.r_max, axis=1)]
+        np.testing.assert_array_equal(coproc._pending_lidar_points, want)
+
     def test_observe_checks_the_window_on_every_raw_timestamp(self):
         # The late timestamp sits on a point the voxel filter drops, so a
         # check of the kept points alone would pass it.
