@@ -332,7 +332,7 @@ def points_folding_to(spans, rng, n=60):
     keys[:2] = 0, size - 1
     for i, step in enumerate((1 << 8, 1 << 16, 1 << 32)):
         if step < size:
-            keys[2 + 2 * i: 4 + 2 * i] = [0, step] if i % 2 else [size - 1 - step, size - 1]
+            keys[2 + 2 * i: 4 + 2 * i] = 0, step
     keys = np.concatenate([keys, keys[rng.integers(0, n, n // 2)]])
     cells = np.column_stack(np.unravel_index(keys, spans)) - 3
     return cells + rng.uniform(0.05, 0.95, cells.shape)
