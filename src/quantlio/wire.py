@@ -18,7 +18,8 @@ Payloads:
 
     CONFIG        l_p, l_n, l_z as one byte each, then r_max, r_thr, ds_0,
                   alpha, sigma as f64, then the LiDAR-IMU extrinsic as
-                  9 f64 rotation (row-major) + 3 f64 translation.
+                  9 f64 rotation (row-major) + 3 f64 translation. A codebook
+                  or scan setting RunConfig refuses raises WireError.
     POSE_REQ      previous and current scan-end timestamps, u64 microseconds.
     POSE_RESP     scan delta then previous pose, each as a unit quaternion
                   (w, x, y, z) f64 plus a 3 f64 translation.
@@ -311,6 +312,16 @@ class SessionConfig:
     extrinsic_translation: np.ndarray
 
 
+def check_scan_settings(ds_0, alpha, sigma) -> None:
+    """Raise ValueError unless ds_0 > 0, alpha >= 0 and sigma > 0; NaN fails."""
+    if not ds_0 > 0.0:
+        raise ValueError("ds_0 must be positive")
+    if not sigma > 0.0:
+        raise ValueError("sigma must be positive")
+    if not alpha >= 0.0:
+        raise ValueError("alpha must be nonnegative")
+
+
 _CONFIG = struct.Struct("<3B17d")
 _POSE_REQ = struct.Struct("<QQ")
 _POSE = struct.Struct("<7d")
@@ -329,7 +340,11 @@ def decode_config(payload: bytes) -> SessionConfig:
     if len(payload) != _CONFIG.size:
         raise WireError(f"CONFIG payload must be {_CONFIG.size} bytes")
     vals = _CONFIG.unpack(payload)
-    cb = Codebook(l_p=vals[0], l_n=vals[1], l_z=vals[2], r_max=vals[3], r_thr=vals[4])
+    try:
+        cb = Codebook(l_p=vals[0], l_n=vals[1], l_z=vals[2], r_max=vals[3], r_thr=vals[4])
+        check_scan_settings(*vals[5:8])
+    except ValueError as exc:
+        raise WireError(f"CONFIG refused: {exc}") from None
     return SessionConfig(codebook=cb, ds_0=vals[5], alpha=vals[6], sigma=vals[7],
                          extrinsic_rotation=np.array(vals[8:17]).reshape(3, 3),
                          extrinsic_translation=np.array(vals[17:20]))

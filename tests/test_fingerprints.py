@@ -61,10 +61,10 @@ def test_compare_reports_differing_parts_fields_and_count(tmp_path, capsys):
         "  room-qlio qlio/inproc (n=1): ate_trans 0.004 -> 0.005 (rel +0.25); "
         "ate_rot 0.002 -> 0.002 (rel +0); meas_per_scan 0.05 -> 0.05 (rel +0); "
         "bits_per_meas_sent 34 -> 34 (rel +0)",
-        "identical: 1 of 3 lines",
+        "identical: 1 of 3 lines; trajectory and payloads identical: 1 of 3",
     ]
     assert tool.main(["--compare", str(tmp_path / "old.txt"), str(tmp_path / "old.txt")]) == 0
-    assert capsys.readouterr().out == "identical: 2 of 2 lines\n"
+    assert capsys.readouterr().out == "identical: 2 of 2 lines; trajectory and payloads identical: 2 of 2\n"
 
 
 def test_compare_summarises_each_workload_and_variant_over_seeds(tmp_path, capsys):
@@ -93,5 +93,28 @@ def test_compare_summarises_each_workload_and_variant_over_seeds(tmp_path, capsy
         "  yard-qlio qlio/inproc (n=1): ate_trans 0.01 -> 0.01 (rel +0); "
         "ate_rot 0.002 -> 0.002 (rel +0); meas_per_scan 400 -> 400 (rel +0); "
         "bits_per_meas_sent 32 -> 32 (rel +0)",
-        "identical: 1 of 4 lines",
+        "identical: 1 of 4 lines; trajectory and payloads identical: 4 of 4",
     ]
+
+
+def test_compare_counts_lines_whose_estimate_is_identical(tmp_path, capsys):
+    # A change that redefines a metric moves the fields but must not move the
+    # estimate: its lines count as trajectory and payloads identical.
+    def line(seed, ate, trajectory="ab", payloads="cd"):
+        return (f"room-qlio seed={seed} qlio/inproc fields=({ate}, 0.002, 100, 5, 5, 450.0, "
+                f"1.0, 170, 33.0, 34.0, np.False_, True, True, 0) "
+                f"trajectory={trajectory} payloads={payloads}")
+
+    old = [line(0, 0.004), line(1, 0.004), line(2, 0.004), line(3, 0.004)]
+    new = [line(0, 0.004), line(1, 0.005), line(2, 0.005, trajectory="ef"),
+           line(3, 0.004, payloads="ef")]
+    (tmp_path / "old.txt").write_text("\n".join(old) + "\n")
+    (tmp_path / "new.txt").write_text("\n".join(new) + "\n")
+    assert load_tool().main(["--compare", str(tmp_path / "old.txt"), str(tmp_path / "new.txt")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:5] == ["room-qlio seed=1 qlio/inproc: fields differ",
+                       "  ate_trans: 0.004 -> 0.005 (rel +0.25)",
+                       "room-qlio seed=2 qlio/inproc: fields trajectory differ",
+                       "  ate_trans: 0.004 -> 0.005 (rel +0.25)",
+                       "room-qlio seed=3 qlio/inproc: payloads differ"]
+    assert out[-1] == "identical: 1 of 4 lines; trajectory and payloads identical: 2 of 4"

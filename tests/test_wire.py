@@ -379,6 +379,32 @@ class TestPayloadCodecs:
         np.testing.assert_allclose(back.extrinsic_rotation, cfg.extrinsic_rotation)
         np.testing.assert_allclose(back.extrinsic_translation, cfg.extrinsic_translation)
 
+    # Byte offset and struct format of each CONFIG field a test corrupts.
+    CONFIG_FIELDS = {"l_p": (0, "<B"), "ds_0": (19, "<d"), "alpha": (27, "<d"),
+                     "sigma": (35, "<d")}
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("ds_0", 0.0, "ds_0 must be positive"),
+        ("ds_0", float("nan"), "ds_0 must be positive"),
+        ("alpha", -0.01, "alpha must be nonnegative"),
+        ("alpha", float("nan"), "alpha must be nonnegative"),
+        ("sigma", 0.0, "sigma must be positive"),
+        ("sigma", -0.02, "sigma must be positive"),
+        ("sigma", float("nan"), "sigma must be positive"),
+        ("l_p", 0, "l_p must be in"),
+    ])
+    def test_config_refuses_what_run_config_refuses(self, name, value, message):
+        # A setting RunConfig or Codebook refuses is a WireError on decode,
+        # before it can reach the coprocessor's voxel filter.
+        payload = bytearray(encode_config(SessionConfig(
+            codebook=Codebook(), ds_0=0.5, alpha=0.01, sigma=0.02,
+            extrinsic_rotation=np.eye(3), extrinsic_translation=np.zeros(3))))
+        decode_config(bytes(payload))
+        offset, fmt = self.CONFIG_FIELDS[name]
+        struct.pack_into(fmt, payload, offset, value)
+        with pytest.raises(WireError, match=f"CONFIG refused: {message}"):
+            decode_config(bytes(payload))
+
     def test_pose_req_round_trip(self):
         payload = encode_pose_req(1_000_000, 1_100_000)
         assert len(payload) == 16

@@ -19,7 +19,9 @@ deterministic field, its name (pipeline.DETERMINISTIC_FIELDS) and relative
 change. If any line differs, one row per workload and variant follows, with
 the means over seeds of SUMMARY_FIELDS, old -> new: the report a change that
 moves fingerprints by design gives. It ends with the count of identical
-lines and exits 1 if any line differs.
+lines and the count of lines whose trajectory and payloads are identical
+(the estimate did not move, whatever its metrics read), and exits 1 if any
+line differs.
 """
 
 from __future__ import annotations
@@ -117,11 +119,12 @@ def summary(old: dict, new: dict) -> list[str]:
 def compare(old_path, new_path) -> int:
     """Print the differences between two fingerprint files; 1 if any."""
     old, new = parse(old_path), parse(new_path)
-    identical = 0
+    identical = same_estimate = 0
     for run in [*old, *(r for r in new if r not in old)]:
         if run not in new or run not in old:
             print(f"{run}: only in {'OLD' if run in old else 'NEW'}")
             continue
+        same_estimate += old[run][1:] == new[run][1:]
         if old[run] == new[run]:
             identical += 1
             continue
@@ -138,7 +141,8 @@ def compare(old_path, new_path) -> int:
     total = len(old.keys() | new.keys())
     if identical != total:
         print("means over seeds, old -> new:", *summary(old, new), sep="\n")
-    print(f"identical: {identical} of {total} lines")
+    print(f"identical: {identical} of {total} lines; "
+          f"trajectory and payloads identical: {same_estimate} of {total}")
     return int(identical != total)
 
 
