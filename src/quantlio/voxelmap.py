@@ -1,18 +1,23 @@
-"""Incremental voxel-hash point map with exact k-nearest-neighbor queries.
+"""Incremental sub-voxel point map with exact k-nearest-neighbor queries.
 
-Storage. Cells are keyed by their integer coordinates packed into one int64
-(21 bits per axis, so coordinates must stay within about a million cells of
-the origin). A cell keeps at most one point per sub-voxel, one of its 2x2x2
-cubes of side edge / 2, so it has _CELL_CAP = 8 slots. Every occupied cell
-owns one row of a single padded (3, rows, _CELL_CAP) float array, stored
-axis-major: per axis, the row holds that coordinate of the cell's points in
-insertion order, and empty slots hold +inf, which is infinitely far from
-every query. A fill count and a sub-voxel occupancy mask per row and the
-occupied cell keys in ascending order, with the row of each, complete the
-store. Row 0 is a sentinel that stays empty; lookups of absent cells gather
-it. Rows are handed out in order of first insertion, and the arrays double
-when they run out of rows, so a cell costs _CELL_CAP * 24 bytes whatever
-its fill.
+Store. The map keeps at most one point per sub-voxel, a cube of side
+edge / 2 whose integer coordinates are floor(2 (p / edge)) per axis. The
+points sit in one (3, N + 1) float array in insertion order, stored
+axis-major; column 0 is a +inf sentinel, infinitely far from every query.
+A dense int32 grid over a box of sub-voxels holds each sub-voxel's column,
+or 0 where it is empty, so a lookup is a take of flat grid indices and
+needs no key search. The grid's size follows the box the map spans, not
+its point count.
+
+Growth. The grid starts as the bounding box of the first batch. When a
+batch reaches past it, the grid is reallocated over the box that holds
+both, widened on each side that grew by _GRID_SPARE of the new extent along
+that axis, so a map that keeps growing one way (a sensor driving down a
+corridor) is copied a few times, not once per batch. _GRID_CAP caps the
+grid's entries: the spare room is dropped where it alone would pass the
+cap, and insert refuses a batch whose box passes it before it allocates
+anything. With at most one point per entry, the cap also keeps every
+column inside int32.
 
 Distances. Every squared distance comes from _sq_dist, which adds the
 per-axis squares in the order np.einsum("ij,ij->i") adds the three columns
@@ -20,43 +25,50 @@ of (n, 3) rows, (dx^2 + dz^2) + dy^2. The map therefore ranks by the same
 bits as an einsum brute force (the test suite checks the order).
 
 Insertion (insert) keeps the first point to reach each sub-voxel and drops
-every later one; nothing is replaced. A point's sub-voxel is its half of the
-cell per axis, floor(2 p / edge) - 2 floor(p / edge), from the quotient that
-gives its cell. Insertion runs in rounds: round r places the r-th point, in
-batch order, of every cell the batch touches, so the rows of one round are
-distinct and a round is a few array operations. The loop count is the
-largest number of points any one cell receives.
+every later one; nothing is replaced. It is one pass: of the batch's points
+whose grid entry is empty, the first in batch order of each sub-voxel
+(np.unique) is appended, and its column written into the grid.
 
 Search (knn_batch). Every query is answered by box passes. A pass ranks,
-for each pending query, the points of a box of cells around it: the box's
-occupied rows are gathered (so a wide box costs only its occupied cells), a
-partition finds each query's k-th smallest d^2, and every candidate at or
-below it is kept (ties included). For a query at fractional position f
-inside its cell (per axis), the first box is the 2x2x2 octant toward the
-nearest cell corner. Every stored point outside it lies at least
-margin = edge * min over axes of max(f, 1 - f) >= edge / 2 away, so its k
-best are exact when the k-th d^2 is strictly below margin^2 (the margin
-shrunk by a tiny safety factor against rounding, and capped at the search
-radius): no point outside the box can then tie with or beat a kept one.
-Rows a pass cannot certify retry on the box centred on their cell with the
-next odd side of 3, 5, 9, 17, ..., whose margin for side 2h + 1 is
-edge * min over axes of (h + min(f, 1 - f)) >= h * edge. The last pass uses
-the cover side 2h + 1 with h = floor(search_radius / edge) + 1. Every point
-within the search radius lies within h cells of the query's cell on each
-axis; when search_radius / edge is whole, as at the defaults, exact
-arithmetic needs only h - 1, and the spare cell holds the points whose
-coordinates round onto the next cell's face. So the cover pass certifies
-every row it gets. It keeps the candidates up to
+for each pending query, the stored points of a box of sub-voxels around it:
+the box's grid entries are gathered (so a wide box costs only its points),
+a partition finds each query's k-th smallest d^2, and every candidate at or
+below it is kept (ties included). Distances below are in sub-voxels. For a
+query at fractional position f inside its sub-voxel (per axis), the first
+box is the 4x4x4 block centred on the nearest sub-voxel corner, so the
+query lies at least 1.5 from each of its faces. Every stored point outside
+it lies at least margin = min over axes of the distance to the nearer face
+away, so its k best are exact when the k-th d^2 is strictly below margin^2
+(the margin shrunk by a tiny safety factor against rounding, and capped at
+the search radius): no point outside the box can then tie with or beat a
+kept one. Rows a pass cannot certify retry on the box centred on their
+sub-voxel with the next odd side of 7, 13, 25, ... (2 s - 1 after side s),
+whose margin for side 2h + 1 is min over axes of (h + min(f, 1 - f)) >= h.
+The last pass uses the cover side 2h + 1 with h = floor(2 search_radius / edge)
++ 1. Every point within the search radius lies within h sub-voxels of the
+query's on each axis; when 2 search_radius / edge is whole, as at the
+defaults, exact arithmetic needs only h - 1, and the spare sub-voxel holds
+the points whose coordinates round onto the next one's face. So the cover
+pass certifies every row it gets. It keeps the candidates up to
 min(k-th d^2, search_radius^2) and so returns fewer than k points where the
 radius cuts the search off.
 
-Chunks. A pass sorts its rows by the number of occupied cells in their box,
-most first (a stable sort, so equal rows keep query order), and ranks them
-in chunks. Each chunk gathers only as many cells per row as its widest row
-occupies, absent cells padded with the empty sentinel row, and holds as
-many rows as fit into _CHUNK_SLOTS candidate slots at that width; sparse
-boxes thus share chunks with sparse boxes and no chunk pays for the densest
-box of the pass.
+Clipping. A box is cut to the grid's size on each axis and shifted inside
+the grid, so its lookups never leave it, however far outside the query
+lies. The shifted box still holds every entry the true box shares with the
+grid, and the part of the true box it drops lies outside the grid, where no
+point is stored; the points it adds from outside the true box can only be
+ranked, never missed. The margin stays the true box's, so every
+certificate stays exact.
+
+Chunks. A pass sorts each row's box entries, occupied ones last, and its
+rows by their number of points, most first (a stable sort, so equal rows
+keep query order), and ranks the rows in chunks. Each chunk gathers only as
+many entries per row as its widest row holds points, the rest padded with
+the sentinel, and holds as many rows as fit into _CHUNK_SLOTS candidate
+slots at that width; sparse boxes thus share chunks with sparse boxes and
+no chunk pays for the densest box of the pass. Box lookups run in groups of
+queries of at most _GROUP_CELLS entries, so a wide box bounds them too.
 
 Ranking. The answer is ordered by (d^2, x, y, z). In the common case every
 certified row of a chunk keeps exactly k candidates, and a stable argsort
@@ -74,53 +86,36 @@ with the count per row; indexing it gives the row's (count, 3) points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-_AXIS_BITS = 21
-_AXIS_OFF = 1 << (_AXIS_BITS - 1)
-
-# Slots per cell: one per sub-voxel of side edge / 2.
-_CELL_CAP = 2 ** 3
+# Entries the sub-voxel grid may hold, 4 bytes each (512 MiB at the cap):
+# about 450 times the largest preset map's, 153 x 149 x 13 = 296 361 on an
+# open-yard circle, and below 2**31, so a point's column always fits int32.
+_GRID_CAP = 1 << 27
+# Spare room a growing side of the grid takes, as a share of the new extent.
+# Without it the 10 s corridor line regrows the grid on 49 of its 100 scans.
+_GRID_SPARE = 0.125
 # Candidate slots gathered per chunk of queries: a chunk holds as many rows
-# as fit at the width of its widest row (occupied box cells times _CELL_CAP).
-# Bounds the temporaries of a pass (and so peak memory) whatever the box size.
-_CHUNK_SLOTS = 256 * 8 * _CELL_CAP
-# Box cells looked up per group of queries; bounds the lookup's temporaries
-# when a wide box reaches many queries.
+# as fit at the width of its widest row (the most points any of its boxes
+# holds). Bounds the temporaries of a pass (and so peak memory) whatever the
+# box size.
+_CHUNK_SLOTS = 1 << 14
+# Grid entries looked up per group of queries; bounds the lookup's
+# temporaries when a wide box reaches many queries.
 _GROUP_CELLS = 1 << 16
-# Shrinks a box's margin so rounding in cell assignment and in the
+# Shrinks a box's margin so rounding in sub-voxel assignment and in the
 # squared distances can never certify a point that lies outside it.
 _MARGIN_SAFETY = 1.0 - 1e-8
-_INITIAL_ROWS = 64
+_INITIAL_POINTS = 1 << 10
 # A plane fit is refused when its 5x3 system is worse conditioned.
 _COND_LIMIT = 1e8
 # tr(G)^3 <= _GRAM_CERTIFY * det(G) proves cond(A) <= 1e6 (plane_fit_batch).
 _GRAM_CERTIFY = 4e12
 # Refinement steps after the closed-form solve; one leaves up to 2e-9.
 _REFINE_STEPS = 2
-
-
-def pack_cells(cells) -> np.ndarray:
-    """Pack integer cell coordinates (n, 3) into int64 keys."""
-    cells = np.asarray(cells, dtype=np.int64)
-    return (((cells[..., 0] + _AXIS_OFF) << (2 * _AXIS_BITS))
-            | ((cells[..., 1] + _AXIS_OFF) << _AXIS_BITS)
-            | (cells[..., 2] + _AXIS_OFF))
-
-
-@lru_cache(maxsize=16)
-def _box(side: int) -> np.ndarray:
-    """Key offsets of the cells of a side x side x side box from its lowest
-    corner; packing is linear in the coordinates, so a cell's key is the
-    corner's key plus a constant."""
-    span = np.arange(side)
-    cells = np.stack(np.meshgrid(span, span, span, indexing="ij"), -1).reshape(-1, 3)
-    deltas = (cells[:, 0] << (2 * _AXIS_BITS)) + (cells[:, 1] << _AXIS_BITS) + cells[:, 2]
-    deltas.setflags(write=False)
-    return deltas
 
 
 @dataclass(frozen=True)
@@ -237,47 +232,33 @@ def _solve_svd(stacks: np.ndarray):
 
 
 class VoxelMap:
-    """Single-writer voxel-hash map (insert and query never interleave)."""
+    """Single-writer sub-voxel map (insert and query never interleave)."""
 
     def __init__(self, edge: float = 0.5, search_radius: float = 5.0):
-        if edge <= 0.0 or search_radius <= 0.0:
-            raise ValueError("edge and search_radius must be positive")
+        if not (0.0 < edge < math.inf and 0.0 < search_radius < math.inf):
+            raise ValueError("edge and search_radius must be positive and finite")
         self.edge = edge
         self.search_radius = search_radius
-        # Rows past the last occupied cell are never read; np.empty leaves
-        # their pages untouched until a cell claims them.
-        self._slots = np.empty((3, _INITIAL_ROWS, _CELL_CAP))
-        self._slots[:, 0] = np.inf
-        self._fill = np.zeros(_INITIAL_ROWS, dtype=np.int64)
-        # Bit 4 x + 2 y + z: the sub-voxel with halves (x, y, z) holds a point.
-        self._occupied = np.zeros(_INITIAL_ROWS, dtype=np.uint8)
-        # Occupied cell keys in ascending order, and the row of each.
-        self._keys = np.empty(0, dtype=np.int64)
-        self._key_rows = np.empty(0, dtype=np.int64)
+        # Columns past the last point are never read; np.empty leaves their
+        # pages untouched until a point claims them.
+        self._points = np.empty((3, _INITIAL_POINTS + 1))
+        self._points[:, 0] = np.inf
         self._count = 0
+        # The grid, flat and C-ordered, of shape _shape with its lowest entry
+        # at sub-voxel _lo. _lo holds whole floats, like the sub-voxel
+        # coordinates, which are cast to integers only as offsets into the
+        # grid, so no coordinate can overflow an int64.
+        self._grid = np.zeros(0, dtype=np.int32)
+        self._shape = np.zeros(3, dtype=np.int64)
+        self._lo = np.zeros(3)
 
     def __len__(self) -> int:
         return self._count
 
     @property
     def points(self) -> np.ndarray:
-        """Stored points, cell by cell in order of first insertion."""
-        used = slice(1, len(self._keys) + 1)
-        filled = np.arange(_CELL_CAP) < self._fill[used, None]
-        return np.ascontiguousarray(self._slots[:, used][:, filled].T)
-
-    def _reserve(self, needed: int) -> None:
-        """Double the row capacity until it holds `needed` rows."""
-        size = len(self._fill)
-        if needed <= size:
-            return
-        while size < needed:
-            size *= 2
-        slots = np.empty((3, size, _CELL_CAP))
-        slots[:, :len(self._fill)] = self._slots
-        grow = (0, size - len(self._fill))
-        self._slots, self._fill, self._occupied = (
-            slots, np.pad(self._fill, grow), np.pad(self._occupied, grow))
+        """Stored points in insertion order."""
+        return np.ascontiguousarray(self._points[:, 1:self._count + 1].T)
 
     def insert(self, points) -> None:
         """Add world-frame points, dropping each whose sub-voxel already holds
@@ -287,57 +268,48 @@ class VoxelMap:
             raise ValueError("insert expects finite points")
         if len(points) == 0:
             return
-        scaled = points / self.edge
-        cells = np.floor(scaled)
-        halves = (np.floor(2.0 * scaled) - 2.0 * cells).astype(np.int64)
-        bits = (1 << (halves @ (4, 2, 1))).astype(np.uint8)
-        keys = pack_cells(cells.astype(np.int64))
-        # Group the points by cell, batch order kept within each cell.
-        perm = np.argsort(keys, kind="stable")
-        sorted_keys = keys[perm]
-        starts = np.flatnonzero(np.diff(sorted_keys, prepend=sorted_keys[0] - 1))
-        counts = np.diff(starts, append=len(keys))
-        rows = self._claim_rows(sorted_keys[starts], perm[starts])
-        for r in range(int(counts.max())):
-            has = counts > r
-            at = perm[starts[has] + r]
-            self._place(points[at], rows[has], bits[at])
+        entries = self._grid_index(np.floor(2.0 * (points / self.edge)))
+        free = np.flatnonzero(self._grid.take(entries) == 0)
+        _, first = np.unique(entries[free], return_index=True)
+        new = free[np.sort(first)]
+        end = self._count + 1 + len(new)
+        if end > self._points.shape[1]:
+            grown = np.empty((3, max(end, 2 * self._points.shape[1])))
+            grown[:, :self._count + 1] = self._points[:, :self._count + 1]
+            self._points = grown
+        self._points[:, self._count + 1:end] = points[new].T
+        self._grid[entries[new]] = np.arange(self._count + 1, end)
+        self._count += len(new)
 
-    def _claim_rows(self, cell_keys: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """Row of each of the ascending, distinct cell_keys; absent cells
-        get fresh rows in order of their first point's batch index."""
-        rows = self._lookup(cell_keys)
-        new = np.flatnonzero(rows == 0)
-        if len(new) == 0:
-            return rows
-        base = len(self._keys) + 1
-        rows[new[np.argsort(first[new])]] = np.arange(base, base + len(new))
-        self._reserve(base + len(new))
-        self._slots[:, rows[new]] = np.inf
-        at = np.searchsorted(self._keys, cell_keys[new])
-        self._keys = np.insert(self._keys, at, cell_keys[new])
-        self._key_rows = np.insert(self._key_rows, at, rows[new])
-        return rows
+    def _grid_index(self, subs: np.ndarray) -> np.ndarray:
+        """Flat grid index of each sub-voxel of subs (n, 3), after growing
+        the grid to hold them all (see the module docstring)."""
+        lo, hi = subs.min(axis=0), subs.max(axis=0) + 1.0
+        top = self._lo + self._shape
+        low, high = lo < self._lo, hi > top
+        if self._count == 0:
+            self._regrid(lo, hi)
+        elif low.any() or high.any():
+            lo, hi = np.minimum(lo, self._lo), np.maximum(hi, top)
+            spare = np.floor(_GRID_SPARE * (hi - lo))
+            wide_lo, wide_hi = np.where(low, lo - spare, lo), np.where(high, hi + spare, hi)
+            if np.prod(wide_hi - wide_lo) <= _GRID_CAP:
+                lo, hi = wide_lo, wide_hi
+            self._regrid(lo, hi)
+        return np.ravel_multi_index((subs - self._lo).astype(np.int64).T, self._shape)
 
-    def _place(self, points: np.ndarray, rows: np.ndarray, bits: np.ndarray) -> None:
-        """Apply the insertion rule to one point in each of distinct rows:
-        a point whose sub-voxel bit is set is dropped, the others append."""
-        free = (self._occupied[rows] & bits) == 0
-        rows, points, bits = rows[free], points[free], bits[free]
-        fill = self._fill[rows]
-        self._slots[:, rows, fill] = points.T
-        self._fill[rows] = fill + 1
-        self._occupied[rows] |= bits
-        self._count += len(rows)
-
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Row of each cell key; the empty sentinel row 0 for absent cells."""
-        known = self._keys
-        if len(known) == 0:
-            return np.zeros(np.shape(keys), dtype=np.int64)
-        pos = known.searchsorted(keys)
-        np.minimum(pos, len(known) - 1, out=pos)
-        return np.where(known[pos] == keys, self._key_rows[pos], 0)
+    def _regrid(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Reallocate the grid over sub-voxels lo to hi (exclusive), keeping
+        every stored entry; refuse a grid of more than _GRID_CAP entries."""
+        if not np.prod(hi - lo) <= _GRID_CAP:
+            raise ValueError(f"the map's sub-voxel grid would span {(hi - lo).tolist()} "
+                             f"sub-voxels, more than {_GRID_CAP} entries")
+        shape = (hi - lo).astype(np.int64)
+        grid = np.zeros(tuple(shape), dtype=np.int32)
+        if self._count:
+            at = (self._lo - lo).astype(np.int64)
+            grid[tuple(map(slice, at, at + self._shape))] = self._grid.reshape(self._shape)
+        self._grid, self._shape, self._lo = grid.ravel(), shape, lo
 
     def knn_batch(self, queries, k: int) -> Neighbors:
         """Up to k nearest stored points within the search radius, per query.
@@ -351,13 +323,15 @@ class VoxelMap:
         if k < 1:
             raise ValueError("k must be at least 1")
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        if not np.all(np.isfinite(queries)):
+            raise ValueError("knn_batch expects finite queries")
         nb = Neighbors(np.full((len(queries), k, 3), np.nan),
                        np.zeros(len(queries), dtype=np.int64))
-        if len(self._keys) == 0:
+        if self._count == 0:
             return nb
         pending = np.arange(len(queries))
-        cover = 2 * (int(self.search_radius / self.edge) + 1) + 1
-        side = 2
+        cover = 2 * (int(2.0 * self.search_radius / self.edge) + 1) + 1
+        side = 4
         while side < cover:
             pending = self._box_pass(queries, pending, k, nb, side, cover=False)
             side = 2 * side - 1
@@ -366,55 +340,59 @@ class VoxelMap:
 
     def _box_pass(self, queries: np.ndarray, pending: np.ndarray, k: int,
                   nb: Neighbors, side: int, cover: bool) -> np.ndarray:
-        """Rank each pending query's side**3 box of cells: the octant toward
-        the nearest cell corner (side 2) or the box centred on its cell (odd
-        side). Fills nb's row for every query the box certifies, or for
-        every query in the cover pass, and returns the ones it could not."""
+        """Rank each pending query's side**3 box of sub-voxels: the block
+        centred on the nearest sub-voxel corner (side 4) or the box centred
+        on its sub-voxel (odd side), clipped into the grid. Fills nb's row
+        for every query the box certifies, or for every query in the cover
+        pass, and returns the ones it could not."""
         if len(pending) == 0:
             return pending
-        scaled = queries[pending] / self.edge
-        cells = np.floor(scaled)
-        frac = scaled - cells
-        low = np.where(frac >= 0.5, 0, -1) if side == 2 else -(side // 2)
-        # Distance from the query to the box's nearest face, in cells.
+        scaled = 2.0 * (queries[pending] / self.edge)
+        subs = np.floor(scaled)
+        frac = scaled - subs
+        low = np.where(frac >= 0.5, -1.0, -2.0) if side == 4 else -(side // 2)
+        # Distance from the query to the box's nearest face, in sub-voxels.
         margin = np.min(np.minimum(frac - low, low + side - frac), axis=1)
-        certify_sq = np.minimum(margin * self.edge * _MARGIN_SAFETY, self.search_radius) ** 2
-        corner_keys = pack_cells(cells.astype(np.int64) + low)
+        certify_sq = np.minimum(margin * (0.5 * self.edge) * _MARGIN_SAFETY,
+                                self.search_radius) ** 2
+        dims = np.minimum(side, self._shape)
+        corners = np.clip(subs + low - self._lo, 0, self._shape - dims).astype(np.int64)
+        bases = np.ravel_multi_index(corners.T, self._shape)
+        offsets = np.ravel_multi_index(np.indices(dims).reshape(3, -1), self._shape)
         certified = np.zeros(len(pending), dtype=bool)
-        group = max(1, _GROUP_CELLS // side ** 3)
+        group = max(1, _GROUP_CELLS // len(offsets))
         for g in range(0, len(pending), group):
-            box_rows = self._lookup(corner_keys[g:g + group, None] + _box(side))
-            # Occupied cells first (absent ones look up the sentinel row 0),
+            # Occupied entries last (empty ones hold the sentinel column 0),
             # and rows with the most of them first.
-            box_rows = np.sort(box_rows, axis=1)[:, ::-1]
-            occupied = np.count_nonzero(box_rows, axis=1)
+            box = np.sort(self._grid.take(bases[g:g + group, None] + offsets), axis=1)
+            occupied = np.count_nonzero(box, axis=1)
             by_width = np.argsort(-occupied, kind="stable")
             lo = 0
             while lo < len(by_width):
                 width = max(1, int(occupied[by_width[lo]]))
-                hi = min(lo + max(1, _CHUNK_SLOTS // (width * _CELL_CAP)), len(by_width))
+                hi = min(lo + max(1, _CHUNK_SLOTS // width), len(by_width))
                 rows = by_width[lo:hi]
                 at = g + rows
-                certified[at] = self._rank(queries, pending[at], box_rows[rows, :width], k,
+                certified[at] = self._rank(queries, pending[at], box[rows, -width:], k,
                                            None if cover else certify_sq[at], nb)
                 lo = hi
         return pending[~certified]
 
-    def _rank(self, queries: np.ndarray, pending: np.ndarray, box_rows: np.ndarray, k: int,
+    def _rank(self, queries: np.ndarray, pending: np.ndarray, box: np.ndarray, k: int,
               certify_sq, nb: Neighbors) -> np.ndarray:
-        """Rank the points of the cell rows box_rows[i] for the query
-        pending[i]. Fills nb's row with the up to k best points within the
-        search radius of every query it certifies (all when certify_sq is
-        None) and returns which those are."""
+        """Rank the points of the columns box[i] for the query pending[i].
+        Fills nb's row with the up to k best points within the search
+        radius of every query it certifies (all when certify_sq is None) and
+        returns which those are."""
         q = queries[pending]
-        width = box_rows.shape[1] * _CELL_CAP
         # The differences overwrite the gathered coordinates, so a chunk
         # holds one (3, rows, width) array, freed before the partition; the
-        # few ranked points are gathered again from the store (_candidates).
-        diff = np.take(self._slots, box_rows, axis=1).reshape(3, len(q), width)
+        # few ranked points are gathered again from the store.
+        diff = self._points.take(box, axis=1)
         diff -= q.T[:, :, None]
         d2 = _sq_dist(*diff)
         del diff
+        width = box.shape[1]
         kth = (np.partition(d2, k - 1, axis=1)[:, k - 1] if k <= width
                else np.full(len(q), np.inf))
         ok = np.ones(len(q), dtype=bool) if certify_sq is None else kth < certify_sq
@@ -435,20 +413,20 @@ class VoxelMap:
             order += np.arange(0, flat.size, k)[:, None]
             d2_kept = d2_kept.take(order)
             if np.all(d2_kept[:, 1:] > d2_kept[:, :-1]):
-                top = flat.take(order)
-                nb.points[answered] = self._candidates(box_rows, top).transpose(1, 2, 0)
+                top = box.take(flat.take(order))
+                nb.points[answered] = self._points.take(top, axis=1).transpose(1, 2, 0)
                 nb.counts[answered] = k
                 return ok
-        self._rank_ties(box_rows, d2, kept, counts, pending, k, nb)
+        self._rank_ties(box, d2, kept, counts, pending, k, nb)
         return ok
 
-    def _rank_ties(self, box_rows: np.ndarray, d2: np.ndarray, kept: np.ndarray,
+    def _rank_ties(self, box: np.ndarray, d2: np.ndarray, kept: np.ndarray,
                    counts: np.ndarray, pending: np.ndarray, k: int, nb: Neighbors) -> None:
         """The general ranking of _rank: order each row's kept candidates by
         (d^2, x, y, z) and write its first min(count, k) points and their
         number into nb (uncertified rows keep none and stay empty)."""
         flat = np.flatnonzero(kept)
-        pts = self._candidates(box_rows, flat)
+        pts = self._points.take(box.take(flat), axis=1)
         # The row is the primary key, so row i's candidates fill
         # order[starts[i]:starts[i] + counts[i]], best first.
         order = np.lexsort((pts[2], pts[1], pts[0], d2.take(flat), flat // d2.shape[1]))
@@ -459,9 +437,3 @@ class VoxelMap:
         top = order[slot + np.repeat(starts, take)]
         nb.points[np.repeat(pending, take), slot] = pts.take(top, axis=1).T
         nb.counts[pending] = take
-
-    def _candidates(self, box_rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
-        """Coordinates (3, *flat.shape) of the candidates at flat indices into
-        the (rows, box cells * _CELL_CAP) candidate grid of box_rows."""
-        cell, slot = np.divmod(flat, _CELL_CAP)
-        return self._slots[:, box_rows.ravel()[cell], slot]

@@ -19,7 +19,9 @@ Payloads:
     CONFIG        l_p, l_n, l_z as one byte each, then r_max, r_thr, ds_0,
                   alpha, sigma as f64, then the LiDAR-IMU extrinsic as
                   9 f64 rotation (row-major) + 3 f64 translation. A codebook
-                  or scan setting RunConfig refuses raises WireError.
+                  or scan setting RunConfig refuses, an extrinsic that is
+                  not finite, or a rotation that is not orthonormal with
+                  determinant +1 raises WireError.
     POSE_REQ      previous and current scan-end timestamps, u64 microseconds.
     POSE_RESP     scan delta then previous pose, each as a unit quaternion
                   (w, x, y, z) f64 plus a 3 f64 translation.
@@ -322,6 +324,20 @@ def check_scan_settings(ds_0, alpha, sigma) -> None:
         raise ValueError("alpha must be nonnegative")
 
 
+# Largest entry of |R^T R - I| a CONFIG's extrinsic rotation may carry.
+_ROTATION_TOL = 1e-9
+
+
+def _check_extrinsic(rotation: np.ndarray, translation: np.ndarray) -> None:
+    """Raise ValueError unless the extrinsic is finite and its rotation is
+    orthonormal to _ROTATION_TOL with determinant +1."""
+    if not (np.all(np.isfinite(rotation)) and np.all(np.isfinite(translation))):
+        raise ValueError("extrinsic must be finite")
+    if (np.abs(rotation.T @ rotation - np.eye(3)).max() > _ROTATION_TOL
+            or np.linalg.det(rotation) < 0.0):
+        raise ValueError("extrinsic rotation must be orthonormal with determinant +1")
+
+
 _CONFIG = struct.Struct("<3B17d")
 _POSE_REQ = struct.Struct("<QQ")
 _POSE = struct.Struct("<7d")
@@ -340,14 +356,15 @@ def decode_config(payload: bytes) -> SessionConfig:
     if len(payload) != _CONFIG.size:
         raise WireError(f"CONFIG payload must be {_CONFIG.size} bytes")
     vals = _CONFIG.unpack(payload)
+    rotation, translation = np.array(vals[8:17]).reshape(3, 3), np.array(vals[17:20])
     try:
         cb = Codebook(l_p=vals[0], l_n=vals[1], l_z=vals[2], r_max=vals[3], r_thr=vals[4])
         check_scan_settings(*vals[5:8])
+        _check_extrinsic(rotation, translation)
     except ValueError as exc:
         raise WireError(f"CONFIG refused: {exc}") from None
     return SessionConfig(codebook=cb, ds_0=vals[5], alpha=vals[6], sigma=vals[7],
-                         extrinsic_rotation=np.array(vals[8:17]).reshape(3, 3),
-                         extrinsic_translation=np.array(vals[17:20]))
+                         extrinsic_rotation=rotation, extrinsic_translation=translation)
 
 
 def encode_pose_req(t_prev_us: int, t_k_us: int) -> bytes:

@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quantlio import coprocessor, pipeline, voxelmap
-from quantlio.voxelmap import (_CELL_CAP, _INITIAL_ROWS, Neighbors, VoxelMap, _solve_gram,
-                               _sq_dist, plane_fit_batch)
+from quantlio.voxelmap import Neighbors, VoxelMap, _solve_gram, _sq_dist, plane_fit_batch
 from test_pipeline import record_knn_calls, short_run
 
 
@@ -25,16 +24,15 @@ def brute_knn(points, query, k, radius=5.0):
 def replay_insert(batches, edge):
     """The insertion rule replayed point by point: the first point to reach a
     sub-voxel (a cube of side edge / 2) stays and every later one is dropped.
-    Returns the points cell by cell in order of first insertion."""
-    cells: dict = {}
-    taken = set()
+    Returns the kept points in insertion order."""
+    kept, taken = [], set()
     for batch in batches:
         for p in batch:
             sub = tuple(np.floor(p / (edge / 2)).astype(int))
             if sub not in taken:
                 taken.add(sub)
-                cells.setdefault(tuple(np.floor(p / edge).astype(int)), []).append(p.copy())
-    return np.array([p for m in cells.values() for p in m]).reshape(-1, 3)
+                kept.append(p.copy())
+    return np.array(kept).reshape(-1, 3)
 
 
 def assert_exact(vm, queries, k):
@@ -64,7 +62,7 @@ def record_passes(monkeypatch):
 
 def record_chunks(monkeypatch):
     """Wrap VoxelMap._box_pass, _rank and _rank_ties; the returned list
-    collects, per chunk, (box side of its pass, box cells gathered per row,
+    collects, per chunk, (box side of its pass, candidates gathered per row,
     rows certified, whether the tie fallback ranked it)."""
     chunks = []
     side, fell_back = [], []
@@ -78,10 +76,10 @@ def record_chunks(monkeypatch):
         fell_back.append(True)
         return rank_ties(vm, *args)
 
-    def recording(vm, queries, pending, box_rows, k, certify_sq, nb):
+    def recording(vm, queries, pending, box, k, certify_sq, nb):
         fell_back.clear()
-        ok = rank(vm, queries, pending, box_rows, k, certify_sq, nb)
-        chunks.append((side[0], box_rows.shape[1], int(np.count_nonzero(ok)), bool(fell_back)))
+        ok = rank(vm, queries, pending, box, k, certify_sq, nb)
+        chunks.append((side[0], box.shape[1], int(np.count_nonzero(ok)), bool(fell_back)))
         return ok
 
     monkeypatch.setattr(VoxelMap, "_box_pass", recording_pass)
@@ -104,7 +102,7 @@ class TestInsert:
         centres = np.stack(np.meshgrid(*[[0.25, 0.75]] * 3, indexing="ij"), -1).reshape(-1, 3)
         vm = VoxelMap(edge=1.0)
         vm.insert(centres)
-        assert len(vm) == 8 == _CELL_CAP
+        assert len(vm) == 8
         vm.insert([centres[3], centres[5] + 0.2])
         np.testing.assert_array_equal(vm.points, centres)
         vm = VoxelMap(edge=1.0)
@@ -130,32 +128,41 @@ class TestInsert:
         order_b = np.lexsort((got[:, 2], got[:, 1], got[:, 0]))
         np.testing.assert_allclose(expected[order_a], got[order_b])
 
-    def test_replay_oracle_across_storage_growth(self):
-        # Batches of points fill sub-voxels and hit taken ones across 1728
-        # cells, so the padded store grows several times mid-insert; points
-        # come back cell by cell in first-insertion order.
+    def test_replay_oracle_across_grid_growth(self):
+        # Each batch reaches past the grid on some side, and between them on
+        # every side of every axis, negative coordinates included, so the
+        # grid is reallocated mid-run with its entries shifted; the point
+        # store outgrows its first allocation too. Points come back in
+        # insertion order and every query stays exact.
         vm = VoxelMap(edge=0.5)
         rng = np.random.default_rng(11)
-        batches = [rng.uniform(-3, 3, (n, 3)) for n in (50, 700, 3000, 6000)]
+        boxes = [((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), ((-2.0, 0.5, -0.5), (0.5, 3.0, 0.5)),
+                 ((0.5, -3.0, -4.0), (2.5, 0.5, 0.0)), ((-1.0, -1.0, 0.0), (4.0, 1.0, 3.0)),
+                 ((-6.0, -5.0, -6.0), (-1.0, -2.0, -3.0))]
+        batches = [rng.uniform(lo, hi, (1500, 3)) for lo, hi in boxes]
+        lows, highs = [], []
         for batch in batches:
             vm.insert(batch)
-        expected = replay_insert(batches, 0.5)
-        cells = np.unique(np.floor(np.concatenate(batches) / 0.5), axis=0)
-        assert len(cells) > 16 * _INITIAL_ROWS
-        assert len(vm) == len(expected)
-        np.testing.assert_array_equal(vm.points, expected)
+            lows.append(vm._lo.copy())
+            highs.append(vm._lo + vm._shape)
+        lows, highs = np.array(lows), np.array(highs)
+        assert np.all((np.diff(lows, axis=0) < 0).any(axis=0))
+        assert np.all((np.diff(highs, axis=0) > 0).any(axis=0))
+        assert len(vm) > 2 * voxelmap._INITIAL_POINTS
+        np.testing.assert_array_equal(vm.points, replay_insert(batches, 0.5))
+        assert_exact(vm, rng.uniform(-7, 5, (60, 3)), 5)
 
     @settings(max_examples=25)
     @given(edge=st.sampled_from([0.5, 1.0]), clusters=st.integers(1, 120),
            per_cluster=st.integers(1, 30), spread=st.sampled_from([0.02, 0.1, 0.3]),
            calls=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
-    # One call that claims more than _INITIAL_ROWS cells and fills most of
-    # their sub-voxels.
+    # One call that outgrows the point store's first allocation and fills
+    # most of the sub-voxels it reaches.
     @example(edge=0.5, clusters=120, per_cluster=30, spread=0.3, calls=1, seed=0)
     def test_batched_insert_matches_replay(self, edge, clusters, per_cluster, spread,
                                            calls, seed):
         # Clustered points send many points to one sub-voxel in one call, so
-        # later ones meet a sub-voxel taken earlier in the same round loop; a
+        # later ones meet a sub-voxel taken earlier in the same batch; a
         # fifth are exact copies of other points.
         rng = np.random.default_rng(seed)
         centres = rng.uniform(-6, 6, (clusters, 3))
@@ -174,13 +181,16 @@ class TestInsert:
     def test_repeated_ray_hits_keep_one_point_per_sub_voxel(self):
         # A static sensor's fixed rays hit the plane x + 2y + 3z = 4 again on
         # every scan, spread only by range noise: the map keeps at most one
-        # hit per sub-voxel, so no cell holds more than 8.
+        # hit per sub-voxel, so no cell holds more than 8. The rays aim at
+        # a 6 m patch of the plane, as a range-limited sensor's would.
         rng = np.random.default_rng(17)
         normal, offset = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0), 4.0 / np.sqrt(14.0)
         origin = np.array([0.3, -0.2, -1.0])
-        rays = rng.normal(0, 1, (40, 3))
+        u = np.cross(normal, [1.0, 0.0, 0.0])
+        u /= np.linalg.norm(u)
+        targets = offset * normal + rng.uniform(-3, 3, (40, 2)) @ [u, np.cross(normal, u)]
+        rays = targets - origin
         rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-        rays[rays @ normal < 0] *= -1
         ranges = (offset - origin @ normal) / (rays @ normal)
         vm = VoxelMap(edge=0.5)
         for _ in range(200):
@@ -193,20 +203,34 @@ class TestInsert:
         assert per_cell.max() <= 8
         assert len(stored) < 0.05 * 200 * len(rays)
 
-    def test_one_round_per_point_of_the_fullest_cell(self, monkeypatch):
-        # insert loops over rounds, not points: 500 points in distinct cells
-        # take one round, and a cell that receives 7 points takes 7.
-        rounds = []
-        place = VoxelMap._place
-        monkeypatch.setattr(VoxelMap, "_place",
-                            lambda vm, pts, *a: rounds.append(len(pts)) or place(vm, pts, *a))
+    def test_grid_cap_refuses_before_allocating(self):
+        # A batch whose sub-voxels span more grid entries than _GRID_CAP
+        # (here 4e4 per axis, 6.4e13 entries) is refused whole, whether it
+        # would start the grid or grow it, and the map keeps what it held.
         vm = VoxelMap(edge=0.5)
-        spread = np.arange(500)[:, None] * [0.5, 0.0, 0.0] + 0.25
-        vm.insert(spread)
-        assert rounds == [500]
-        rounds.clear()
-        vm.insert(np.concatenate([spread[:3], np.full((7, 3), -0.4) + np.arange(7)[:, None] * 0.05]))
-        assert rounds == [4, 1, 1, 1, 1, 1, 1]
+        with pytest.raises(ValueError, match="grid"):
+            vm.insert([[0.0, 0.0, 0.0], [1e4, 1e4, 1e4]])
+        assert len(vm) == 0
+        vm.insert([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="grid"):
+            vm.insert([[1.0, 1.0, 1.0], [-1e4, 0.0, 1e4]])
+        np.testing.assert_array_equal(vm.points, [[0.0, 0.0, 0.0]])
+
+    def test_grid_cap_is_exact(self, monkeypatch):
+        # At a cap of 1000 entries a 10x10x10 block of sub-voxels fits,
+        # grown to from half of it (the spare room it would take is dropped
+        # at the cap), and one sub-voxel more is refused.
+        monkeypatch.setattr(voxelmap, "_GRID_CAP", 1000)
+        axis = (np.arange(10) + 0.5) * 0.25
+        block = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        vm = VoxelMap(edge=0.5)
+        vm.insert(block[:500])
+        vm.insert(block[500:])
+        assert len(vm) == 1000 and vm._shape.tolist() == [10, 10, 10]
+        with pytest.raises(ValueError, match="grid"):
+            vm.insert([2.6, 0.1, 0.1])
+        assert len(vm) == 1000
+        assert_exact(vm, block[::37] + 0.05, 7)
 
     def test_empty_insert_is_noop(self):
         vm = VoxelMap()
@@ -217,6 +241,14 @@ class TestInsert:
         vm = VoxelMap()
         with pytest.raises(ValueError):
             vm.insert([np.nan, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("sizes", [{"edge": np.nan}, {"edge": np.inf}, {"edge": 0.0},
+                                   {"search_radius": np.nan}, {"search_radius": np.inf},
+                                   {"search_radius": -1.0}])
+def test_map_refuses_sizes_that_are_not_positive_and_finite(sizes):
+    with pytest.raises(ValueError, match="positive and finite"):
+        VoxelMap(**sizes)
 
 
 def test_sq_dist_has_einsum_bits():
@@ -279,6 +311,13 @@ class TestKnn:
         with pytest.raises(ValueError):
             vm.knn_batch([0, 0, 0], 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_queries(self, bad):
+        vm = VoxelMap()
+        vm.insert([0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            vm.knn_batch([[0.0, 0.0, 0.0], [0.0, bad, 0.0]], 1)
+
 
 class TestKnnBatchProperties:
     """knn_batch against the brute force on maps built to hit the edges of
@@ -306,7 +345,8 @@ class TestKnnBatchProperties:
         # from 8 to 19 the k-th distance falls inside that tie, so more than
         # k candidates sit at or below it and the lexicographically smallest
         # of the tied ones must win. Every such query is inside the margin
-        # of its octant or its 3x3x3 block, so no wider box is needed.
+        # of its 4x4x4 block or its centred 7x7x7 box of sub-voxels, so no
+        # wider box is needed.
         axis = np.arange(-2, 3)
         grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3) * 0.25
         queries = grid[np.abs(grid).max(axis=1) <= 0.25]
@@ -318,7 +358,7 @@ class TestKnnBatchProperties:
             for k in range(6, 20):
                 for q, got in zip(queries, vm.knn_batch(queries, k)):
                     np.testing.assert_array_equal(got, brute_knn(stored, q, k))
-        assert {side for side, _ in answered} <= {2, 3}
+        assert {side for side, _ in answered} <= {4, 7}
 
     @given(edge=st.sampled_from([0.25, 0.5, 1.0]), k=st.integers(1, 8),
            seed=st.integers(0, 2 ** 32 - 1))
@@ -341,6 +381,21 @@ class TestKnnBatchProperties:
         vm = VoxelMap(edge=0.5, search_radius=radius)
         vm.insert(rng.uniform(-2, 2, (n, 3)))
         assert_exact(vm, rng.uniform(-2.5, 2.5, (8, 3)), k)
+
+    @given(k=st.integers(1, 12), radius=st.sampled_from([0.3, 2.0, 5.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_queries_outside_the_grid(self, k, radius, seed):
+        # A map on a 2 x 2 x 0.2 m slab, so the grid is thinner than every
+        # box along z, queried from just past its faces to beyond the search
+        # radius and far away: every box is cut to the grid and shifted into
+        # it, and the answers stay exact (empty ones included).
+        rng = np.random.default_rng(seed)
+        vm = VoxelMap(edge=0.5, search_radius=radius)
+        vm.insert(rng.uniform([-1.0, -1.0, 0.0], [1.0, 1.0, 0.2], (300, 3)))
+        directions = rng.standard_normal((24, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        distances = rng.choice([1.05, 1.3, 2.0, 3.5, 6.0, 1e3, 1e12], 24)
+        assert_exact(vm, directions * distances[:, None], k)
 
     @given(k=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
     def test_empty_map(self, k, seed):
@@ -377,8 +432,9 @@ class TestKnnBatchProperties:
                 assert_exact(vm, query[None], k)
 
     def test_dense_map_mostly_certified(self, monkeypatch):
-        # A map with a point in nearly every sub-voxel: the octant answers
-        # most queries itself (82% here) and the 3x3x3 block all the rest.
+        # A map with a point in nearly every sub-voxel: the 4x4x4 block
+        # answers at least 95% of the queries itself (all of them here) and
+        # the centred 7x7x7 box any rest.
         rng = np.random.default_rng(12)
         vm = VoxelMap(edge=0.5)
         vm.insert(rng.uniform(-2, 2, (20_000, 3)))
@@ -386,8 +442,8 @@ class TestKnnBatchProperties:
         answered = record_passes(monkeypatch)
         queries = rng.uniform(-1.5, 1.5, (400, 3))
         vm.knn_batch(queries, 5)
-        assert [side for side, _ in answered] == [2, 3]
-        assert answered[0][1] >= 0.75 * len(queries)
+        assert answered[0][0] == 4 and answered[0][1] >= 0.95 * len(queries)
+        assert {side for side, _ in answered} <= {4, 7}
         assert sum(n for _, n in answered) == len(queries)
 
     def test_k_validation(self):
@@ -402,8 +458,10 @@ class TestRankingPaths:
     def test_mixed_tie_free_and_tied_rows(self, monkeypatch):
         # The lattice of test_ties_at_the_partition_boundary, queried at its
         # central lattice points (the k-th distance falls inside a tie) and
-        # at jittered points (no ties), interleaved in one batch.
-        monkeypatch.setattr(voxelmap, "_CHUNK_SLOTS", 2 * 8 * 32)
+        # at jittered points (no ties), interleaved in one batch. Eight far
+        # corners widen the grid, so the boxes of queries near the
+        # lattice's faces hold empty sub-voxels.
+        monkeypatch.setattr(voxelmap, "_CHUNK_SLOTS", 2 * 64)
         axis = np.arange(-2, 3)
         grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3) * 0.25
         rng = np.random.default_rng(21)
@@ -412,14 +470,15 @@ class TestRankingPaths:
         queries = np.stack([tied, free], axis=1).reshape(-1, 3)
         vm = VoxelMap(edge=0.5)
         vm.insert(rng.permutation(grid))
+        vm.insert(np.stack(np.meshgrid(*[[-2.0, 2.0]] * 3, indexing="ij"), -1).reshape(-1, 3))
         stored = vm.points
         chunks = record_chunks(monkeypatch)
         for k in (6, 9, 13, 19):
             for q, got in zip(queries, vm.knn_batch(queries, k)):
                 np.testing.assert_array_equal(got, brute_knn(stored, q, k))
-        # The octant pass alone splits into chunks of several widths, and
+        # The first pass alone splits into chunks of several widths, and
         # both ranking paths certify rows.
-        assert len({width for side, width, _, _ in chunks if side == 2}) > 1
+        assert len({width for side, width, _, _ in chunks if side == 4}) > 1
         assert {fell_back for _, _, n, fell_back in chunks if n} == {False, True}
 
     def test_radius_cut_does_not_compensate_a_tie(self, monkeypatch):
@@ -431,8 +490,9 @@ class TestRankingPaths:
         # path still must not take them, since neither row keeps exactly k.
         k, centre = 3, np.full(3, 0.25)
         far = centre + [10.0, 0.0, 0.0]
-        # Insertion order sets the cell rows, and so the candidate order:
-        # the tied points come first and last in the centre row's box.
+        # Insertion order sets the columns, and so the candidate order
+        # (ascending columns): the tied points come first and last in the
+        # centre row's box.
         tie_low, near, mid, tie_high = centre + np.array(
             [[0, 0, -1], [0.3, 0, 0], [0, 0.6, 0], [1, 0, 0]])
         far_pts = far + np.array([[0.0, 0.2, 0.0], [0.5, 0.0, 0.0]])
@@ -441,8 +501,8 @@ class TestRankingPaths:
         passes = record_passes(monkeypatch)
         chunks = record_chunks(monkeypatch)
         nb = vm.knn_batch([far, centre], k)
-        assert passes == [(2, 0), (3, 0), (5, 0), (7, 2)]
-        assert chunks[-1] == (7, 4, 2, True)
+        assert passes == [(4, 0), (7, 0), (11, 2)]
+        assert chunks[-1] == (11, 4, 2, True)
         np.testing.assert_array_equal(nb[0], far_pts)
         np.testing.assert_array_equal(nb[1], [near, mid, tie_low])
         stored = vm.points

@@ -405,6 +405,22 @@ class TestPayloadCodecs:
         with pytest.raises(WireError, match=f"CONFIG refused: {message}"):
             decode_config(bytes(payload))
 
+    @pytest.mark.parametrize("rotation, translation, message", [
+        (np.diag([1.0, np.nan, 1.0]), np.zeros(3), "extrinsic must be finite"),
+        (np.eye(3), np.array([0.0, np.inf, 0.0]), "extrinsic must be finite"),
+        (2.0 * np.eye(3), np.zeros(3), "orthonormal with determinant"),
+        (np.diag([1.0, 1.0, -1.0]), np.zeros(3), "orthonormal with determinant"),
+    ])
+    def test_config_refuses_a_bad_extrinsic(self, rotation, translation, message):
+        # With a NaN extrinsic the coprocessor associates nothing, and a
+        # scaled or reflected one misplaces every point; either is refused
+        # on decode.
+        payload = encode_config(SessionConfig(
+            codebook=Codebook(), ds_0=0.5, alpha=0.01, sigma=0.02,
+            extrinsic_rotation=rotation, extrinsic_translation=translation))
+        with pytest.raises(WireError, match=f"CONFIG refused: .*{message}"):
+            decode_config(payload)
+
     def test_pose_req_round_trip(self):
         payload = encode_pose_req(1_000_000, 1_100_000)
         assert len(payload) == 16
