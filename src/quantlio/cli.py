@@ -42,8 +42,10 @@ def build_parser() -> argparse.ArgumentParser:
     key_flag("--lp", "l_p", help="point bits per axis")
     key_flag("--ln", "l_n", help="residual-vector bits per axis")
     key_flag("--lz", "l_z", help="scalar residual bits")
-    key_flag("--ds0", "ds_0", help="preprocessing voxel size (m)")
-    key_flag("--alpha", "alpha", help="distance penalty coefficient")
+    key_flag("--ds0", "ds_0", help="edge of the raw-scan voxel filter, and the "
+             "base edge of the rq-resampling voxel (m)")
+    key_flag("--alpha", "alpha", help="growth of the rq-resampling voxel edge per "
+             "metre of its bucket's mean range (m/m)")
     key_flag("--sigma", "sigma", help="measurement noise std (m)")
     parser.add_argument("--sweep", help="e.g. 'lp=3..12,ln=3,lz=2'")
     return parser

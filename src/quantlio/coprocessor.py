@@ -28,7 +28,7 @@ determinant and refined twice, for every set whose Gram matrix G satisfies
 tr(G)^3 <= 4e12 det(G), a bound that proves cond <= 1e6. Those sets' normals
 and offsets agree with an SVD solve to about 1e-10 and the accept decisions
 are the SVD's; the sets the bound cannot certify go through the SVD solve
-itself. The float baselines therefore move by rounding only. The qlio modes
+itself. So baseline-float moves by rounding only. The qlio modes
 quantize what association returns, so they send the same bits unless a
 rounding difference crosses a quantizer bin edge.
 """
@@ -38,15 +38,12 @@ from __future__ import annotations
 import numpy as np
 
 from .manifold import rodrigues_terms, so3_log
-from .quantizer import (
-    Codebook, int8_minmax_quantize, int8_minmax_reconstruct, quantize_points,
-    quantize_residual_vectors, quantize_zs,
-)
+from .quantizer import Codebook, quantize_points, quantize_residual_vectors, quantize_zs
 from .voxelmap import VoxelMap, plane_fit_batch
 # ObservationGroup is unused here; bench/tests/test_bench.py imports it from this module.
 from .wire import ObservationGroup, ObservationGroups, PlaneObservations  # noqa: F401
 
-MODES = ("qlio", "baseline-float", "baseline-int8", "qlio-no-rqrs")
+MODES = ("qlio", "baseline-float", "qlio-no-rqrs")
 
 
 def se3_log(rot, trans):
@@ -211,11 +208,10 @@ def build_groups(observations: PlaneObservations, keys: np.ndarray,
 class Coprocessor:
     """Owns the map and turns raw scans into observations, one scan at a time.
 
-    observe() runs the stages every mode shares: the int8 min-max round trip
-    (baseline-int8 only), voxel downsampling of the raw points, undistortion
-    of the kept ones, the codebook range gate and association; the float
-    baselines send its observations as they are, and the OBS_FLOAT encoding
-    rounds them to float32.
+    observe() runs the stages every mode shares: voxel downsampling of the
+    raw points, undistortion of the kept ones, the codebook range gate and
+    association; baseline-float sends its observations as they are, and the
+    OBS_FLOAT encoding rounds them to float32.
     process_scan() is the qlio modes' path: observe, the rq keys (quantized
     once), then rq resampling (qlio only) and grouping. Either keeps the
     scan's points until integrate_posterior() inserts them into the map.
@@ -249,8 +245,6 @@ class Coprocessor:
         in_window = (times >= t_prev - 1e-9) & (times <= t_k + 1e-9)
         if not (np.all(np.isfinite(points)) and np.all(in_window)):
             raise ValueError("scan points must be finite, with timestamps in the scan window")
-        if self.mode == "baseline-int8" and len(points):
-            points = int8_minmax_reconstruct(*int8_minmax_quantize(points))
         kept = voxel_downsample(points, self.ds_0)
         lidar_end = undistort(points[kept], times[kept], t_prev, t_k, scan_delta, self.extrinsic)
         # Codebook range gate: whatever the quantizer cannot represent is

@@ -228,7 +228,7 @@ def qmap_update(state: NavState, cov: np.ndarray, groups: ObservationGroups,
 
 def standard_update(state: NavState, cov: np.ndarray, observations,
                     sigma: float, extrinsic):
-    """Unquantized point-to-plane update used by the float baselines.
+    """Unquantized point-to-plane update used by baseline-float.
 
     observations (a wire.PlaneObservations record) carry exact residuals z_i
     and normals; every measurement weighs in with variance sigma^2.

@@ -6,9 +6,8 @@ estimator together in the selected mode:
     qlio            quantized groups in OBS_GROUPS, rq resampling on
     qlio-no-rqrs    quantized groups in OBS_GROUPS, resampling off
     baseline-float  float32 observations in OBS_FLOAT (224 bits each)
-    baseline-int8   per-scan min-max int8 points, then baseline-float
 
-All four run the same scan loop and send their observations to the host
+All three run the same scan loop and send their observations to the host
 in a frame. Transports: "inproc" pumps encoded frames synchronously
 through the codec; "socket:PORT" runs the host behind a localhost TCP
 socket.
@@ -73,8 +72,10 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if not (self.transport == "inproc" or self.transport.startswith("socket:")):
             raise ValueError("transport must be 'inproc' or 'socket:PORT'")
-        if not 0.0 < self.duration <= 300.0:
-            raise ValueError("duration must be in (0, 300] s")
+        # Under one LiDAR period the schedule holds no scan.
+        if not (0.0 < self.duration <= 300.0 and _scan_schedule(self)):
+            raise ValueError(f"duration must be in (0, 300] s and span at least one "
+                             f"LiDAR period ({self.lidar.period:g} s)")
         if self.out_dir == "":
             raise ValueError("out_dir must not be empty")
         check_scan_settings(self.ds_0, self.alpha, self.sigma)
@@ -87,8 +88,7 @@ class RunMetrics:
 
     In every mode bits_total is the bits of the observation payloads the
     host decoded: 16 + payload_bits per OBS_GROUPS frame, 8 per OBS_FLOAT
-    payload byte. So baseline-int8 is billed like baseline-float; the LiDAR
-    link that carries its int8 points is not billed.
+    payload byte.
 
     Both reductions divide a float observation's size by bits_per_meas_assoc,
     the bits sent per associated measurement: reduction_vs_float_obs uses
@@ -268,7 +268,7 @@ def _run_scans(cfg: RunConfig, scene, gt, host: Host, scan_seed):
 
     Per scan the coprocessor requests the prior pose, turns the scan into
     observations, sends them in one frame (OBS_GROUPS in the qlio modes,
-    OBS_FLOAT in the float baselines), and inserts its points into the map
+    OBS_FLOAT in baseline-float), and inserts its points into the map
     at the posterior pose of the STATE_UPDATE reply, which ends the loop
     early once its position diverges.
     """

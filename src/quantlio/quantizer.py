@@ -115,28 +115,3 @@ def quantize_zs(values, cb: Codebook) -> np.ndarray:
         raise ValueError("z outside [0, r_thr); filter upstream")
     return _grid_index(values, cb.z_step, 0.0, 2 ** cb.l_z)
 
-
-def int8_minmax_quantize(points):
-    """Per-axis min-max 256-level quantization of a whole scan.
-
-    Returns (levels uint8 (N, 3), mins (3,), maxs (3,)); the min/max pair is
-    the side data a receiver needs to reconstruct.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        raise ValueError("int8_minmax_quantize needs a nonempty scan")
-    # Column by column: an axis-0 min or max over (N, 3) rows is several times slower.
-    mins = np.array([c.min() for c in points.T])
-    maxs = np.array([c.max() for c in points.T])
-    span = maxs - mins
-    scale = np.where(span > 0.0, span, 1.0)
-    levels = np.floor((points - mins) / scale * 256.0).astype(np.int64)
-    levels = np.clip(levels, 0, 255).astype(np.uint8)
-    return levels, mins, maxs
-
-
-def int8_minmax_reconstruct(levels, mins, maxs) -> np.ndarray:
-    """Level centers of the min-max grid; exact when an axis span is zero."""
-    span = np.asarray(maxs, dtype=float) - np.asarray(mins, dtype=float)
-    recon = mins + (np.asarray(levels, dtype=float) + 0.5) * span / 256.0
-    return np.where(span > 0.0, recon, np.broadcast_to(mins, recon.shape))

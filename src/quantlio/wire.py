@@ -24,7 +24,9 @@ Payloads:
                   determinant +1 raises WireError.
     POSE_REQ      previous and current scan-end timestamps, u64 microseconds.
     POSE_RESP     scan delta then previous pose, each as a unit quaternion
-                  (w, x, y, z) f64 plus a 3 f64 translation.
+                  (w, x, y, z) f64 plus a 3 f64 translation. A value that
+                  is not finite, or a quaternion whose norm is off 1 by
+                  more than 1e-9, raises WireError.
     OBS_GROUPS    u16 group count, then a continuous MSB-first bitstream:
                   the header block, per group the rq key (3*l_n bits) and a
                   16-bit member count, then the member block, per member in
@@ -33,7 +35,8 @@ Payloads:
                   payload end. A payload that ends early raises
                   TruncatedFrame; one with bytes past that boundary or a
                   nonzero padding bit raises WireError.
-    STATE_UPDATE  posterior pose, quaternion + translation as above.
+    STATE_UPDATE  posterior pose, quaternion + translation, checked as
+                  above.
     OBS_FLOAT     n rows of seven f32 (residual, normal, point) and nothing
                   else: 224 n bits, n from the length field. A partial row
                   or a value that is not finite raises WireError.
@@ -56,6 +59,7 @@ which the host counts and dead-reckons through.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import time
@@ -324,7 +328,8 @@ def check_scan_settings(ds_0, alpha, sigma) -> None:
         raise ValueError("alpha must be nonnegative")
 
 
-# Largest entry of |R^T R - I| a CONFIG's extrinsic rotation may carry.
+# Largest entry of |R^T R - I| a CONFIG's extrinsic rotation may carry, and
+# largest | |q| - 1 | of a pose frame's quaternion.
 _ROTATION_TOL = 1e-9
 
 
@@ -384,6 +389,10 @@ def _pack_pose(pose) -> bytes:
 
 def _unpack_pose(payload: bytes, offset: int = 0):
     vals = _POSE.unpack_from(payload, offset)
+    if not all(map(math.isfinite, vals)):
+        raise WireError("pose value is not finite")
+    if abs(math.hypot(*vals[:4]) - 1.0) > _ROTATION_TOL:
+        raise WireError("pose quaternion is not a unit quaternion")
     return quat_to_rot(vals[:4]), np.array(vals[4:])
 
 

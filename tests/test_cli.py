@@ -57,7 +57,7 @@ def test_bad_duration_or_out_dir_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(pipeline, "run", no_run)
     monkeypatch.setattr(cli, "run", no_run)
-    for duration in ("0", "-1"):
+    for duration in ("0", "-1", "0.05"):
         assert cli.main(["--duration", duration]) == 2
         assert "duration must be in (0, 300] s" in capsys.readouterr().err
     for flag, value, message in (("--ds0", "0", "ds_0 must be positive"),

@@ -7,10 +7,7 @@ from quantlio.coprocessor import (
     compose, invert, rq_resample, se3_exp, se3_log, undistort, voxel_downsample,
 )
 from quantlio.manifold import skew, so3_exp
-from quantlio.quantizer import (
-    Codebook, int8_minmax_quantize, int8_minmax_reconstruct, quantize_points,
-    quantize_residual_vectors, quantize_zs,
-)
+from quantlio.quantizer import Codebook, quantize_points, quantize_residual_vectors, quantize_zs
 from quantlio.simworld import LidarModel, build_scene, synth_scan, synth_trajectory
 from quantlio.voxelmap import VoxelMap, plane_fit_batch
 
@@ -585,13 +582,9 @@ class TestCoprocessor:
         obs, stats = coproc.observe(pts1, times1, 0.1, 0.2, IDENTITY, IDENTITY)
         assert stats["points_in"] == len(pts1)
         assert stats["observations_raw"] == stats["observations_sent"] == len(obs) > 0
-        # At rest, undistortion moves no point: every observed point is a
-        # scan point, after the int8 round trip in baseline-int8. No mode
-        # rounds to float32 here; the OBS_FLOAT encoding does.
-        sent = pts1
-        if mode == "baseline-int8":
-            sent = int8_minmax_reconstruct(*int8_minmax_quantize(pts1))
-        assert set(map(tuple, obs.point_lidar)) <= set(map(tuple, sent))
+        # At rest, undistortion moves no point: every observed point is a scan
+        # point. No mode rounds to float32 here; the OBS_FLOAT encoding does.
+        assert set(map(tuple, obs.point_lidar)) <= set(map(tuple, pts1))
 
         groups, sent_obs, scan_stats = coproc.process_scan(
             pts1, times1, 0.1, 0.2, IDENTITY, IDENTITY)
@@ -603,20 +596,16 @@ class TestCoprocessor:
         else:
             assert len(sent_obs) == len(obs)
 
-    @pytest.mark.parametrize("mode", ["baseline-float", "baseline-int8"])
-    def test_observe_undistorts_only_what_the_raw_voxel_filter_keeps(self, mode):
+    def test_observe_undistorts_only_what_the_raw_voxel_filter_keeps(self):
         # A moving scan delta and a tilted extrinsic: undistorting first
         # would move points across voxel faces and change the kept set.
         _, (pts, times) = self.static_scans()
         extrinsic = (so3_exp([0.1, -0.2, 0.3]), np.array([0.05, 0.0, -0.1]))
         delta = (so3_exp([0.0, 0.01, 0.2]), np.array([0.3, -0.1, 0.02]))
-        coproc = Coprocessor(Codebook(), extrinsic, ds_0=0.5, mode=mode)
+        coproc = Coprocessor(Codebook(), extrinsic, ds_0=0.5, mode="baseline-float")
         coproc.observe(pts, times, 0.1, 0.2, delta, IDENTITY)
-        raw = pts
-        if mode == "baseline-int8":
-            raw = int8_minmax_reconstruct(*int8_minmax_quantize(pts))
-        kept = voxel_downsample(raw, 0.5)
-        want = undistort(raw[kept], times[kept], 0.1, 0.2, delta, extrinsic)
+        kept = voxel_downsample(pts, 0.5)
+        want = undistort(pts[kept], times[kept], 0.1, 0.2, delta, extrinsic)
         want = want[np.all(np.abs(want) < coproc.cb.r_max, axis=1)]
         np.testing.assert_array_equal(coproc._pending_lidar_points, want)
 

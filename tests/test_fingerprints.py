@@ -118,3 +118,14 @@ def test_compare_counts_lines_whose_estimate_is_identical(tmp_path, capsys):
                        "  ate_trans: 0.004 -> 0.005 (rel +0.25)",
                        "room-qlio seed=3 qlio/inproc: payloads differ"]
     assert out[-1] == "identical: 1 of 4 lines; trajectory and payloads identical: 2 of 4"
+
+
+def test_variants_follow_the_modes():
+    tool = load_tool()
+    from workloads import make_config, round_seed
+
+    from quantlio.coprocessor import MODES
+
+    labels = [label for label, _ in tool.variants(make_config("room-qlio", round_seed(0, 0)))]
+    assert labels == [f"{mode}/inproc" for mode in MODES] + ["qlio/socket:0"] == [
+        "qlio/inproc", "baseline-float/inproc", "qlio-no-rqrs/inproc", "qlio/socket:0"]

@@ -127,8 +127,8 @@ def test_every_mode_is_deterministic_and_counts_its_bits(monkeypatch, mode):
     cb = cfg.codebook
     assert len(packed) == (metrics.scans if mode.startswith("qlio") else 0)
     assert len(floats) == (0 if mode.startswith("qlio") else metrics.scans)
-    if mode.startswith("baseline"):
-        # Both baselines bill their OBS_FLOAT payloads: seven float32 per
+    if mode == "baseline-float":
+        # baseline-float bills its OBS_FLOAT payloads: seven float32 per
         # measurement and nothing else.
         assert pipeline.FLOAT_OBS_BITS == 224
         assert metrics.bits_total == pipeline.FLOAT_OBS_BITS * metrics.measurements_total
@@ -309,6 +309,25 @@ def test_a_one_scan_run_is_scored():
     assert metrics.scans == 1 and len(rows) == 1
     assert not metrics.diverged
     assert metrics.ate_trans < 0.01 and metrics.ate_rot < 0.01
+
+
+def test_a_position_past_its_bound_stops_the_scan_loop(monkeypatch):
+    # The figure-eight runs 2.3-3.2 m from the origin in its first 0.4 s.
+    monkeypatch.setattr(pipeline, "DIVERGENCE_POSITION", 3.0)
+    metrics, rows = pipeline.run(pipeline.RunConfig(duration=1.0, seed=5))
+    distances = np.linalg.norm(rows[:, 1:4], axis=1)
+    assert metrics.scans == len(rows) < 10
+    assert np.all(distances[:-1] <= 3.0) and distances[-1] > 3.0
+    assert metrics.diverged and metrics.ate_trans == metrics.ate_rot == float("inf")
+
+
+def test_a_covariance_past_its_bound_is_flagged_after_the_last_scan(monkeypatch):
+    # The scan loop reads the position alone, so all 10 scans run.
+    bound = 0.1 * np.trace(pipeline.default_init_cov())
+    monkeypatch.setattr(pipeline, "DIVERGENCE_TRACE", bound)
+    metrics, rows = pipeline.run(pipeline.RunConfig(duration=1.0, seed=5))
+    assert metrics.scans == len(rows) == 10 and np.all(rows[:, 8] > bound)
+    assert metrics.diverged and metrics.ate_trans == metrics.ate_rot == float("inf")
 
 
 def test_ate_rot_reads_a_constant_yaw_error():

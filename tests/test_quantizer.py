@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from quantlio.quantizer import (
     Codebook, bits_per_measurement,
     dequantize_point, dequantize_residual_key,
-    int8_minmax_quantize, int8_minmax_reconstruct,
     quantize_points, quantize_residual_vectors, quantize_zs,
     residual_axes_to_key, residual_key_to_axes,
 )
@@ -184,43 +180,3 @@ class TestBitsPerMeasurement:
     def test_minimal(self):
         assert bits_per_measurement(Codebook(l_p=1, l_n=1, l_z=1)) == 7
 
-
-class TestInt8MinMax:
-    def test_identical_points_exact(self):
-        pts = np.tile([1.25, -3.5, 7.0], (10, 1))
-        levels, mins, maxs = int8_minmax_quantize(pts)
-        np.testing.assert_allclose(int8_minmax_reconstruct(levels, mins, maxs), pts)
-
-    def test_error_bound_half_level(self):
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(0.0, 51.2, (50_000, 3))
-        pts[0] = [0.0, 0.0, 0.0]
-        pts[1] = [51.2, 51.2, 51.2]
-        levels, mins, maxs = int8_minmax_quantize(pts)
-        recon = int8_minmax_reconstruct(levels, mins, maxs)
-        assert np.abs(pts - recon).max() <= 51.2 / 256.0 / 2.0 + 1e-12
-
-    def test_idempotent_levels(self):
-        # Re-quantizing a reconstruction returns identical levels even with
-        # the min/max side data recomputed from the reconstruction.
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            pts = rng.uniform(-5, 5, (1000, 3))
-            levels, mins, maxs = int8_minmax_quantize(pts)
-            recon = int8_minmax_reconstruct(levels, mins, maxs)
-            levels2, _, _ = int8_minmax_quantize(recon)
-            np.testing.assert_array_equal(levels, levels2)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            int8_minmax_quantize(np.empty((0, 3)))
-
-    @given(arrays(np.float64, st.tuples(st.integers(1, 300), st.just(3)),
-                  elements=st.floats(-1e4, 1e4) | st.sampled_from([0.0, -0.0, 1.5, -1.5])))
-    def test_per_column_extremes_match_the_axis_0_reduction(self, pts):
-        levels, mins, maxs = int8_minmax_quantize(pts)
-        assert mins.tobytes() == pts.min(axis=0).tobytes()
-        assert maxs.tobytes() == pts.max(axis=0).tobytes()
-        span = pts.max(axis=0) - pts.min(axis=0)
-        want = np.floor((pts - pts.min(axis=0)) / np.where(span > 0.0, span, 1.0) * 256.0)
-        np.testing.assert_array_equal(levels, np.clip(want, 0, 255).astype(np.uint8))

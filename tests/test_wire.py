@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quantlio.coprocessor import ObservationGroup
-from quantlio.manifold import so3_exp
+from quantlio.manifold import quat_to_rot, so3_exp
 from quantlio.quantizer import Codebook
 from quantlio.wire import (
     HEADER, MAGIC, MAX_PAYLOAD, VERSION, BadCrc, BadMagic, BadVersion, FrameType,
@@ -445,6 +445,29 @@ class TestPayloadCodecs:
         rot, trans = decode_state_update(payload)
         np.testing.assert_allclose(rot, pose[0], atol=1e-12)
         np.testing.assert_allclose(trans, pose[1], atol=1e-12)
+        # An accepted pose, also one just off unit norm, is quat_to_rot of
+        # the sent quaternion and the sent translation, bit for bit.
+        for vals in (struct.unpack("<7d", payload), (1.0 + 5e-10, 0, 0, 0, 1.0, 2.0, 3.0)):
+            rot, trans = decode_state_update(struct.pack("<7d", *vals))
+            assert rot.tobytes() == quat_to_rot(vals[:4]).tobytes()
+            assert trans.tobytes() == np.array(vals[4:], dtype=float).tobytes()
+
+    @pytest.mark.parametrize("vals, message", [
+        ((0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0), "unit quaternion"),
+        ((2.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0), "unit quaternion"),
+        ((1.0 + 2e-9, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0), "unit quaternion"),
+        ((np.nan, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0), "not finite"),
+        ((1.0, 0.0, 0.0, 0.0, 1.0, np.inf, 3.0), "not finite"),
+        ((1.0, 0.0, 0.0, 0.0, np.nan, 2.0, 3.0), "not finite"),
+    ])
+    def test_pose_frames_refuse_bad_values(self, vals, message):
+        # Without the check a zero or NaN quaternion decodes to a NaN
+        # rotation, and an infinite translation passes as it is.
+        bad, good = struct.pack("<7d", *vals), encode_state_update((np.eye(3), np.zeros(3)))
+        for decode, payload in ((decode_state_update, bad),
+                                (decode_pose_resp, bad + good), (decode_pose_resp, good + bad)):
+            with pytest.raises(WireError, match=message):
+                decode(payload)
 
 
 def obs_rows(rows) -> PlaneObservations:

@@ -6,12 +6,13 @@ Usage, from the repository root:
     python3 tools/fingerprints.py --compare OLD NEW
 
 For each workload in bench/workloads.py and seeds 0-3, the configuration
-make_config(name, round_seed(seed, 0)) runs in-process in every mode, and in
-qlio over socket:0: 60 runs. Each prints one line with three fingerprints:
-repr(RunMetrics.deterministic_fields()), the SHA-256 of the trajectory rows
-and the SHA-256 of every observation payload in order (OBS_GROUPS in the
-qlio modes, OBS_FLOAT in the float baselines). A refactor that must leave the outputs unchanged is checked by
-running this script on both commits and comparing the files with diff.
+make_config(name, round_seed(seed, 0)) runs once in-process per entry of
+coprocessor.MODES, and once in qlio over socket:0. Each run prints one line
+with three fingerprints: repr(RunMetrics.deterministic_fields()), the
+SHA-256 of the trajectory rows and the SHA-256 of every observation payload
+in order (OBS_GROUPS in the qlio modes, OBS_FLOAT in baseline-float). A
+refactor that must leave the outputs unchanged is checked by running this
+script on both commits and comparing the files with diff.
 
 --compare OLD NEW reads two such files and reports, for each line that
 differs, which of fields, trajectory and payloads differ and, per differing
@@ -49,7 +50,8 @@ LINE = re.compile(r"(?P<run>.+?) fields=\((?P<fields>.*)\) "
 
 
 def variants(cfg):
-    """The five (label, config) pairs run per workload and seed."""
+    """The (label, config) pairs run per workload and seed: one
+    '<mode>/inproc' per entry of MODES, then 'qlio/socket:0'."""
     for mode in MODES:
         yield f"{mode}/inproc", dataclasses.replace(cfg, mode=mode, transport="inproc")
     yield "qlio/socket:0", dataclasses.replace(cfg, mode="qlio", transport="socket:0")
