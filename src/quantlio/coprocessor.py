@@ -24,13 +24,12 @@ index per key is the selection.
 
 Association fits its planes with voxelmap.plane_fit_batch, in closed form:
 the 3x3 normal equations of each 5-point set, solved by adjugate and
-determinant and refined twice, for every set whose Gram matrix G satisfies
-tr(G)^3 <= 4e12 det(G), a bound that proves cond <= 1e6. Those sets' normals
-and offsets agree with an SVD solve to about 1e-10 and the accept decisions
-are the SVD's; the sets the bound cannot certify go through the SVD solve
-itself. So baseline-float moves by rounding only. The qlio modes
-quantize what association returns, so they send the same bits unless a
-rounding difference crosses a quantizer bin edge.
+determinant and refined twice. A set is kept only when its Gram matrix G
+satisfies tr(G)^3 <= 4e12 det(G), a bound that proves cond <= 1e6, and its
+worst point-plane distance is at most 0.1 m. The bound refuses sets that
+lie close to a plane through the origin, collinear sets among them, since
+every line lies in one. The kept sets' normals and offsets agree with an SVD
+solve to about 1e-10.
 """
 
 from __future__ import annotations

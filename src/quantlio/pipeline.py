@@ -70,8 +70,11 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not (self.transport == "inproc" or self.transport.startswith("socket:")):
-            raise ValueError("transport must be 'inproc' or 'socket:PORT'")
+        kind, _, port = self.transport.partition(":")
+        if not (self.transport == "inproc" or kind == "socket" and port.isascii()
+                and port.isdigit() and int(port) <= 65535):
+            raise ValueError("transport must be 'inproc' or 'socket:PORT' with a "
+                             "decimal PORT in [0, 65535]")
         # Under one LiDAR period the schedule holds no scan.
         if not (0.0 < self.duration <= 300.0 and _scan_schedule(self)):
             raise ValueError(f"duration must be in (0, 300] s and span at least one "
@@ -248,7 +251,7 @@ def run(cfg: RunConfig):
     scene = build_scene(cfg.scene, cfg.scene_size, seed=cfg.seed)
     gt = synth_trajectory(cfg.trajectory, cfg.duration, **cfg.trajectory_params)
     clearance = float(scene.clearance(gt.positions).min())
-    if clearance < cfg.lidar.min_range:
+    if not clearance >= cfg.lidar.min_range:
         raise ValueError(
             f"the {cfg.trajectory} trajectory comes {clearance:.2f} m from the {cfg.scene} "
             f"walls (negative: outside), under the LiDAR minimum range {cfg.lidar.min_range} m")

@@ -85,6 +85,18 @@ def _rect(center, normal, axis_u, half_u, half_v) -> ScenePatch:
                       float(half_u), float(half_v))
 
 
+def _scene_size(preset: str, size, names: tuple, default: tuple) -> tuple:
+    """A preset's size as floats, default when None; refuses a size of the
+    wrong length or with an extent that is not finite and positive."""
+    if size is None:
+        return default
+    size = tuple(float(v) for v in size)
+    if len(size) != len(names) or not all(0.0 < v < math.inf for v in size):
+        raise ValueError(f"a {preset} scene size is {len(names)} finite positive "
+                         f"extents ({', '.join(names)}) in m, not {size}")
+    return size
+
+
 def build_scene(preset: str, size=None, seed: int = 0) -> Scene:
     """Construct a preset scene; normals face the trajectory region.
 
@@ -92,7 +104,7 @@ def build_scene(preset: str, size=None, seed: int = 0) -> Scene:
     (size = length, width, height), "open-yard" (size = yard half-width).
     """
     if preset == "box-room":
-        w, d, h = size if size is not None else (10.0, 10.0, 3.0)
+        w, d, h = _scene_size(preset, size, ("width", "depth", "height"), (10.0, 10.0, 3.0))
         zf, zc = -SENSOR_HEIGHT, h - SENSOR_HEIGHT
         zm = 0.5 * (zf + zc)
         patches = [
@@ -105,7 +117,7 @@ def build_scene(preset: str, size=None, seed: int = 0) -> Scene:
         ]
         return Scene(preset, patches, ((-w / 2, -d / 2, zf), (w / 2, d / 2, zc)))
     if preset == "corridor":
-        length, w, h = size if size is not None else (40.0, 3.0, 2.5)
+        length, w, h = _scene_size(preset, size, ("length", "width", "height"), (40.0, 3.0, 2.5))
         x0, x1 = -5.0, length - 5.0
         xm = 0.5 * (x0 + x1)
         zf, zc = -SENSOR_HEIGHT, h - SENSOR_HEIGHT
@@ -121,7 +133,7 @@ def build_scene(preset: str, size=None, seed: int = 0) -> Scene:
         ]
         return Scene(preset, patches, ((x0, -w / 2, zf), (x1, w / 2, zc)))
     if preset == "open-yard":
-        half = float(size[0]) if size is not None else 15.0
+        (half,) = _scene_size(preset, size, ("half-width",), (15.0,))
         zf = -SENSOR_HEIGHT
         patches = [_rect((0, 0, zf), (0, 0, 1), (1, 0, 0), half, half)]
         rng = np.random.default_rng(seed)

@@ -110,8 +110,6 @@ _GROUP_CELLS = 1 << 16
 # squared distances can never certify a point that lies outside it.
 _MARGIN_SAFETY = 1.0 - 1e-8
 _INITIAL_POINTS = 1 << 10
-# A plane fit is refused when its 5x3 system is worse conditioned.
-_COND_LIMIT = 1e8
 # tr(G)^3 <= _GRAM_CERTIFY * det(G) proves cond(A) <= 1e6 (plane_fit_batch).
 _GRAM_CERTIFY = 4e12
 # Refinement steps after the closed-form solve; one leaves up to 2e-9.
@@ -150,10 +148,11 @@ def plane_fit_batch(stacks, max_residual: float = 0.1):
     """Least-squares planes through stacked 5-point sets (m, 5, 3).
 
     Solves A n = -1 per set A (rows q_i, so q_i . n = -1), then normalizes.
-    Returns (normals (m,3), offsets (m,), residuals (m,), valid (m,)); a set
-    is invalid when cond(A) exceeds _COND_LIMIT (near-collinear points, or a
-    plane through the origin, which this form cannot represent) or the worst
-    point-plane distance exceeds max_residual.
+    Returns (normals (m,3), offsets (m,), residuals (m,), valid (m,)). A set
+    is valid if and only if the Gram bound below certifies it and its worst
+    point-plane distance is at most max_residual; the bound refuses
+    near-collinear points and planes through the origin, which this form
+    cannot represent. Refused rows hold unspecified values.
 
     The solve is closed form on the normal equations: G = A^T A, then
     n = G^-1 A^T(-1) by adjugate and determinant, then _REFINE_STEPS steps of
@@ -162,24 +161,17 @@ def plane_fit_batch(stacks, max_residual: float = 0.1):
     tr^3 / det >= (l1 + l2)^3 / (l1 l2 l3) >= 4 l1 / l3 = 4 cond(A)^2, so a
     certified set has cond(A) <= 1e6. Rounding moves the computed det by
     about 1e-15 tr^3, under 1% of the bound, so the true cond(A) stays within
-    about 1.01e6, far inside _COND_LIMIT: a certified set passes the SVD's
-    condition test too, and its normal and offset agree with the SVD
-    solution to about 1e-10 (relative, for the offset). One refinement step
-    is not enough for that: when two eigenvalues of G are small, as for a
-    small patch far from the origin, the adjugate solve errs by up to 1e-4
-    and one step leaves about 2e-9. Sets the bound cannot certify (a few in
-    10^4 on the benchmark's maps) take the SVD solve, which decides the
-    condition test exactly and gives them the bits it gives them alone.
+    about 1.01e6, and a certified set's normal and offset agree with an SVD
+    solve to about 1e-10 (relative, for the offset). One refinement step is
+    not enough for that: when two eigenvalues of G are small, as for a small
+    patch far from the origin, the adjugate solve errs by up to 1e-4 and one
+    step leaves about 2e-9.
     """
     stacks = np.asarray(stacks, dtype=float)
-    if len(stacks) == 0:
-        return (np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool))
     n_raw, ok = _solve_gram(stacks)
-    rest = np.flatnonzero(~ok)
-    n_raw[rest], ok[rest] = _solve_svd(stacks[rest])
     norms = np.linalg.norm(n_raw, axis=1)
     ok &= norms > 0.0
-    safe = np.where(norms > 0.0, norms, 1.0)
+    safe = np.where(ok, norms, 1.0)
     normals = n_raw / safe[:, None]
     offsets = 1.0 / safe
     dists = np.abs(np.einsum("mij,mj->mi", stacks, normals) + offsets[:, None])
@@ -190,7 +182,7 @@ def plane_fit_batch(stacks, max_residual: float = 0.1):
 
 def _solve_gram(stacks: np.ndarray):
     """Closed-form solutions of A n = -1 per set, and which sets the Gram
-    bound certifies (see plane_fit_batch); uncertified rows hold junk."""
+    bound certifies (see plane_fit_batch); uncertified rows hold zeros."""
     # Coordinates as (5, m) rows: sums over a set's 5 points then add whole
     # rows, several times faster than reducing the short last axis.
     x, y, z = np.ascontiguousarray(stacks.transpose(2, 1, 0))
@@ -202,7 +194,7 @@ def _solve_gram(stacks: np.ndarray):
     det = a * adj[0] + d * adj[1] + e * adj[2]
     trace = a + b + c
     ok = (det > 0.0) & (trace * trace * trace <= _GRAM_CERTIFY * det)
-    inv_det = 1.0 / np.where(ok, det, 1.0)
+    inv_det = ok / np.where(ok, det, 1.0)
 
     def solve(gx, gy, gz):
         """G^-1 (gx, gy, gz) per set."""
@@ -216,19 +208,6 @@ def _solve_gram(stacks: np.ndarray):
         dx, dy, dz = solve((x * r).sum(0), (y * r).sum(0), (z * r).sum(0))
         nx, ny, nz = nx + dx, ny + dy, nz + dz
     return np.stack([nx, ny, nz], axis=1), ok
-
-
-def _solve_svd(stacks: np.ndarray):
-    """Min-norm least-squares solutions of A n = -1 per set via the SVD, and
-    which sets pass the condition test."""
-    u, s, vt = np.linalg.svd(stacks, full_matrices=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = s[:, 0] / s[:, -1]
-    ok = np.isfinite(cond) & (cond <= _COND_LIMIT)
-    inv_s = np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), 0.0)
-    rhs = -np.ones((len(stacks), 5))
-    # n = V diag(1/s) U^T rhs.
-    return np.einsum("mij,mi->mj", vt, inv_s * np.einsum("mij,mi->mj", u, rhs)), ok
 
 
 class VoxelMap:

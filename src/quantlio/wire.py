@@ -482,9 +482,13 @@ class StreamTransport:
 
 def tcp_listen(port: int) -> socket.socket:
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind(("127.0.0.1", port))
-    server.listen(1)
+    try:
+        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        server.bind(("127.0.0.1", port))
+        server.listen(1)
+    except BaseException:
+        server.close()
+        raise
     return server
 
 

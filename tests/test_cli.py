@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from quantlio import cli, pipeline
 from quantlio.quantizer import Codebook, bits_per_measurement
@@ -70,6 +71,27 @@ def test_bad_duration_or_out_dir_exits_2(tmp_path, capsys, monkeypatch):
     path.write_text("duration = 1\nout_dir =\n")
     assert cli.main(["--config", str(path)]) == 2
     assert "out_dir must not be empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["99999", "-1", "abc", ""])
+def test_bad_socket_port_exits_2(capsys, monkeypatch, port):
+    def no_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    assert cli.main(["--transport", f"socket:{port}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and "PORT in [0, 65535]" in err
+
+
+@pytest.mark.parametrize("size", ["nan nan nan", "10", "10 -10 3", "10 10 inf"])
+def test_bad_scene_size_exits_2(tmp_path, capsys, size):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"duration = 1\nscene_size = {size}\n")
+    assert cli.main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: a box-room scene size is 3 finite positive "
+                          "extents (width, depth, height)")
 
 
 def config(tmp_path, text, *flags):

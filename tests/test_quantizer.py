@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from quantlio.quantizer import (
     Codebook, bits_per_measurement,
@@ -180,3 +181,58 @@ class TestBitsPerMeasurement:
     def test_minimal(self):
         assert bits_per_measurement(Codebook(l_p=1, l_n=1, l_z=1)) == 7
 
+
+codebooks = st.builds(Codebook, l_p=st.integers(1, 16), l_n=st.integers(1, 16),
+                      l_z=st.integers(1, 16), r_max=st.floats(1e-3, 1e4),
+                      r_thr=st.floats(1e-4, 1.0))
+unit_values = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40)
+
+
+def half_step(step: float, scale: float) -> float:
+    """Half a cell, plus the rounding of offsetting and scaling by range scale."""
+    return 0.5 * step + 8 * np.finfo(float).eps * scale
+
+
+class TestGridProperties:
+    """Random codebooks and in-range values: indices stay in range, every
+    reconstruction is within half a step of its value, re-quantizing it gives
+    the same index, and indices never decrease as values grow."""
+
+    @given(cb=codebooks, units=unit_values)
+    def test_point_grid(self, cb, units):
+        xs = np.asarray(units) * cb.r_max
+        idx = quantize_points(np.stack([xs] * 3, axis=1), cb)[:, 0]
+        assert np.all((idx >= 0) & (idx < 2 ** cb.l_p))
+        recon = dequantize_point(np.stack([idx] * 3, axis=1), cb)
+        assert np.all(np.abs(xs - recon[:, 0]) <= half_step(cb.point_step, cb.r_max))
+        np.testing.assert_array_equal(quantize_points(recon, cb)[:, 0], idx)
+        assert np.all(np.diff(idx[np.argsort(xs, kind="stable")]) >= 0)
+
+    @given(cb=codebooks, units=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+                                        min_size=1, max_size=40))
+    def test_residual_grid(self, cb, units):
+        vecs = np.asarray(units) * cb.r_thr
+        vecs = vecs[np.linalg.norm(vecs, axis=1) < cb.r_thr]
+        keys = quantize_residual_vectors(vecs, cb)
+        assert np.all((keys >= 0) & (keys < 2 ** (3 * cb.l_n)))
+        axes = residual_key_to_axes(keys, cb)
+        recon = dequantize_residual_key(keys, cb)
+        assert np.all(np.abs(vecs - recon) <= half_step(cb.residual_step, cb.r_thr))
+        # A corner cell's center may lie outside the norm ball the quantizer
+        # accepts; only reconstructions inside it can be re-quantized.
+        inside = np.linalg.norm(recon, axis=1) < cb.r_thr
+        np.testing.assert_array_equal(quantize_residual_vectors(recon[inside], cb), keys[inside])
+        for axis in range(3):
+            order = np.argsort(vecs[:, axis], kind="stable")
+            assert np.all(np.diff(axes[order, axis]) >= 0)
+
+    @given(cb=codebooks, units=unit_values)
+    def test_scalar_grid(self, cb, units):
+        zs = np.abs(units) * cb.r_thr
+        zs = zs[zs < cb.r_thr]
+        idx = quantize_zs(zs, cb)
+        assert np.all((idx >= 0) & (idx < 2 ** cb.l_z))
+        recon = (idx + 0.5) * cb.z_step
+        assert np.all(np.abs(zs - recon) <= half_step(cb.z_step, cb.r_thr))
+        np.testing.assert_array_equal(quantize_zs(recon, cb), idx)
+        assert np.all(np.diff(idx[np.argsort(zs, kind="stable")]) >= 0)

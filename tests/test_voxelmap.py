@@ -572,7 +572,8 @@ class TestNeighbors:
 
 
 def plane_fit_svd(stacks, max_residual=0.1, cond_limit=1e8):
-    """The SVD plane fit the closed form replaced, kept as its oracle."""
+    """An SVD plane fit that refuses a set only past cond(A) = cond_limit
+    or max_residual, kept as the closed form's oracle."""
     stacks = np.asarray(stacks, dtype=float)
     m = stacks.shape[0]
     u, s, vt = np.linalg.svd(stacks, full_matrices=False)
@@ -685,6 +686,41 @@ class TestPlaneFit:
             b = fit_one(pts * scale, max_residual=thr * scale)[3]
             assert a == b
 
+    def test_empty_batch(self):
+        normals, offsets, residuals, ok = plane_fit_batch(np.zeros((0, 5, 3)))
+        assert (normals.shape, offsets.shape, residuals.shape, ok.shape) == ((0, 3), (0,), (0,), (0,))
+        assert (normals.dtype, offsets.dtype, residuals.dtype, ok.dtype) == (float, float, float, bool)
+
+    def test_line_like_set_is_refused(self):
+        # A 0.6 m line about 6 m out, spread 2 cm across it by range noise
+        # and within 2 microns of a plane through the origin: cond(A) is
+        # 4.8e6, so the SVD oracle accepts it and the Gram bound refuses it.
+        pts = np.array([[6.02, -0.3, 1.204002], [5.975, -0.1, 1.194999], [6.0, 0.05, 1.2],
+                        [6.03, 0.2, 1.205998], [5.985, 0.3, 1.197001]])
+        sv = np.linalg.svd(pts, compute_uv=False)
+        spread = np.sqrt(np.linalg.eigvalsh(np.cov(pts.T, bias=True)))
+        assert 1.01e6 < sv[0] / sv[-1] < 1e8 and 0.01 < spread[1] < 0.03
+        assert np.linalg.norm(pts.mean(axis=0)) == pytest.approx(6.0, abs=0.2)
+        assert plane_fit_svd(pts[None])[3][0]
+        assert not _solve_gram(pts[None])[1][0]
+        assert not fit_one(pts)[3]
+
+    @staticmethod
+    def assert_oracle_agrees(stacks):
+        """plane_fit_batch accepts exactly the sets the SVD oracle accepts
+        and the Gram bound certifies, and fits them as the oracle does."""
+        got, want = plane_fit_batch(stacks), plane_fit_svd(stacks)
+        certified = _solve_gram(stacks)[1]
+        np.testing.assert_array_equal(got[3], want[3] & certified)
+        both = got[3]
+        np.testing.assert_allclose(got[0][both], want[0][both], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(got[1][both], want[1][both], rtol=1e-9, atol=1e-9)
+        sv = np.linalg.svd(stacks, compute_uv=False)
+        cond = sv[:, 0] / sv[:, -1]
+        # Certified sets have cond(A) <= 1e6 up to rounding.
+        assert np.all(cond[certified] <= 1.01e6)
+        return got, want, cond
+
     @given(kinds=st.lists(st.sampled_from(["plane", "collinear", "repeated", "origin", "cond"]),
                           min_size=1, max_size=5),
            seed=st.integers(0, 2 ** 32 - 1))
@@ -692,27 +728,15 @@ class TestPlaneFit:
         rng = np.random.default_rng(seed)
         stacks = np.concatenate([hard_sets(rng, kind, 40) for kind in kinds])
         stacks = stacks[rng.permutation(len(stacks))]
-        got = plane_fit_batch(stacks)
-        want = plane_fit_svd(stacks)
-        np.testing.assert_array_equal(got[3], want[3])
-        both = got[3]
-        np.testing.assert_allclose(got[0][both], want[0][both], rtol=0, atol=1e-9)
-        np.testing.assert_allclose(got[1][both], want[1][both], rtol=1e-9, atol=1e-9)
+        got, want, cond = self.assert_oracle_agrees(stacks)
         # Both solves are accurate to a small multiple of cond(A) * eps; the
         # second refinement step is what brings the closed form there.
-        sv = np.linalg.svd(stacks, compute_uv=False)
-        cond = sv[:, 0] / sv[:, -1]
+        both = got[3]
         assert np.all(np.abs(got[0] - want[0]).max(axis=1)[both] <= 1e-13 + 1e-14 * cond[both])
-        # Rows the Gram bound cannot certify take the SVD solve: same bits.
-        # Those it certifies have cond(A) <= 1e6 up to rounding.
-        certified = _solve_gram(stacks)[1]
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g[~certified], w[~certified])
-        assert np.all(cond[certified] <= 1.01e6)
 
     def test_real_map_sets_are_certified(self, monkeypatch):
-        # The 5-point sets of a short box-room run: at least 99% take the
-        # closed form, and every set fits as the SVD oracle fits it.
+        # The 5-point sets of a short box-room run: at least 99% are
+        # certified, and the accepted ones fit as the SVD oracle fits them.
         captured = []
         fit = coprocessor.plane_fit_batch
         monkeypatch.setattr(coprocessor, "plane_fit_batch",
@@ -721,6 +745,4 @@ class TestPlaneFit:
         stacks = np.concatenate(captured)
         assert len(stacks) > 5000
         assert np.count_nonzero(_solve_gram(stacks)[1]) >= 0.99 * len(stacks)
-        got, want = plane_fit_batch(stacks), plane_fit_svd(stacks)
-        np.testing.assert_array_equal(got[3], want[3])
-        np.testing.assert_allclose(got[0][got[3]], want[0][got[3]], rtol=0, atol=1e-9)
+        self.assert_oracle_agrees(stacks)

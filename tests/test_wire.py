@@ -593,3 +593,21 @@ class TestTransports:
         server.close()
         assert result["frame"].frame_type == FrameType.POSE_REQ
         assert reply.frame_type == FrameType.STATE_UPDATE
+
+    def test_tcp_listen_closes_its_socket_when_bind_fails(self, monkeypatch):
+        made = []
+
+        class Recorded(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        busy = tcp_listen(0)
+        try:
+            monkeypatch.setattr(socket, "socket", Recorded)
+            for port, error in ((99999, OverflowError), (busy.getsockname()[1], OSError)):
+                with pytest.raises(error):
+                    tcp_listen(port)
+                assert made.pop().fileno() == -1
+        finally:
+            busy.close()
