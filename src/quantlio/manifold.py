@@ -191,7 +191,7 @@ class ImuStream:
 
 @dataclass
 class NoiseParams:
-    """Continuous-time IMU noise spectral densities (all nonnegative).
+    """Continuous-time IMU noise spectral densities (all nonnegative and finite).
 
     gyro_density / accel_density drive the white measurement noise;
     gyro_rw / accel_rw drive the bias random walks.
@@ -204,8 +204,8 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("gyro_density", "accel_density", "gyro_rw", "accel_rw"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
     def diffusion(self) -> np.ndarray:
         """Diagonal of the 12x12 spectral density (gyro, accel, bias walks)."""

@@ -41,8 +41,8 @@ class Codebook:
             raise ValueError("l_n must be in [1, 16]")
         if not 1 <= self.l_z <= 16:
             raise ValueError("l_z must be in [1, 16]")
-        if not self.r_max > 0.0:
-            raise ValueError("r_max must be positive")
+        if not 0.0 < self.r_max < np.inf:
+            raise ValueError("r_max must be positive and finite")
         if not 0.0 < self.r_thr <= 1.0:
             raise ValueError("r_thr must be in (0, 1]")
 

@@ -305,8 +305,8 @@ class LidarModel:
     min_range: float = 0.2
 
     def __post_init__(self):
-        if self.range_noise < 0.0:
-            raise ValueError("range noise must be nonnegative")
+        if not 0.0 <= self.range_noise < math.inf:
+            raise ValueError("range noise must be nonnegative and finite")
 
     @property
     def period(self) -> float:

@@ -319,13 +319,15 @@ class SessionConfig:
 
 
 def check_scan_settings(ds_0, alpha, sigma) -> None:
-    """Raise ValueError unless ds_0 > 0, alpha >= 0 and sigma > 0; NaN fails."""
-    if not ds_0 > 0.0:
-        raise ValueError("ds_0 must be positive")
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
-    if not alpha >= 0.0:
-        raise ValueError("alpha must be nonnegative")
+    """Raise ValueError unless ds_0 > 0, alpha >= 0 and sigma are finite, and
+    sigma^2 is a normal float, so every qMAP bound -hi/sigma is finite."""
+    if not 0.0 < ds_0 < math.inf:
+        raise ValueError("ds_0 must be positive and finite")
+    sigma_min = math.sqrt(np.finfo(float).tiny)  # 1.49e-154
+    if not sigma_min <= sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, at least {sigma_min:.3g}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be nonnegative and finite")
 
 
 # Largest entry of |R^T R - I| a CONFIG's extrinsic rotation may carry, and

@@ -94,6 +94,24 @@ def test_bad_scene_size_exits_2(tmp_path, capsys, size):
                           "extents (width, depth, height)")
 
 
+@pytest.mark.parametrize("setting", ["r_max = inf", "sigma = inf", "ds_0 = inf", "alpha = inf",
+                                     "sigma = 1e-170", "sigma = 1e-200"])
+def test_non_finite_or_subnormal_setting_exits_2(tmp_path, capsys, monkeypatch, setting):
+    # Before, r_max = inf and sigma = 1e-170 ended in a LinAlgError, sigma =
+    # inf in a ValueError mid-run, and ds_0 = inf and alpha = inf ran blind
+    # and reported diverged=False.
+    def no_run(cfg):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"duration = 1\n{setting}\n")
+    assert cli.main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ValueError: {setting.split()[0]} must be ")
+    assert "and finite" in err
+
+
 def config(tmp_path, text, *flags):
     path = tmp_path / "run.cfg"
     path.write_text(text)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 from scipy.special import log_ndtr
 
@@ -10,7 +10,7 @@ from quantlio.coprocessor import ObservationGroup, associate, build_groups
 from quantlio import estimator, pipeline
 from quantlio.estimator import (
     Host, _information_update, _surrogate_table, interval_moments, interval_surrogate,
-    log_ndtr_pair, point_plane_rows, qmap_update, standard_update,
+    log_norm_cdf, point_plane_rows, qmap_update, standard_update,
 )
 from quantlio.manifold import (
     ERROR_DIM, ImuStream, NavState, NoiseParams, boxplus, propagate, so3_exp,
@@ -50,13 +50,15 @@ class TestEffectiveMeasurement:
         assert abs(r - sigma ** 2) / sigma ** 2 < 1e-3
 
     def test_one_sided_against_quadrature(self):
-        # Interval [0, inf) with sigma 1: standardized bounds (-inf, 0].
-        lam, omega, _ = interval_moments(-np.inf, 0.0)
+        # Interval [0, 12 sigma] with sigma 1: standardized bounds [-12, 0],
+        # whose mass is within 2e-33 of the half-line's.
+        lam, omega, logp = interval_moments(-12.0, 0.0)
         mass, _ = quad(phi, -12.0, 0.0)
         m1, _ = quad(lambda x: x * phi(x), -12.0, 0.0)
         m2, _ = quad(lambda x: x * x * phi(x), -12.0, 0.0)
         mean = m1 / mass
         var = m2 / mass - mean ** 2
+        assert np.exp(logp) == pytest.approx(mass, rel=1e-9)
         assert lam == pytest.approx(mean, abs=1e-9)
         assert omega == pytest.approx(1.0 - var, abs=1e-9)
 
@@ -87,6 +89,12 @@ class TestEffectiveMeasurement:
         with pytest.raises(ValueError):
             interval_surrogate(0.0, 0.1, 0.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 0.0), (-1.0, np.nan), (-np.inf, 0.0),
+                                             (-1.0, np.inf), ([-2.0, -np.inf], [-1.0, -0.5])])
+    def test_non_finite_bounds_refused(self, alpha, beta):
+        with pytest.raises(ValueError, match="finite bounds"):
+            interval_moments(alpha, beta)
+
     def surrogate_fd_errors(self, lo, hi, sigma, eps=1e-3):
         z_eff, r_eff, valid = interval_surrogate(lo, hi, sigma)
         assert np.all(valid)
@@ -115,51 +123,81 @@ class TestEffectiveMeasurement:
         assert max(ge.max(), ce.max()) < 1e-5
 
     def test_omega_positive_including_one_sided(self):
+        # Intervals left of the mode, the host's domain alpha < beta <= 0, and
+        # one-sided ones whose far bound -40 lies past the tail switch.
         rng = np.random.default_rng(3)
         for _ in range(5000):
-            a = rng.uniform(-8, 7.5)
-            b = a + rng.uniform(1e-4, 4.0)
+            b = rng.uniform(-8, 0.0)
+            a = b - rng.uniform(1e-4, 4.0)
             _, omega, _ = interval_moments(a, b)
             assert omega > 0.0
         for _ in range(500):
-            a = rng.uniform(-8, 8)
-            _, omega_up, _ = interval_moments(a, np.inf)
-            _, omega_dn, _ = interval_moments(-np.inf, a)
-            assert omega_up > 0.0 and omega_dn > 0.0
+            _, omega, _ = interval_moments(-40.0, rng.uniform(-16, 0.0))
+            assert omega > 0.0
+
+    @given(st.integers(1, 16), st.floats(-3.0, 0.0), st.floats(-5.0, 0.0))
+    @example(16, -3.0, 0.0)  # the narrowest cells, 1.5e-8 sigma wide
+    @example(16, math.log10(0.0029136), math.log10(0.90871))  # the largest omega - 1
+    def test_surrogate_table_matches_scipy_oracle(self, l_z, log_r_thr, log_sigma):
+        # Every z cell of a random codebook and sigma against the same
+        # Phi-difference built from scipy's log_ndtr. The gap comes from the
+        # difference: Phi(beta) - Phi(alpha) cancels on narrow cells (down to
+        # 1.5e-8 sigma wide here), which turns the ULP-level gaps of the two
+        # log Phi into up to 1.5e-8 relative in R' and 5e-7 sigma in z' over
+        # 800 random draws; the tolerances hold a margin of ten over that.
+        r_thr, sigma = 10.0 ** log_r_thr, 10.0 ** log_sigma
+        z_step = 2.0 ** -l_z * r_thr
+        z_eff, r_eff, valid = _surrogate_table(l_z, z_step, sigma)
+        lo = np.arange(2 ** l_z) * z_step
+        alpha, beta = -(lo + z_step) / sigma, -lo / sigma
+        log_lo, log_hi = log_ndtr(alpha), log_ndtr(beta)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_p = log_hi + np.log1p(-np.exp(np.minimum(log_lo - log_hi, 0.0)))
+            haz_a = np.exp(-0.5 * alpha * alpha - 0.5 * math.log(2 * math.pi) - log_p)
+            haz_b = np.exp(-0.5 * beta * beta - 0.5 * math.log(2 * math.pi) - log_p)
+        lam = haz_a - haz_b
+        omega = lam * lam + beta * haz_b - alpha * haz_a
+        np.testing.assert_array_equal(
+            valid, np.isfinite(log_p) & (log_p >= math.log(1e-300)) & (omega > 0.0))
+        np.testing.assert_allclose(r_eff[valid], sigma ** 2 / omega[valid], rtol=1e-7, atol=0.0)
+        np.testing.assert_allclose(z_eff[valid], -sigma * lam[valid] / omega[valid],
+                                   rtol=0.0, atol=5e-6 * sigma)
 
 
-def assert_log_ndtr_pair_matches_scipy(x):
-    """Both halves against scipy's log_ndtr: |diff| <= 1e-13 |ref| + 1e-300,
-    and NaN and infinities exactly where scipy has them."""
+def assert_log_norm_cdf_matches_scipy(x):
+    """log_norm_cdf against scipy's log_ndtr on x <= 0: |diff| <= 1e-13 |ref|
+    + 1e-300, and NaN and infinities exactly where scipy has them."""
     x = np.asarray(x, dtype=float)
-    for got, ref in zip(log_ndtr_pair(x), (log_ndtr(x), log_ndtr(-x))):
-        assert got.shape == x.shape
-        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
-        finite = np.isfinite(ref)
-        np.testing.assert_array_equal(got[~finite], ref[~finite])
-        assert np.all(np.abs(got[finite] - ref[finite])
-                      <= 1e-13 * np.abs(ref[finite]) + 1e-300)
+    assert not np.any(x > 0.0)
+    got, ref = log_norm_cdf(x), log_ndtr(x)
+    assert got.shape == x.shape
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+    finite = np.isfinite(ref)
+    np.testing.assert_array_equal(got[~finite], ref[~finite])
+    assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-13 * np.abs(ref[finite]) + 1e-300)
 
 
-class TestLogNdtrPair:
-    @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=64))
+class TestLogNormCdf:
+    @given(st.lists(st.floats(-1e4, 0.0), min_size=1, max_size=64))
     def test_matches_scipy(self, xs):
-        assert_log_ndtr_pair_matches_scipy(xs)
+        assert_log_norm_cdf_matches_scipy(xs)
 
     def test_special_points(self):
-        tail = 37.0
-        switch = [np.nextafter(tail, 0.0), tail, np.nextafter(tail, np.inf)]
-        x = np.array([*switch, *np.negative(switch), 0.0, -0.0, np.inf, -np.inf, np.nan])
-        assert_log_ndtr_pair_matches_scipy(x)
-        lo, hi = log_ndtr_pair([0.0, -0.0, np.inf, -np.inf])
-        np.testing.assert_array_equal(lo, [np.log(0.5), np.log(0.5), 0.0, -np.inf])
-        np.testing.assert_array_equal(hi, [np.log(0.5), np.log(0.5), -np.inf, 0.0])
+        switch = [np.nextafter(-37.0, 0.0), -37.0, np.nextafter(-37.0, -np.inf)]
+        assert_log_norm_cdf_matches_scipy([*switch, 0.0, -0.0, -np.inf, np.nan])
+        np.testing.assert_array_equal(log_norm_cdf([0.0, -0.0, np.inf, -np.inf]),
+                                      [np.log(0.5), np.log(0.5), 0.0, -np.inf])
+        # Right of the mode log Phi is only absolutely accurate, to one ULP of
+        # 1: past x = 8.3 its value -Phi(-x) is smaller than that and rounds
+        # to 0.
+        x = np.concatenate([np.linspace(0.0, 40.0, 4001), np.negative(switch)])
+        assert np.abs(log_norm_cdf(x) - log_ndtr(x)).max() <= 2.3e-16
 
     def test_shapes_kept(self):
         rng = np.random.default_rng(4)
-        for x in (np.float64(-40.0), 2.5, np.zeros(0), np.zeros((3, 0)),
-                  rng.uniform(-60.0, 60.0, (4, 5))):
-            assert_log_ndtr_pair_matches_scipy(x)
+        for x in (np.float64(-40.0), -2.5, np.zeros(0), np.zeros((3, 0)),
+                  rng.uniform(-60.0, 0.0, (4, 5))):
+            assert_log_norm_cdf_matches_scipy(x)
 
 
 def residual_value(state: NavState, p_lidar, u, d: float, extrinsic) -> float:

@@ -470,3 +470,10 @@ class TestImuStream:
         for name in ("rotation", "position", "velocity"):
             np.testing.assert_array_equal(getattr(x_win, name), getattr(x_all, name))
         np.testing.assert_array_equal(p_win, p_all)
+
+
+@pytest.mark.parametrize("value", [-1e-3, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["gyro_density", "accel_density", "gyro_rw", "accel_rw"])
+def test_noise_params_refuse_negative_or_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
+        NoiseParams(**{name: value})

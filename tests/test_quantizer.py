@@ -18,7 +18,7 @@ class TestCodebook:
     @pytest.mark.parametrize("kwargs", [
         dict(l_p=0), dict(l_p=17), dict(l_n=0), dict(l_n=17),
         dict(l_z=0), dict(l_z=17), dict(r_max=0.0), dict(r_thr=0.0), dict(r_thr=1.5),
-        dict(r_max=float("nan")),
+        dict(r_max=float("nan")), dict(r_max=float("inf")),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):

@@ -345,6 +345,11 @@ class TestScans:
         _, offsets = lidar.ray_table()
         assert np.all(offsets >= 0.0) and np.all(offsets < lidar.period)
 
+    @pytest.mark.parametrize("value", [-0.01, float("nan"), float("inf")])
+    def test_range_noise_refused_unless_nonnegative_and_finite(self, value):
+        with pytest.raises(ValueError, match="range noise must be nonnegative and finite"):
+            LidarModel(range_noise=value)
+
 
 class TestDescriptor:
     def test_round_trip(self, tmp_path):

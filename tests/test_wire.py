@@ -380,8 +380,8 @@ class TestPayloadCodecs:
         np.testing.assert_allclose(back.extrinsic_translation, cfg.extrinsic_translation)
 
     # Byte offset and struct format of each CONFIG field a test corrupts.
-    CONFIG_FIELDS = {"l_p": (0, "<B"), "ds_0": (19, "<d"), "alpha": (27, "<d"),
-                     "sigma": (35, "<d")}
+    CONFIG_FIELDS = {"l_p": (0, "<B"), "r_max": (3, "<d"), "ds_0": (19, "<d"),
+                     "alpha": (27, "<d"), "sigma": (35, "<d")}
 
     @pytest.mark.parametrize("name, value, message", [
         ("ds_0", 0.0, "ds_0 must be positive"),
@@ -392,6 +392,11 @@ class TestPayloadCodecs:
         ("sigma", -0.02, "sigma must be positive"),
         ("sigma", float("nan"), "sigma must be positive"),
         ("l_p", 0, "l_p must be in"),
+        ("ds_0", float("inf"), "ds_0 must be positive and finite"),
+        ("alpha", float("inf"), "alpha must be nonnegative and finite"),
+        ("sigma", float("inf"), "sigma must be positive and finite"),
+        ("sigma", 1e-155, "sigma must be positive and finite, at least 1.49e-154"),
+        ("r_max", float("inf"), "r_max must be positive and finite"),
     ])
     def test_config_refuses_what_run_config_refuses(self, name, value, message):
         # A setting RunConfig or Codebook refuses is a WireError on decode,
