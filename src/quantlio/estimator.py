@@ -45,8 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .manifold import (
-    BG, ERROR_DIM, POS, THETA,
-    ImuStream, NavState, NoiseParams, boxplus, propagate, rot_to_quat,
+    ERROR_DIM, POS, ImuStream, NavState, NoiseParams, boxplus, propagate, rot_to_quat,
 )
 from .quantizer import Codebook, dequantize_point, dequantize_residual_key
 from .wire import (
@@ -146,9 +145,9 @@ def point_plane_rows(state: NavState, lidar_points, normals, extrinsic) -> np.nd
     imu_pts = lidar_points @ r_il.T + t_il
     rows = np.zeros((len(lidar_points), ERROR_DIM))
     rows[:, POS] = normals
-    # -u^T R [q]x, written as cross(q, R^T u) per row.
-    rt_u = normals @ state.rotation
-    rows[:, THETA] = np.cross(imu_pts, rt_u)
+    # -u^T R [q]x, written as cross(q, R^T u) per row, in np.cross's order.
+    (q0, q1, q2), (v0, v1, v2) = imu_pts.T, (normals @ state.rotation).T
+    rows[:, 0], rows[:, 1], rows[:, 2] = q1 * v2 - q2 * v1, q2 * v0 - q0 * v2, q0 * v1 - q1 * v0
     return rows
 
 
@@ -304,8 +303,7 @@ class Host:
                                                self.config.sigma, self.extrinsic)
 
     def _log_scan(self, prior_cov: np.ndarray) -> None:
-        gap_eigs = np.linalg.eigvalsh(prior_cov - self.cov)
-        post_eigs = np.linalg.eigvalsh(self.cov)
+        gap_eigs, post_eigs = np.linalg.eigvalsh(np.stack((prior_cov - self.cov, self.cov)))
         self.logs.append(HostLog(
             t=self.time,
             position=self.state.position.copy(),

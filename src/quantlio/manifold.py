@@ -218,14 +218,9 @@ def boxplus(state: NavState, dx) -> NavState:
     dx = np.asarray(dx, dtype=float)
     if dx.shape != (ERROR_DIM,):
         raise ValueError(f"perturbation must have shape ({ERROR_DIM},)")
-    out = state.copy()
-    out.rotation = state.rotation @ so3_exp(dx[THETA])
-    out.position = state.position + dx[POS]
-    out.velocity = state.velocity + dx[VEL]
-    out.bias_gyro = state.bias_gyro + dx[BG]
-    out.bias_accel = state.bias_accel + dx[BA]
-    out.gravity = state.gravity + dx[GRAV]
-    return out
+    return NavState(state.rotation @ so3_exp(dx[THETA]), state.position + dx[POS],
+                    state.velocity + dx[VEL], state.bias_gyro + dx[BG],
+                    state.bias_accel + dx[BA], state.gravity + dx[GRAV])
 
 
 def boxminus(x1: NavState, x0: NavState) -> np.ndarray:
@@ -270,8 +265,7 @@ def imu_steps(state: NavState, gyro, accel, dt):
 
     eye_dt = np.eye(3) * dt3
     r_dt = r * dt3
-    fx = np.zeros((n, ERROR_DIM, ERROR_DIM))
-    fx[:, np.arange(ERROR_DIM), np.arange(ERROR_DIM)] = 1.0
+    fx = np.tile(np.eye(ERROR_DIM), (n, 1, 1))
     # Exp(-w) is the transpose of Exp(w).
     fx[:, THETA, THETA] = exp_w.swapaxes(1, 2)
     fx[:, THETA, BG] = -jr_dt
