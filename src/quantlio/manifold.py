@@ -295,9 +295,12 @@ def propagate(state: NavState, cov: np.ndarray, imu: ImuStream, noise: NoisePara
     Per-step dt must stay at or below MAX_IMU_DT.
 
     The window is one array pass: the step breaks, lengths and held rows
-    come from one searchsorted over imu.t, imu_steps computes every mean
-    step and Jacobian at once, and only the covariance recursion
-    P <- fx P fx^T + fw diag(q / dt) fw^T runs step by step.
+    come from one searchsorted over imu.t, and imu_steps computes every mean
+    step and Jacobian F_k = fx[k] at once. The n covariance steps
+    P <- F_k P F_k^T + G_k G_k^T, G_k = fw[k] diag(sqrt(q / dt_k)), are one
+    closed form, symmetrized once: P_n = Phi P_0 Phi^T + W W^T, Phi = Psi_0 F_0
+    and W = [Psi_0 G_0 ... Psi_{n-1} G_{n-1}], from the suffix products
+    Psi_k = F_{n-1} ... F_{k+1}, Psi_{n-1} = I.
     """
     if not len(imu):
         raise ValueError("propagate needs at least one IMU sample")
@@ -325,9 +328,14 @@ def propagate(state: NavState, cov: np.ndarray, imu: ImuStream, noise: NoisePara
 
     held = np.maximum(np.searchsorted(times, breaks[:-1] + 1e-12) - 1, 0)
     x, fx, fw = imu_steps(state, imu.gyro[held], imu.accel[held], dt)
-    # Continuous densities scaled by 1/dt because fw already carries dt.
-    qd = (fw * (noise.diffusion() / dt[:, None])[:, None, :]) @ fw.swapaxes(1, 2)
-    for f, q in zip(fx, qd):
-        p = f @ p @ f.T + q
-        p = 0.5 * (p + p.T)
-    return x, p
+    # psi[k] = F_{n-1} ... F_{k+1}, with psi[n-1] = I.
+    psi = np.empty_like(fx)
+    psi[-1] = np.eye(ERROR_DIM)
+    for k in range(len(dt) - 2, -1, -1):
+        np.matmul(psi[k + 1], fx[k + 1], out=psi[k])
+    # The densities are scaled by 1/dt because fw already carries dt.
+    g = fw * np.sqrt(noise.diffusion() / dt[:, None])[:, None, :]
+    w = (psi @ g).swapaxes(0, 1).reshape(ERROR_DIM, -1)
+    phi = psi[0] @ fx[0]
+    p = phi @ p @ phi.T + w @ w.T
+    return x, 0.5 * (p + p.T)

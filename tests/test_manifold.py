@@ -404,6 +404,20 @@ class TestPropagate:
         x, cov, samples = window_case(18, gaps_us, angles)
         assert_matches_loop(x, cov, samples, t_start, t_end)
 
+    def test_matches_loop_over_a_long_window(self):
+        # 400 steps of 5 ms, two seconds in one window: the closed form's
+        # suffix products run over every step.
+        x, cov, samples = window_case(19, [5000] * 400, np.resize(STEP_ANGLES, 401))
+        assert_matches_loop(x, cov, samples)
+
+    def test_rank_deficient_prior_stays_psd_over_a_long_window(self):
+        # With no noise the window maps a rank-5 prior to a rank-5 result, so
+        # its smallest eigenvalue is zero up to rounding.
+        x, _, samples = window_case(20, [5000] * 400, np.resize(STEP_ANGLES, 401))
+        a = np.random.default_rng(20).standard_normal((ERROR_DIM, 5))
+        _, p = propagate(x, a @ a.T, samples, NoiseParams(0.0, 0.0, 0.0, 0.0))
+        assert np.linalg.eigvalsh(p).min() >= -1e-12 * np.abs(p).max()
+
     @given(seed=st.integers(0, 2 ** 32 - 1),
            steps=st.lists(st.tuples(st.sampled_from([1000, 2500, 5000, 20_000, 50_000]),
                                     st.sampled_from(STEP_ANGLES)), min_size=0, max_size=6),
