@@ -16,7 +16,8 @@ beta = -lo/sigma) with mass P = Phi(beta) - Phi(alpha):
     z'     = -sigma * lambda / omega
 
 omega equals one minus the truncated-normal variance, so it stays in (0, 1]
-for every interval with positive mass.
+for every interval with positive mass; interval_surrogate clamps the rounded
+value at 1, so R' >= sigma^2.
 
 The host forms only intervals with alpha < beta <= 0, both finite: the
 coprocessor folds each residual, so every z cell [lo, hi) is nonnegative,
@@ -116,6 +117,8 @@ def interval_surrogate(lo, hi, sigma: float):
     hi = np.asarray(hi, dtype=float)
     lam, omega, log_p = interval_moments(-hi / sigma, -lo / sigma)
     valid = np.isfinite(log_p) & (log_p >= _LOG_VACUOUS) & (omega > 0.0)
+    # On narrow cells rounding lifts omega past 1, its narrow-cell limit.
+    omega = np.minimum(omega, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return -sigma * lam / omega, sigma ** 2 / omega, valid
 
@@ -303,7 +306,7 @@ class Host:
                                                self.config.sigma, self.extrinsic)
 
     def _log_scan(self, prior_cov: np.ndarray) -> None:
-        gap_eigs, post_eigs = np.linalg.eigvalsh(np.stack((prior_cov - self.cov, self.cov)))
+        gap_eigs, post_eigs = np.linalg.eigvalsh(np.array((prior_cov - self.cov, self.cov)))
         self.logs.append(HostLog(
             t=self.time,
             position=self.state.position.copy(),

@@ -265,7 +265,8 @@ def imu_steps(state: NavState, gyro, accel, dt):
 
     eye_dt = np.eye(3) * dt3
     r_dt = r * dt3
-    fx = np.tile(np.eye(ERROR_DIM), (n, 1, 1))
+    fx = np.empty((n, ERROR_DIM, ERROR_DIM))
+    fx[:] = np.eye(ERROR_DIM)
     # Exp(-w) is the transpose of Exp(w).
     fx[:, THETA, THETA] = exp_w.swapaxes(1, 2)
     fx[:, THETA, BG] = -jr_dt

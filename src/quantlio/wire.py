@@ -245,37 +245,32 @@ def _field_widths(cb: Codebook):
 
 @lru_cache(maxsize=16)
 def _layout(widths: tuple):
-    """Read-only arrays of a record layout: the field widths; per bit the
-    field it belongs to and its shift, MSB first; and the (bits, fields)
-    matrix of bit weights 2^shift."""
-    width = np.array(widths)
+    """Per bit of a record, MSB first: the field it belongs to and its shift;
+    and the (bits, fields) matrix of bit weights 2^shift. All read-only."""
     field = np.repeat(np.arange(len(widths)), widths)
     shift = np.concatenate([np.arange(w - 1, -1, -1) for w in widths])
     weight = np.zeros((len(field), len(widths)))
     weight[np.arange(len(field)), field] = 2.0 ** shift
-    layout = width, field, shift, weight
-    for array in layout:
+    for array in (field, shift, weight):
         array.setflags(write=False)
-    return layout
+    return field, shift, weight
 
 
 def _to_bits(values: np.ndarray, widths) -> np.ndarray:
     """Records (rows, fields) as one run of bits, records back to back; a
     field outside its width raises WireError."""
-    width, field, shift, _ = _layout(widths)
     # Nonzero after the shift: too wide, or negative (the shift keeps the sign).
-    if np.any(values >> width):
+    if np.any(values >> np.array(widths)):
         raise WireError(f"field value outside its bit widths {widths}")
+    field, shift, _ = _layout(widths)
     return ((values[:, field] >> shift) & 1).astype(np.uint8).ravel()
 
 
 def _from_bits(bits: np.ndarray, widths) -> np.ndarray:
-    """Records (rows, fields) from a run of bits holding whole records.
-
-    One float64 product of the bits and the weights: a field is at most 48
-    bits wide (3 l_n), so every partial sum is an integer below 2^53 and
-    exact whatever the summation order."""
-    weight = _layout(widths)[3]
+    """Records (rows, fields) from a run of bits holding whole records, by
+    one float64 product with the bit weights: a field is at most 48 bits wide
+    (3 l_n), so every partial sum is an integer below 2^53 and exact."""
+    weight = _layout(widths)[2]
     return (bits.reshape(-1, len(weight)) @ weight).astype(np.int64)
 
 

@@ -138,6 +138,7 @@ class TestEffectiveMeasurement:
     @given(st.integers(1, 16), st.floats(-3.0, 0.0), st.floats(-5.0, 0.0))
     @example(16, -3.0, 0.0)  # the narrowest cells, 1.5e-8 sigma wide
     @example(16, math.log10(0.0029136), math.log10(0.90871))  # the largest omega - 1
+    @example(16, math.log10(0.0029), math.log10(0.91))  # 41,392 cells of omega > 1 unclamped
     def test_surrogate_table_matches_scipy_oracle(self, l_z, log_r_thr, log_sigma):
         # Every z cell of a random codebook and sigma against the same
         # Phi-difference built from scipy's log_ndtr. The gap comes from the
@@ -162,6 +163,8 @@ class TestEffectiveMeasurement:
         np.testing.assert_allclose(r_eff[valid], sigma ** 2 / omega[valid], rtol=1e-7, atol=0.0)
         np.testing.assert_allclose(z_eff[valid], -sigma * lam[valid] / omega[valid],
                                    rtol=0.0, atol=5e-6 * sigma)
+        # omega = 1 - Var lies in (0, 1], so no cell is surer than sigma^2.
+        assert np.all(r_eff[valid] >= sigma ** 2)
 
 
 def assert_log_norm_cdf_matches_scipy(x):

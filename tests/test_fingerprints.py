@@ -54,6 +54,7 @@ def test_compare_reports_differing_parts_fields_and_count(tmp_path, capsys):
         "room-qlio seed=0 qlio/inproc: fields trajectory differ",
         "  ate_trans: 0.004 -> 0.005 (rel +0.25)",
         "dense-float seed=2 baseline-float/inproc: only in NEW",
+        "largest change: ate_trans 0.25; other fields identical",
         "means over seeds, old -> new:",
         "  dense-float baseline-float/inproc (n=1): ate_trans 0.004 -> 0.004 (rel +0); "
         "ate_rot 0.002 -> 0.002 (rel +0); meas_per_scan 0.05 -> 0.05 (rel +0); "
@@ -129,3 +130,25 @@ def test_variants_follow_the_modes():
     labels = [label for label, _ in tool.variants(make_config("room-qlio", round_seed(0, 0)))]
     assert labels == [f"{mode}/inproc" for mode in MODES] + ["qlio/socket:0"] == [
         "qlio/inproc", "baseline-float/inproc", "qlio-no-rqrs/inproc", "qlio/socket:0"]
+
+
+def test_compare_names_the_largest_change_of_each_field(tmp_path, capsys):
+    # The largest relative change per field over all lines; a field that is
+    # not a number reads inf when it changes, and a line that moved only its
+    # trajectory moves no field.
+    def line(seed, ate, diverged="np.False_", trajectory="ab"):
+        return (f"room-qlio seed={seed} qlio/inproc fields=({ate}, 0.002, 100, 5, 5, 450.0, "
+                f"1.0, 170, 33.0, 34.0, {diverged}, True, True, 0) "
+                f"trajectory={trajectory} payloads=cd")
+
+    old = [line(0, 0.004), line(1, 0.004), line(2, 0.004)]
+    new = [line(0, 0.005), line(1, 0.006, diverged="np.True_"), line(2, 0.004, trajectory="ef")]
+    (tmp_path / "old.txt").write_text("\n".join(old) + "\n")
+    (tmp_path / "new.txt").write_text("\n".join(new) + "\n")
+    tool = load_tool()
+    assert tool.main(["--compare", str(tmp_path / "old.txt"), str(tmp_path / "new.txt")]) == 1
+    assert "largest change: ate_trans 0.5, diverged inf; other fields identical" in \
+        capsys.readouterr().out.splitlines()
+    (tmp_path / "new.txt").write_text("\n".join(old[:2] + new[2:]) + "\n")
+    assert tool.main(["--compare", str(tmp_path / "old.txt"), str(tmp_path / "new.txt")]) == 1
+    assert "largest change: all fields identical" in capsys.readouterr().out.splitlines()

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import numpy as np
@@ -199,6 +200,29 @@ def test_short_frame_over_a_socket_raises_truncated_frame_promptly(monkeypatch):
     with pytest.raises(TruncatedFrame):
         pipeline.run(pipeline.RunConfig(duration=0.5, mode="qlio", transport="socket:0"))
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket:0"])
+def test_a_host_that_fails_mid_run_raises_its_error_promptly(monkeypatch, transport):
+    # The host dies on its 5th propagation, in the middle of a session: the
+    # run raises the host's own error and leaves no thread behind.
+    calls = []
+    propagate = estimator.propagate
+
+    def fail_on_fifth(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise ValueError("host failed on its 5th propagation")
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "propagate", fail_on_fifth)
+    threads = set(threading.enumerate())
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="host failed on its 5th propagation"):
+        pipeline.run(pipeline.RunConfig(duration=1.0, mode="qlio", transport=transport))
+    assert time.perf_counter() - start < 2.0
+    assert len(calls) == 5
+    assert set(threading.enumerate()) == threads
 
 
 @pytest.mark.parametrize("mode", ["qlio", "baseline-float"])

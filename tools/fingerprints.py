@@ -17,12 +17,13 @@ script on both commits and comparing the files with diff.
 --compare OLD NEW reads two such files and reports, for each line that
 differs, which of fields, trajectory and payloads differ and, per differing
 deterministic field, its name (pipeline.DETERMINISTIC_FIELDS) and relative
-change. If any line differs, one row per workload and variant follows, with
-the means over seeds of SUMMARY_FIELDS, old -> new: the report a change that
-moves fingerprints by design gives. It ends with the count of identical
-lines and the count of lines whose trajectory and payloads are identical
-(the estimate did not move, whatever its metrics read), and exits 1 if any
-line differs.
+change. If any line differs, one line follows with the largest relative
+change of each deterministic field over all lines, then one row per workload
+and variant with the means over seeds of SUMMARY_FIELDS, old -> new: the
+report a change that moves fingerprints by design gives. It ends with the
+count of identical lines and the count of lines whose trajectory and
+payloads are identical (the estimate did not move, whatever its metrics
+read), and exits 1 if any line differs.
 """
 
 from __future__ import annotations
@@ -98,6 +99,34 @@ def field_change(old: str, new: str) -> str:
     return f"{old} -> {new} (rel {rel})"
 
 
+def relative_change(old: str, new: str) -> float:
+    """|new - old| / |old| of two differing field strings; inf when they are
+    not both numbers or old is zero."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return float("inf")
+    return abs(b - a) / abs(a) if a != 0.0 else float("inf")
+
+
+def largest_changes(old: dict, new: dict) -> str:
+    """One line: per deterministic field that differs on any line in both
+    files (with equal field counts), its largest relative change."""
+    largest: dict[str, float] = {}
+    for run in old.keys() & new.keys():
+        a, b = old[run][0], new[run][0]
+        if len(a) == len(b):
+            for name, x, y in zip(pipeline.DETERMINISTIC_FIELDS, a, b):
+                if x != y:
+                    largest[name] = max(largest.get(name, 0.0), relative_change(x, y))
+    moved = [f"{name} {largest[name]:.2g}" for name in pipeline.DETERMINISTIC_FIELDS
+             if name in largest]
+    if not moved:
+        return "largest change: all fields identical"
+    rest = "; other fields identical" if len(moved) < len(pipeline.DETERMINISTIC_FIELDS) else ""
+    return f"largest change: {', '.join(moved)}{rest}"
+
+
 def summary(old: dict, new: dict) -> list[str]:
     """One row per (workload, variant) of the runs in both files: the mean
     over seeds of each SUMMARY_FIELDS field, old -> new."""
@@ -142,6 +171,7 @@ def compare(old_path, new_path) -> int:
                 print(f"  {name}: {field_change(x, y)}")
     total = len(old.keys() | new.keys())
     if identical != total:
+        print(largest_changes(old, new))
         print("means over seeds, old -> new:", *summary(old, new), sep="\n")
     print(f"identical: {identical} of {total} lines; "
           f"trajectory and payloads identical: {same_estimate} of {total}")
