@@ -251,7 +251,10 @@ class Host:
 
     def handle_frame(self, frame: WireFrame) -> bytes:
         """Answer a POSE_REQ with POSE_RESP, and an observation frame (OBS_GROUPS
-        or OBS_FLOAT) for the pending scan with STATE_UPDATE."""
+        or OBS_FLOAT) for the pending scan with STATE_UPDATE. One frame per
+        call: the observation frame of scan k and the POSE_REQ of scan k + 1
+        arrive in one write and are handled in that order, so the update of
+        scan k precedes the propagation to t_{k+1}."""
         kind = FrameType(frame.frame_type)
         if kind == FrameType.POSE_REQ:
             return self._on_pose_req(frame)

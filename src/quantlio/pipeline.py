@@ -99,6 +99,11 @@ class RunMetrics:
     reduction_vs_float_point 96 bits (a float32 point). The paper's abstract
     reports a 14.1x reduction in "per-observation residual data" without
     naming the float size it divides, so which ratio matches it is unsettled.
+
+    timings holds wall seconds (sim_setup, coprocessor, host: the scan
+    loop's waits on channel requests, total) and host_cpu, the CPU seconds
+    the serving thread spent in Host.handle_frame; host minus host_cpu is
+    what the link and the frame codec added to the host's share.
     """
 
     ate_trans: float
@@ -145,29 +150,50 @@ def default_init_cov() -> np.ndarray:
     return np.diag(diag)
 
 
+def _answer(host: Host, frame: WireFrame, clock) -> bytes:
+    """host.handle_frame(frame), adding the CPU seconds it took on the calling
+    thread to clock.host_cpu."""
+    start = _time.thread_time()
+    reply = host.handle_frame(frame)
+    clock.host_cpu += _time.thread_time() - start
+    return reply
+
+
 class _SyncChannel:
-    """Synchronous frame pump: every request produces its reply in place."""
+    """Synchronous frame pump: the host answers each frame of a request in
+    place, in order."""
 
     def __init__(self, host: Host):
         self.host = host
+        self.host_cpu = 0.0
 
-    def request(self, frame_bytes: bytes) -> WireFrame:
-        return decode_frame(self.host.handle_frame(decode_frame(frame_bytes)))
+    def request(self, *frames: bytes) -> list[WireFrame]:
+        """One decoded reply per frame, in the frames' order."""
+        return [decode_frame(_answer(self.host, decode_frame(frame), self))
+                for frame in frames]
 
 
 class _SocketChannel:
-    """Frame pump over a live transport; the host serves on its own thread."""
+    """Frame pump over a live transport; the host serves on its own thread
+    and adds its CPU time to host_cpu before each of its writes."""
 
     def __init__(self, transport: StreamTransport):
         self.transport = transport
+        self.host_cpu = 0.0
 
-    def request(self, frame_bytes: bytes) -> WireFrame:
-        self.transport.send_frame(frame_bytes)
-        return self.transport.recv_frame()
+    def request(self, *frames: bytes) -> list[WireFrame]:
+        """Send the frames in one write; one reply per frame, in their order."""
+        self.transport.send_frame(b"".join(frames))
+        return [self.transport.recv_frame() for _ in frames]
 
 
-def _host_serve(transport: StreamTransport, host: Host, errors: list) -> None:
+def _host_serve(transport: StreamTransport, host: Host, channel: _SocketChannel,
+                errors: list) -> None:
     """Answer frames until the coprocessor closes the link between frames.
+
+    The host handles every frame already received before it writes, so a
+    request's frames sent in one write are answered in one write; a request
+    that arrives split is answered in two, with the same replies.
 
     Any other failure is recorded for the driving thread, and the link is
     closed so that its pending request fails at once instead of timing out.
@@ -175,7 +201,10 @@ def _host_serve(transport: StreamTransport, host: Host, errors: list) -> None:
     try:
         transport.send_frame(host.config_frame())
         while True:
-            transport.send_frame(host.handle_frame(transport.recv_frame()))
+            replies = [_answer(host, transport.recv_frame(), channel)]
+            while transport.frame_pending():
+                replies.append(_answer(host, transport.recv_frame(), channel))
+            transport.send_frame(b"".join(replies))
     except PeerClosed:
         pass
     except Exception as exc:  # surfaced to the driving thread
@@ -195,16 +224,19 @@ def _open_channel(cfg: RunConfig, host: Host):
         return
     server = tcp_listen(int(cfg.transport.split(":", 1)[1]))
     errors: list = []
+    # The listening socket completes the connection before it is accepted,
+    # so the channel exists before the host thread that adds to it.
+    client = tcp_connect(server.getsockname()[1])
+    channel = _SocketChannel(client)
 
     def accept_and_serve():
         conn, _ = server.accept()
-        _host_serve(StreamTransport(conn), host, errors)
+        _host_serve(StreamTransport(conn), host, channel, errors)
 
     thread = threading.Thread(target=accept_and_serve, daemon=True)
     thread.start()
-    client = tcp_connect(server.getsockname()[1])
     try:
-        yield _SocketChannel(client), client.recv_frame()
+        yield channel, client.recv_frame()
     finally:
         client.close()
         thread.join(timeout=10)
@@ -266,37 +298,48 @@ def run(cfg: RunConfig):
     return metrics, rows
 
 
+def _pose_req(t_prev: float, t_k: float) -> bytes:
+    """The POSE_REQ frame of the scan window (t_prev, t_k]."""
+    return encode_frame(FrameType.POSE_REQ, int(t_k * 1e6),
+                        encode_pose_req(int(t_prev * 1e6), int(t_k * 1e6)))
+
+
 def _run_scans(cfg: RunConfig, scene, gt, host: Host, scan_seed):
     """The scan loop of every mode; the host is only reached through frames.
 
-    Per scan the coprocessor requests the prior pose, turns the scan into
-    observations, sends them in one frame (OBS_GROUPS in the qlio modes,
-    OBS_FLOAT in baseline-float), and inserts its points into the map
-    at the posterior pose of the STATE_UPDATE reply, which ends the loop
-    early once its position diverges.
+    Per scan k the coprocessor turns the scan into observations at the prior
+    pose of its POSE_RESP and sends them in one frame (OBS_GROUPS in the qlio
+    modes, OBS_FLOAT in baseline-float), followed in the same request by the
+    POSE_REQ of scan k + 1, whose window ends at the next time of
+    _scan_schedule. The replies are the STATE_UPDATE of scan k, at whose
+    posterior pose the coprocessor inserts its points into the map, and the
+    POSE_RESP of scan k + 1: one exchange per scan. Only the first POSE_REQ
+    and the last observation frame travel alone. A diverged posterior
+    position ends the loop early; the host then holds the prior of a scan
+    that is never observed.
     """
     totals = {"bits": 0, "sent": 0, "assoc": 0, "assoc_input": 0,
               "coproc_time": 0.0, "host_time": 0.0, "scan_bits": [],
               "scan_members": []}
+    schedule = _scan_schedule(cfg)
     with _open_channel(cfg, host) as (channel, config_frame):
         session = decode_config(config_frame.payload)
         coproc = Coprocessor(
             cb=session.codebook,
             extrinsic=(session.extrinsic_rotation, session.extrinsic_translation),
             ds_0=session.ds_0, alpha=session.alpha, mode=cfg.mode)
-        t_prev = 0.0
-        for t_k in _scan_schedule(cfg):
+        t_prev, pose_resp = 0.0, []
+        for k, t_k in enumerate(schedule):
             pts, times = synth_scan(scene, gt, cfg.lidar, t_k,
                                     seed=scan_seed ^ int(t_k * 1e6),
                                     extrinsic=EXTRINSIC)
-            tw = _time.perf_counter()
-            req = encode_frame(FrameType.POSE_REQ, int(t_k * 1e6),
-                               encode_pose_req(int(t_prev * 1e6), int(t_k * 1e6)))
-            resp = channel.request(req)
-            totals["host_time"] += _time.perf_counter() - tw
+            if k == 0:  # the first POSE_REQ travels alone
+                tw = _time.perf_counter()
+                pose_resp = channel.request(_pose_req(t_prev, t_k))
+                totals["host_time"] += _time.perf_counter() - tw
 
             tc = _time.perf_counter()
-            scan_delta, pose_prev = decode_pose_resp(resp.payload)
+            scan_delta, pose_prev = decode_pose_resp(pose_resp[0].payload)
             if cfg.mode.startswith("qlio"):
                 groups, _, stats = coproc.process_scan(
                     pts, times, t_prev, t_k, scan_delta, pose_prev)
@@ -307,10 +350,11 @@ def _run_scans(cfg: RunConfig, scene, gt, host: Host, scan_seed):
                     pts, times, t_prev, t_k, scan_delta, pose_prev)
                 obs_type, payload = FrameType.OBS_FLOAT, encode_obs_float(observations)
                 bits = 8 * len(payload)
-            obs_frame = encode_frame(obs_type, int(t_k * 1e6), payload)
+            frames = [encode_frame(obs_type, int(t_k * 1e6), payload)]
+            frames += [_pose_req(t_k, t_next) for t_next in schedule[k + 1:k + 2]]
             totals["coproc_time"] += _time.perf_counter() - tc
             tw = _time.perf_counter()
-            update = channel.request(obs_frame)
+            update, *pose_resp = channel.request(*frames)
             totals["host_time"] += _time.perf_counter() - tw
             pose_post = decode_state_update(update.payload)
             coproc.integrate_posterior(pose_post)
@@ -324,6 +368,7 @@ def _run_scans(cfg: RunConfig, scene, gt, host: Host, scan_seed):
             t_prev = t_k
             if _diverged(pose_post[1]):
                 break
+        totals["host_cpu"] = channel.host_cpu
     return totals
 
 
@@ -335,8 +380,10 @@ def _trajectory_rows(host: Host) -> np.ndarray:
 
 
 def _finalize(gt, host: Host, rows, stats, sim_time, t0) -> RunMetrics:
-    diverged = _diverged(host.state.position, np.trace(host.cov))
-    if len(rows) and not diverged:
+    # Read from the last posterior: after a divergence break the host's own
+    # state is the prior of the next scan, which no observation reached.
+    diverged = not len(rows) or _diverged(rows[-1, 1:4], rows[-1, 8])
+    if not diverged:
         gt_rots, gt_positions = gt.poses_at(rows[:, 0])
         ate_trans, ate_rot = ate(rows[:, 1:4], rows[:, 4:8], gt_positions, gt_rots)
     else:
@@ -368,6 +415,7 @@ def _finalize(gt, host: Host, rows, stats, sim_time, t0) -> RunMetrics:
         timings={"sim_setup": sim_time,
                  "coprocessor": stats["coproc_time"],
                  "host": stats["host_time"],
+                 "host_cpu": stats["host_cpu"],
                  "total": _time.perf_counter() - t0},
     )
 

@@ -48,10 +48,21 @@ Iterating a record yields its per-group view, one ObservationGroup (key,
 list of (z, (px, py, pz)) tuples) per group, for comparing group sets;
 pack_groups also accepts a list of them.
 
-The session runs one CONFIG (host to coprocessor) then, per scan,
-POSE_REQ -> POSE_RESP -> OBS_GROUPS or OBS_FLOAT -> STATE_UPDATE. The host
-(estimator.Host) enforces the order: a POSE_REQ window must start at the
-host's time and end after it; an observation frame needs a pending
+The session runs one CONFIG (host to coprocessor) then, per scan k,
+POSE_REQ(k) -> POSE_RESP(k) and OBS_GROUPS or OBS_FLOAT (k) ->
+STATE_UPDATE(k), in one link round trip per scan: the coprocessor writes
+the observation frame of scan k and POSE_REQ(k + 1) in one write, and the
+host, which handles every frame it has already received before it writes,
+answers STATE_UPDATE(k) and POSE_RESP(k + 1) in one write. Only the first
+POSE_REQ and the last observation frame travel alone. The host still
+handles the frames one at a time, in order, so the update of scan k comes
+before the propagation to t_{k+1}. Fidelity: on a live sensor the host
+answers POSE_REQ(k + 1) once its IMU stream reaches t_{k+1}, which is also
+when scan k + 1 closes; the simulated IMU stream exists from the start, so
+here the reply never waits for it.
+
+The host (estimator.Host) enforces the order: a POSE_REQ window must start
+at the host's time and end after it; an observation frame needs a pending
 POSE_REQ and answers it; any other frame type is refused. A POSE_REQ for a
 later scan while observations are still pending drops the pending scan,
 which the host counts and dead-reckons through.
@@ -464,6 +475,20 @@ class StreamTransport:
                 raise TruncatedFrame("connection closed mid-frame")
             chunks.extend(got)
         return bytes(chunks)
+
+    def frame_pending(self) -> bool:
+        """Whether recv_frame can start without waiting: bytes of a frame are
+        buffered, or the peer has closed. Reads nothing and never blocks,
+        whatever the socket's timeout."""
+        timeout = self._sock.gettimeout()
+        self._sock.settimeout(0.0)
+        try:
+            self._sock.recv(1, socket.MSG_PEEK)
+            return True
+        except BlockingIOError:
+            return False
+        finally:
+            self._sock.settimeout(timeout)
 
     def recv_frame(self) -> WireFrame:
         """Wait for the next frame as long as the socket's timeout allows;

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from quantlio import estimator, pipeline
+from quantlio import estimator, pipeline, wire
 from quantlio.manifold import rot_to_quat, so3_exp
 from quantlio.simworld import synth_trajectory
 from quantlio.voxelmap import VoxelMap
@@ -187,8 +187,26 @@ def test_corrupted_frame_raises_bad_crc_at_once(monkeypatch, transport):
 
 
 def test_short_frame_over_a_socket_raises_truncated_frame_promptly(monkeypatch):
-    # The host holds an OBS_GROUPS frame missing its last 3 bytes; it gives
+    # The host holds a POSE_REQ frame missing its last 3 bytes; a POSE_REQ
+    # ends every coprocessor write, so nothing follows it. The host gives
     # up after FRAME_DEADLINE_S instead of waiting for the driver's timeout.
+    encode = pipeline.encode_frame
+
+    def cut_pose_req(frame_type, timestamp_us, payload):
+        frame = encode(frame_type, timestamp_us, payload)
+        return frame[:-3] if frame_type == FrameType.POSE_REQ else frame
+
+    monkeypatch.setattr(pipeline, "encode_frame", cut_pose_req)
+    start = time.perf_counter()
+    with pytest.raises(TruncatedFrame):
+        pipeline.run(pipeline.RunConfig(duration=0.5, mode="qlio", transport="socket:0"))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_short_frame_followed_by_its_pose_request_raises_bad_crc_promptly(monkeypatch):
+    # An OBS_GROUPS frame missing its last 3 bytes, then the next POSE_REQ
+    # in the same write: the host reads the cut frame's length worth of
+    # bytes, which end inside the POSE_REQ, so the checksum fails at once.
     encode = pipeline.encode_frame
 
     def cut_obs_groups(frame_type, timestamp_us, payload):
@@ -197,9 +215,52 @@ def test_short_frame_over_a_socket_raises_truncated_frame_promptly(monkeypatch):
 
     monkeypatch.setattr(pipeline, "encode_frame", cut_obs_groups)
     start = time.perf_counter()
-    with pytest.raises(TruncatedFrame):
+    with pytest.raises(BadCrc):
         pipeline.run(pipeline.RunConfig(duration=0.5, mode="qlio", transport="socket:0"))
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket:0"])
+def test_one_exchange_per_scan(monkeypatch, transport):
+    # Each scan's observation frame carries the next scan's POSE_REQ in the
+    # same write; only the first POSE_REQ and the last observation frame
+    # travel alone. Over a socket the coprocessor writes n + 1 times and the
+    # host n + 2 times (CONFIG, then one write per coprocessor write).
+    kinds, writes = [], {"coprocessor": 0, "host": 0}
+    handle, send = estimator.Host.handle_frame, wire.StreamTransport.send_frame
+
+    def recording_handle(host, frame):
+        kinds.append(frame.frame_type)
+        return handle(host, frame)
+
+    def counting_send(transport, data):
+        main = threading.current_thread() is threading.main_thread()
+        writes["coprocessor" if main else "host"] += 1
+        return send(transport, data)
+
+    monkeypatch.setattr(estimator.Host, "handle_frame", recording_handle)
+    monkeypatch.setattr(wire.StreamTransport, "send_frame", counting_send)
+    metrics, _ = pipeline.run(pipeline.RunConfig(duration=0.5, mode="qlio",
+                                                 transport=transport, seed=4))
+    n = metrics.scans
+    assert n == 5
+    pose, obs = FrameType.POSE_REQ, FrameType.OBS_GROUPS
+    assert kinds == [pose] + [obs, pose] * (n - 1) + [obs]
+    if transport == "inproc":
+        assert writes == {"coprocessor": 0, "host": 0}
+    else:
+        assert writes == {"coprocessor": n + 1, "host": n + 2}
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket:0"])
+def test_host_cpu_time_is_reported_within_its_wall_time(tmp_path, transport):
+    cfg = pipeline.RunConfig(duration=0.5, mode="qlio", transport=transport, seed=4,
+                             out_dir=str(tmp_path))
+    metrics, _ = pipeline.run(cfg)
+    assert 0.0 < metrics.timings["host_cpu"] <= metrics.timings["host"]
+    header, values = (tmp_path / "metrics.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), values.split(",")))
+    assert row["time_host_cpu_s"] == f"{metrics.timings['host_cpu']:.3f}"
 
 
 @pytest.mark.parametrize("transport", ["inproc", "socket:0"])
@@ -343,6 +404,27 @@ def test_a_position_past_its_bound_stops_the_scan_loop(monkeypatch):
     assert metrics.scans == len(rows) < 10
     assert np.all(distances[:-1] <= 3.0) and distances[-1] > 3.0
     assert metrics.diverged and metrics.ate_trans == metrics.ate_rot == float("inf")
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket:0"])
+def test_divergence_is_read_from_the_last_posterior(monkeypatch, transport):
+    # Past 3.2 m at scan 3 (3.24 m) ends the loop; the host has already
+    # propagated to scan 4, whose prior is back at 2.65 m. The run reads
+    # diverged from scan 3's posterior: 3 scans, diverged.
+    monkeypatch.setattr(pipeline, "DIVERGENCE_POSITION", 3.2)
+    finalized = []
+    finalize = pipeline._finalize
+
+    def recording_finalize(gt, host, *args):
+        finalized.append(np.linalg.norm(host.state.position))
+        return finalize(gt, host, *args)
+
+    monkeypatch.setattr(pipeline, "_finalize", recording_finalize)
+    metrics, rows = pipeline.run(pipeline.RunConfig(duration=1.0, seed=5, transport=transport))
+    assert metrics.scans == len(rows) == 3 and metrics.skipped_scans == 0
+    assert finalized[0] <= 3.2 < np.linalg.norm(rows[-1, 1:4])
+    assert metrics.diverged is True
+    assert metrics.ate_trans == metrics.ate_rot == float("inf")
 
 
 def test_a_covariance_past_its_bound_is_flagged_after_the_last_scan(monkeypatch):

@@ -538,6 +538,31 @@ class TestTransports:
             a.close()
             b.close()
 
+    @pytest.mark.parametrize("timeout", [None, 5.0])
+    def test_frame_pending_peeks_without_reading_or_waiting(self, timeout):
+        # False on an idle link at once, whatever the socket's timeout; true
+        # once a frame is queued, which the next recv_frame still returns.
+        a, b = socket_pair()
+        b._sock.settimeout(timeout)
+        try:
+            start = time.perf_counter()
+            assert not b.frame_pending()
+            assert time.perf_counter() - start < 0.2
+            frame = encode_frame(FrameType.POSE_REQ, 42, encode_pose_req(0, 42))
+            a.send_frame(frame)
+            assert b.frame_pending() and b.frame_pending()
+            assert b._sock.gettimeout() == timeout
+            got = b.recv_frame()
+            assert (got.frame_type, got.timestamp_us) == (FrameType.POSE_REQ, 42)
+            assert not b.frame_pending()
+            a.close()
+            assert b.frame_pending()
+            with pytest.raises(PeerClosed):
+                b.recv_frame()
+        finally:
+            a.close()
+            b.close()
+
     def test_close_between_frames_is_peer_closed_and_mid_frame_truncated(self):
         frame = encode_frame(FrameType.POSE_REQ, 42, encode_pose_req(0, 42))
         for tail, error in ((b"", PeerClosed), (frame[:HEADER.size - 3], TruncatedFrame),
