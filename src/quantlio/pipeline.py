@@ -9,15 +9,14 @@ estimator together in the selected mode:
 
 All three run the same scan loop and send their observations to the host
 in a frame. Transports: "inproc" pumps encoded frames synchronously
-through the codec; "socket:PORT" runs the host behind a localhost TCP
-socket.
+through the codec; "socket:PORT" has the host answer at the far end of a
+localhost TCP connection, on the calling thread.
 """
 
 from __future__ import annotations
 
-import threading
 import time as _time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,10 +29,10 @@ from .simworld import (
     GRAVITY_W, LidarModel, build_scene, synth_imu, synth_scan, synth_trajectory,
 )
 from .wire import (
-    OBS_FLOAT_ROW_BYTES, FrameType, PeerClosed, SessionConfig, StreamTransport,
-    WireFrame, check_scan_settings, decode_config, decode_frame, decode_pose_resp,
+    OBS_FLOAT_ROW_BYTES, FrameType, SessionConfig, StreamTransport, WireFrame,
+    check_scan_settings, decode_config, decode_frame, decode_pose_resp,
     decode_state_update, encode_frame, encode_obs_float, encode_pose_req, pack_groups,
-    payload_bits, tcp_connect, tcp_listen,
+    payload_bits, relay, tcp_connect, tcp_listen,
 )
 
 FLOAT_OBS_BITS = 8 * OBS_FLOAT_ROW_BYTES  # an OBS_FLOAT row: residual, normal, point
@@ -101,9 +100,10 @@ class RunMetrics:
     naming the float size it divides, so which ratio matches it is unsettled.
 
     timings holds wall seconds (sim_setup, coprocessor, host: the scan
-    loop's waits on channel requests, total) and host_cpu, the CPU seconds
-    the serving thread spent in Host.handle_frame; host minus host_cpu is
-    what the link and the frame codec added to the host's share.
+    loop's time in channel requests, total) and host_cpu, the CPU seconds
+    spent in Host.handle_frame, which runs on the calling thread in every
+    transport; host minus host_cpu is what the link and the frame codec
+    added to the host's share.
     """
 
     ate_trans: float
@@ -174,75 +174,44 @@ class _SyncChannel:
 
 
 class _SocketChannel:
-    """Frame pump over a live transport; the host serves on its own thread
-    and adds its CPU time to host_cpu before each of its writes."""
+    """Frame pump over both ends of one localhost TCP connection, served on
+    the calling thread: each request crosses from the coprocessor end to the
+    host end through relay, the host answers its frames in order, and its
+    replies cross back in one write."""
 
-    def __init__(self, transport: StreamTransport):
-        self.transport = transport
+    def __init__(self, coprocessor_end: StreamTransport, host_end: StreamTransport,
+                 host: Host):
+        self.coprocessor_end = coprocessor_end
+        self.host_end = host_end
+        self.host = host
         self.host_cpu = 0.0
 
     def request(self, *frames: bytes) -> list[WireFrame]:
         """Send the frames in one write; one reply per frame, in their order."""
-        self.transport.send_frame(b"".join(frames))
-        return [self.transport.recv_frame() for _ in frames]
-
-
-def _host_serve(transport: StreamTransport, host: Host, channel: _SocketChannel,
-                errors: list) -> None:
-    """Answer frames until the coprocessor closes the link between frames.
-
-    The host handles every frame already received before it writes, so a
-    request's frames sent in one write are answered in one write; a request
-    that arrives split is answered in two, with the same replies.
-
-    Any other failure is recorded for the driving thread, and the link is
-    closed so that its pending request fails at once instead of timing out.
-    """
-    try:
-        transport.send_frame(host.config_frame())
-        while True:
-            replies = [_answer(host, transport.recv_frame(), channel)]
-            while transport.frame_pending():
-                replies.append(_answer(host, transport.recv_frame(), channel))
-            transport.send_frame(b"".join(replies))
-    except PeerClosed:
-        pass
-    except Exception as exc:  # surfaced to the driving thread
-        errors.append(exc)
-    finally:
-        transport.close()
+        received = relay(self.coprocessor_end, self.host_end, b"".join(frames))
+        self.host_end.send_frame(b"".join(_answer(self.host, frame, self)
+                                          for frame in received))
+        return [self.coprocessor_end.recv_frame() for _ in received]
 
 
 @contextmanager
 def _open_channel(cfg: RunConfig, host: Host):
     """Yield (channel, decoded CONFIG frame) for the run's transport, in
-    every mode. On a socket, an error the host thread recorded is raised
-    when the channel closes.
+    every mode. On a socket the calling thread listens, connects and
+    accepts, holds both ends of the connection and closes them, with the
+    listening socket, when the channel closes.
     """
     if cfg.transport == "inproc":
         yield _SyncChannel(host), decode_frame(host.config_frame())
         return
-    server = tcp_listen(int(cfg.transport.split(":", 1)[1]))
-    errors: list = []
     # The listening socket completes the connection before it is accepted,
-    # so the channel exists before the host thread that adds to it.
-    client = tcp_connect(server.getsockname()[1])
-    channel = _SocketChannel(client)
-
-    def accept_and_serve():
-        conn, _ = server.accept()
-        _host_serve(StreamTransport(conn), host, channel, errors)
-
-    thread = threading.Thread(target=accept_and_serve, daemon=True)
-    thread.start()
-    try:
-        yield channel, client.recv_frame()
-    finally:
-        client.close()
-        thread.join(timeout=10)
-        server.close()
-        if errors:
-            raise errors[0]
+    # so connecting first and accepting then never waits.
+    with (tcp_listen(int(cfg.transport.split(":", 1)[1])) as server,
+          closing(tcp_connect(server.getsockname()[1])) as coprocessor_end,
+          closing(StreamTransport(server.accept()[0])) as host_end):
+        channel = _SocketChannel(coprocessor_end, host_end, host)
+        host_end.send_frame(host.config_frame())
+        yield channel, coprocessor_end.recv_frame()
 
 
 def _make_host(cfg: RunConfig, gt) -> Host:
@@ -305,7 +274,8 @@ def _pose_req(t_prev: float, t_k: float) -> bytes:
 
 
 def _run_scans(cfg: RunConfig, scene, gt, host: Host, scan_seed):
-    """The scan loop of every mode; the host is only reached through frames.
+    """The scan loop of every mode; the host is only reached through frames,
+    and on either transport it answers them on the calling thread.
 
     Per scan k the coprocessor turns the scan into observations at the prior
     pose of its POSE_RESP and sends them in one frame (OBS_GROUPS in the qlio

@@ -52,14 +52,17 @@ The session runs one CONFIG (host to coprocessor) then, per scan k,
 POSE_REQ(k) -> POSE_RESP(k) and OBS_GROUPS or OBS_FLOAT (k) ->
 STATE_UPDATE(k), in one link round trip per scan: the coprocessor writes
 the observation frame of scan k and POSE_REQ(k + 1) in one write, and the
-host, which handles every frame it has already received before it writes,
-answers STATE_UPDATE(k) and POSE_RESP(k + 1) in one write. Only the first
-POSE_REQ and the last observation frame travel alone. The host still
+host answers STATE_UPDATE(k) and POSE_RESP(k + 1) in one write. Only the
+first POSE_REQ and the last observation frame travel alone. The host
 handles the frames one at a time, in order, so the update of scan k comes
-before the propagation to t_{k+1}. Fidelity: on a live sensor the host
-answers POSE_REQ(k + 1) once its IMU stream reaches t_{k+1}, which is also
-when scan k + 1 closes; the simulated IMU stream exists from the start, so
-here the reply never waits for it.
+before the propagation to t_{k+1}. Both ends of the link are served on one
+thread: relay writes a request at one end and reads it back at the other
+in turns, and split_frames cuts the byte run into frames. Fidelity: on a
+live sensor the host answers POSE_REQ(k + 1) once its IMU stream reaches
+t_{k+1}, which is also when scan k + 1 closes; the simulated IMU stream
+exists from the start, so here the reply never waits for it. Link latency
+is no part of this simulation: it belongs to a link model in simulated
+time (ROADMAP item 17), not to how the OS schedules threads.
 
 The host (estimator.Host) enforces the order: a POSE_REQ window must start
 at the host's time and end after it; an observation frame needs a pending
@@ -462,33 +465,23 @@ class StreamTransport:
     def send_frame(self, data: bytes) -> None:
         self._sock.sendall(data)
 
+    def _recv_some(self, n: int, deadline: float) -> bytes:
+        """Up to n bytes, as soon as any arrive before the deadline."""
+        self._sock.settimeout(max(deadline - time.monotonic(), 1e-6))
+        try:
+            got = self._sock.recv(n)
+        except TimeoutError:
+            raise TruncatedFrame(
+                f"frame incomplete {FRAME_DEADLINE_S} s after it began") from None
+        if not got:
+            raise TruncatedFrame("connection closed mid-frame")
+        return got
+
     def _recv_exact(self, n: int, deadline: float) -> bytes:
         chunks = bytearray()
         while len(chunks) < n:
-            self._sock.settimeout(max(deadline - time.monotonic(), 1e-6))
-            try:
-                got = self._sock.recv(n - len(chunks))
-            except TimeoutError:
-                raise TruncatedFrame(
-                    f"frame incomplete {FRAME_DEADLINE_S} s after it began") from None
-            if not got:
-                raise TruncatedFrame("connection closed mid-frame")
-            chunks.extend(got)
+            chunks += self._recv_some(n - len(chunks), deadline)
         return bytes(chunks)
-
-    def frame_pending(self) -> bool:
-        """Whether recv_frame can start without waiting: bytes of a frame are
-        buffered, or the peer has closed. Reads nothing and never blocks,
-        whatever the socket's timeout."""
-        timeout = self._sock.gettimeout()
-        self._sock.settimeout(0.0)
-        try:
-            self._sock.recv(1, socket.MSG_PEEK)
-            return True
-        except BlockingIOError:
-            return False
-        finally:
-            self._sock.settimeout(timeout)
 
     def recv_frame(self) -> WireFrame:
         """Wait for the next frame as long as the socket's timeout allows;
@@ -513,6 +506,45 @@ class StreamTransport:
         except OSError:
             pass
         self._sock.close()
+
+
+def split_frames(buf) -> list[WireFrame]:
+    """The frames of a byte run, in order. A tail shorter than its header
+    claims raises TruncatedFrame; any other failure raises as decode_frame
+    raises it."""
+    frames, offset, view = [], 0, memoryview(buf)
+    while offset < len(buf):
+        frames.append(decode_frame(view[offset:]))
+        offset += HEADER.size + len(frames[-1].payload) + 4
+    return frames
+
+
+def relay(source: StreamTransport, sink: StreamTransport, data: bytes) -> list[WireFrame]:
+    """Write data at source and read it back at sink, the two ends of one
+    connection, in turns on the calling thread; returns split_frames of what
+    sink read.
+
+    source writes only what the kernel takes without blocking, and sink then
+    reads what has arrived, so a run larger than the socket buffers cannot
+    block its own writer. The whole run must arrive within FRAME_DEADLINE_S,
+    or TruncatedFrame is raised.
+    """
+    pending, received = memoryview(data), bytearray()
+    deadline = time.monotonic() + FRAME_DEADLINE_S
+    timeouts = source._sock.gettimeout(), sink._sock.gettimeout()
+    source._sock.setblocking(False)
+    try:
+        while len(received) < len(data):
+            if pending:
+                try:
+                    pending = pending[source._sock.send(pending):]
+                except BlockingIOError:
+                    pass
+            received += sink._recv_some(len(data) - len(received), deadline)
+    finally:
+        source._sock.settimeout(timeouts[0])
+        sink._sock.settimeout(timeouts[1])
+    return split_frames(received)
 
 
 def tcp_listen(port: int) -> socket.socket:

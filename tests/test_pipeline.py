@@ -1,3 +1,4 @@
+import socket
 import threading
 import time
 
@@ -187,9 +188,10 @@ def test_corrupted_frame_raises_bad_crc_at_once(monkeypatch, transport):
 
 
 def test_short_frame_over_a_socket_raises_truncated_frame_promptly(monkeypatch):
-    # The host holds a POSE_REQ frame missing its last 3 bytes; a POSE_REQ
-    # ends every coprocessor write, so nothing follows it. The host gives
-    # up after FRAME_DEADLINE_S instead of waiting for the driver's timeout.
+    # The host end reads a POSE_REQ frame missing its last 3 bytes; a
+    # POSE_REQ ends every coprocessor write, so nothing follows it. The relay
+    # has read every byte written, so it raises at once, well inside the
+    # FRAME_DEADLINE_S a frame's remaining bytes may take to arrive.
     encode = pipeline.encode_frame
 
     def cut_pose_req(frame_type, timestamp_us, payload):
@@ -200,7 +202,7 @@ def test_short_frame_over_a_socket_raises_truncated_frame_promptly(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(TruncatedFrame):
         pipeline.run(pipeline.RunConfig(duration=0.5, mode="qlio", transport="socket:0"))
-    assert time.perf_counter() - start < 2.0
+    assert time.perf_counter() - start < wire.FRAME_DEADLINE_S
 
 
 def test_short_frame_followed_by_its_pose_request_raises_bad_crc_promptly(monkeypatch):
@@ -220,26 +222,52 @@ def test_short_frame_followed_by_its_pose_request_raises_bad_crc_promptly(monkey
     assert time.perf_counter() - start < 2.0
 
 
+def record_socket_channels(monkeypatch):
+    """Wrap _SocketChannel.__init__; the returned list collects every socket
+    channel a run opens, which holds both ends of its connection."""
+    channels = []
+    init = pipeline._SocketChannel.__init__
+
+    def recording(channel, *args):
+        init(channel, *args)
+        channels.append(channel)
+
+    monkeypatch.setattr(pipeline._SocketChannel, "__init__", recording)
+    return channels
+
+
 @pytest.mark.parametrize("transport", ["inproc", "socket:0"])
 def test_one_exchange_per_scan(monkeypatch, transport):
     # Each scan's observation frame carries the next scan's POSE_REQ in the
     # same write; only the first POSE_REQ and the last observation frame
-    # travel alone. Over a socket the coprocessor writes n + 1 times and the
-    # host n + 2 times (CONFIG, then one write per coprocessor write).
+    # travel alone. Over a socket the coprocessor end writes n + 1 times, each
+    # a relayed request, and the host end n + 2 times (CONFIG, then one write
+    # per request).
     kinds, writes = [], {"coprocessor": 0, "host": 0}
     handle, send = estimator.Host.handle_frame, wire.StreamTransport.send_frame
+    relay = pipeline.relay
+    channels = record_socket_channels(monkeypatch)
+
+    def end(transport):
+        (channel,) = channels
+        assert transport in (channel.coprocessor_end, channel.host_end)
+        return "coprocessor" if transport is channel.coprocessor_end else "host"
 
     def recording_handle(host, frame):
         kinds.append(frame.frame_type)
         return handle(host, frame)
 
     def counting_send(transport, data):
-        main = threading.current_thread() is threading.main_thread()
-        writes["coprocessor" if main else "host"] += 1
+        writes[end(transport)] += 1
         return send(transport, data)
+
+    def counting_relay(source, sink, data):
+        writes[end(source)] += 1
+        return relay(source, sink, data)
 
     monkeypatch.setattr(estimator.Host, "handle_frame", recording_handle)
     monkeypatch.setattr(wire.StreamTransport, "send_frame", counting_send)
+    monkeypatch.setattr(pipeline, "relay", counting_relay)
     metrics, _ = pipeline.run(pipeline.RunConfig(duration=0.5, mode="qlio",
                                                  transport=transport, seed=4))
     n = metrics.scans
@@ -250,6 +278,55 @@ def test_one_exchange_per_scan(monkeypatch, transport):
         assert writes == {"coprocessor": 0, "host": 0}
     else:
         assert writes == {"coprocessor": n + 1, "host": n + 2}
+
+
+def test_a_socket_host_answers_on_the_calling_thread(monkeypatch):
+    # Both ends of the connection are served by the thread that calls run:
+    # every frame is handled on it, and no thread is started.
+    threads, started = [], []
+    handle = estimator.Host.handle_frame
+
+    def recording_handle(host, frame):
+        threads.append(threading.get_ident())
+        return handle(host, frame)
+
+    monkeypatch.setattr(estimator.Host, "handle_frame", recording_handle)
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    metrics, _ = pipeline.run(pipeline.RunConfig(duration=0.5, mode="qlio",
+                                                 transport="socket:0", seed=4))
+    assert len(threads) == 2 * metrics.scans == 10
+    assert set(threads) == {threading.get_ident()}
+    assert started == []
+
+
+def test_a_host_end_closed_mid_session_fails_the_run_promptly(monkeypatch):
+    # The host end of the connection closes while the host handles the third
+    # scan's observations: its reply cannot be written, the run raises at
+    # once instead of waiting on a reply, and every socket it opened is closed.
+    made, observed = [], []
+    channels = record_socket_channels(monkeypatch)
+    handle = estimator.Host.handle_frame
+
+    class Recorded(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    def closing_on_third_scan(host, frame):
+        if frame.frame_type == FrameType.OBS_GROUPS:
+            observed.append(frame.timestamp_us)
+            if len(observed) == 3:
+                channels[0].host_end.close()
+        return handle(host, frame)
+
+    monkeypatch.setattr(socket, "socket", Recorded)
+    monkeypatch.setattr(estimator.Host, "handle_frame", closing_on_third_scan)
+    start = time.perf_counter()
+    with pytest.raises(OSError):
+        pipeline.run(pipeline.RunConfig(duration=1.0, mode="qlio", transport="socket:0"))
+    assert time.perf_counter() - start < 2.0
+    assert len(observed) == 3
+    assert len(made) == 3 and all(sock.fileno() == -1 for sock in made)
 
 
 @pytest.mark.parametrize("transport", ["inproc", "socket:0"])

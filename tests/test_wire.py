@@ -18,7 +18,7 @@ from quantlio.wire import (
     decode_config, decode_frame, decode_obs_float, decode_pose_req, decode_pose_resp,
     decode_state_update, encode_config, encode_frame, encode_obs_float, encode_pose_req,
     encode_pose_resp, encode_state_update, pack_groups,
-    payload_bits, tcp_connect, tcp_listen, unpack_groups,
+    payload_bits, relay, tcp_connect, tcp_listen, unpack_groups,
 )
 
 
@@ -538,31 +538,6 @@ class TestTransports:
             a.close()
             b.close()
 
-    @pytest.mark.parametrize("timeout", [None, 5.0])
-    def test_frame_pending_peeks_without_reading_or_waiting(self, timeout):
-        # False on an idle link at once, whatever the socket's timeout; true
-        # once a frame is queued, which the next recv_frame still returns.
-        a, b = socket_pair()
-        b._sock.settimeout(timeout)
-        try:
-            start = time.perf_counter()
-            assert not b.frame_pending()
-            assert time.perf_counter() - start < 0.2
-            frame = encode_frame(FrameType.POSE_REQ, 42, encode_pose_req(0, 42))
-            a.send_frame(frame)
-            assert b.frame_pending() and b.frame_pending()
-            assert b._sock.gettimeout() == timeout
-            got = b.recv_frame()
-            assert (got.frame_type, got.timestamp_us) == (FrameType.POSE_REQ, 42)
-            assert not b.frame_pending()
-            a.close()
-            assert b.frame_pending()
-            with pytest.raises(PeerClosed):
-                b.recv_frame()
-        finally:
-            a.close()
-            b.close()
-
     def test_close_between_frames_is_peer_closed_and_mid_frame_truncated(self):
         frame = encode_frame(FrameType.POSE_REQ, 42, encode_pose_req(0, 42))
         for tail, error in ((b"", PeerClosed), (frame[:HEADER.size - 3], TruncatedFrame),
@@ -623,6 +598,31 @@ class TestTransports:
         server.close()
         assert result["frame"].frame_type == FrameType.POSE_REQ
         assert reply.frame_type == FrameType.STATE_UPDATE
+
+    def test_a_request_larger_than_the_socket_buffers_is_relayed(self):
+        # One thread writes at one end of a TCP connection and reads at the
+        # other. A single blocking write of this frame would stall until its
+        # timeout: the kernel's buffers cannot hold it, and no reader runs.
+        server = tcp_listen(0)
+        client = tcp_connect(server.getsockname()[1])
+        conn = StreamTransport(server.accept()[0])
+        try:
+            buffers = sum(end._sock.getsockopt(socket.SOL_SOCKET, option)
+                          for end in (client, conn)
+                          for option in (socket.SO_SNDBUF, socket.SO_RCVBUF))
+            rows = np.random.default_rng(5).uniform(-5.0, 5.0, (buffers // 28 + 1, 7))
+            payload = encode_obs_float(obs_rows(rows))
+            frame = encode_frame(FrameType.OBS_FLOAT, 7, payload)
+            assert buffers < len(frame) < MAX_PAYLOAD
+            start = time.perf_counter()
+            (got,) = relay(client, conn, frame)
+            assert time.perf_counter() - start < 2.0
+            assert (got.frame_type, got.timestamp_us) == (FrameType.OBS_FLOAT, 7)
+            assert got.payload == payload
+        finally:
+            client.close()
+            conn.close()
+            server.close()
 
     def test_tcp_listen_closes_its_socket_when_bind_fails(self, monkeypatch):
         made = []
